@@ -1,6 +1,11 @@
 """Moment ratios M_p(F)/M_p(1) of the gas densities: Monte Carlo estimators,
 a deterministic quadrature oracle for n <= 3, homogeneous closed forms, and
 the thin-shell statistic pipelines.
+
+The oracle integrates the radius exactly (a Gamma factor, by homogeneity) and
+only the face of the ordered sector by quadrature, so there is no truncation
+tail; its error bound is the change between its last two refinement levels.
+Every functional must be homogeneous of its declared degree.
 """
 
 import math
@@ -45,7 +50,8 @@ class OracleFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Functional:
-    """A symmetric functional of the gas point, with its homogeneity degree."""
+    """A symmetric functional of the gas point, homogeneous of the declared
+    degree (the quadrature oracle relies on it and checks it)."""
 
     name: str
     degree: float
@@ -185,8 +191,9 @@ def resolve_functional(fid, p=None):
 class MomentEstimate:
     """A moment ratio M_p(F)/M_p(1) with its error bar.
 
-    For quadrature and closed-form methods std_err is the certified absolute
-    error bound, not a statistical error.
+    For quadrature, std_err is the change between the last two refinement
+    levels (the radius is exact, so there is no tail term) and n_samples is
+    the node count of the face grid; neither is a statistical quantity.
     """
 
     value: float
@@ -223,9 +230,15 @@ def closed_form_moment(d, s, l, p):
 
 # ---------------------------------------------------------------------------
 # deterministic quadrature oracle (n <= 3)
+#
+# The density f and every functional F are homogeneous, of degrees d - n and
+# k.  On the ordered sector x_n is the largest |x_i|, so x = t (y, 1) with y
+# on the face [0,1]^(n-1) (even a) or [-1,1]^(n-1) (odd a).  With
+# s = ||(y,1)||_p^p the radius integrates exactly:
+#     int_0^inf t^(d+k-1) exp(-s t^p) dt = Gamma((d+k)/p) / p * s^(-(d+k)/p),
+# and at p = inf, where t <= 1, it is 1/(d+k).  Only the face is a quadrature.
 
 _LEVELS = ((2, 6), (3, 10), (4, 14), (5, 18), (6, 24), (7, 30))
-_MAX_NODES_PER_CHUNK = 2_000_000
 
 
 def _panel_nodes(level, order):
@@ -243,77 +256,62 @@ def _panel_nodes(level, order):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _truncation_radius(params, p, max_degree):
-    """Solve R^p = q log R + 40 for the tail cutoff, enlarged until the
-    incomplete-gamma tail bound is valid."""
-    q = params.d + max_degree
-    r = 2.0
-    for _ in range(200):
-        r_new = (q * math.log(max(r, 1.5)) + 40.0) ** (1.0 / p)
-        if abs(r_new - r) < 1e-12 * r:
-            break
-        r = r_new
-    alpha_max = (params.d + max_degree) / p
-    r = max(r, (2.0 * alpha_max + 10.0) ** (1.0 / p))
-    return r
+def _face_grid(params, level, order):
+    """Face points x = (y, 1) of the ordered sector with their weights.
 
-
-def _tail_bound_rel(params, p, deg, r):
-    """Relative tail mass of a degree-deg moment beyond ||x||_p > r:
-    Q((d+deg)/p, r^p) bounded by the standard incomplete-gamma inequality."""
-    alpha = (params.d + deg) / p
-    z = r**p
-    log_q = (alpha - 1.0) * math.log(z) - z + math.log(2.0) - log_gamma(alpha)
-    return math.exp(min(log_q, 0.0))
-
-
-def _sector_sums(params, p, funcs, level, order, shift, radius, signed):
-    """Accumulate integral sums of [1, funcs...] over the ordered sector."""
+    For odd a the sector also holds the face x_1 = -t, the image of x under
+    x -> -x reversed; f is even under that map, so the mirror points come back
+    as a second point set sharing the weights.
+    """
     n = params.n
     nodes, weights = _panel_nodes(level, order)
-    m = nodes.size
-    totals = np.zeros(len(funcs) + 1)
-    max_log = -np.inf
-    block = max(1, _MAX_NODES_PER_CHUNK // max(1, m ** (n - 1)))
-    for start in range(0, m, block):
-        sl = slice(start, min(start + block, m))
-        axes_nodes = [nodes] * (n - 1) + [nodes[sl]]
-        axes_w = [weights] * (n - 1) + [weights[sl]]
-        grids = np.meshgrid(*axes_nodes, indexing="ij")
-        u = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        wgrids = np.meshgrid(*axes_w, indexing="ij")
-        w = np.ones(u.shape[0])
-        for g in wgrids:
-            w = w * g.reshape(-1)
-        # x_i = scale * prod_{k >= i} u_k keeps the coordinates ordered.
-        cp = np.cumprod(u[:, ::-1], axis=1)[:, ::-1]
-        if signed:
-            x = 2.0 * radius * cp - radius
-            jac = (2.0 * radius) ** n
-        else:
-            x = radius * cp
-            jac = radius**n
-        for k in range(1, n):
-            w = w * u[:, k] ** k
-        logf = density.log_f_p(params, p, x)
-        if np.ndim(logf) == 0:
-            logf = np.array([logf])
-        max_log = max(max_log, float(np.max(logf)))
-        # the cap only matters in the shift pre-pass; real passes assert the
-        # peak stays far below it
-        vals = w * jac * np.exp(np.minimum(logf - shift, 700.0))
-        totals[0] += vals.sum()
-        for i, f in enumerate(funcs):
-            totals[i + 1] += float(np.dot(vals, f.fn(x)))
-    return totals, max_log
+    idx = np.indices((nodes.size,) * (n - 1)).reshape(n - 1, nodes.size ** (n - 1)).T
+    u = nodes[idx]
+    w = np.prod(weights[idx], axis=1)
+    # y_i = prod_{k >= i} u_k keeps the face coordinates ordered.
+    y = np.cumprod(u[:, ::-1], axis=1)[:, ::-1]
+    for k in range(1, n - 1):
+        w = w * u[:, k] ** k
+    if params.a % 2 == 0:
+        return [np.concatenate([y, np.ones((y.shape[0], 1))], axis=1)], w
+    x = np.concatenate([2.0 * y - 1.0, np.ones((y.shape[0], 1))], axis=1)
+    return [x, -x[:, ::-1]], w * 2.0 ** (n - 1)
+
+
+def _check_degrees(funcs, faces):
+    """Raise OracleFailure unless F(2x) = 2^k F(x) on the face points."""
+    x = np.concatenate(faces)
+    for f in funcs:
+        scaled = 2.0**f.degree * f.fn(x)
+        if not np.allclose(f.fn(2.0 * x), scaled, rtol=1e-9,
+                           atol=1e-12 * float(np.max(np.abs(scaled), initial=0.0))):
+            raise OracleFailure(f"functional {f.name} is not homogeneous of degree {f.degree:g}")
+
+
+def _sector_sums(params, p, funcs, faces, w):
+    """Face sums of f(x) s^(-(d+k)/p) F(x) for F of degree k in [1, funcs...]."""
+    x = faces[0]
+    logf = density.log_f(params, x)
+    # (d + k) / p is 0 at p = inf, where the radius leaves no s factor
+    log_s = np.log(np.sum(np.abs(x) ** p, axis=1))
+    return np.array([np.dot(w * np.exp(logf - (params.d + f.degree) / p * log_s),
+                            sum(f.fn(face) for face in faces))
+                     for f in [one(), *funcs]])
+
+
+def _radial_ratio(d, k, p):
+    """Ratio of the radial integrals of degrees d + k and d."""
+    return d / (d + k) if math.isinf(p) else closed_form_moment(d, 0.0, k, p)
 
 
 def quadrature_moments(params, p, functionals, abs_tol=1e-8, rel_tol=1e-10, max_levels=None):
     """Deterministic moment ratios M_p(F)/M_p(1) for several functionals at once.
 
-    Integrates the ordered sector (positive for even a, signed for odd a) with
-    panel-refined Gauss-Legendre rules, escalating refinement until successive
-    levels agree within tolerance; raises OracleFailure otherwise.
+    The radius is integrated exactly, so every functional must be homogeneous
+    of its declared degree (checked on the first level's nodes).  The face of
+    the ordered sector (positive for even a, signed for odd a) is integrated
+    with panel-refined Gauss-Legendre rules, escalating refinement until
+    successive levels agree within tolerance; raises OracleFailure otherwise.
     """
     n = params.n
     if n > 3:
@@ -324,50 +322,33 @@ def quadrature_moments(params, p, functionals, abs_tol=1e-8, rel_tol=1e-10, max_
         raise OracleFailure("odd-a ensembles need even c for smooth quadrature")
     if signed and not math.isinf(p) and p % 2 != 0:
         raise OracleFailure("odd-a ensembles need even (or infinite) p")
-    max_degree = max([f.degree for f in funcs], default=0.0)
-    if math.isinf(p):
-        radius = 1.0
-        tail = {f.name: 0.0 for f in funcs}
-    else:
-        radius = _truncation_radius(params, p, max_degree)
-        tail = {f.name: _tail_bound_rel(params, p, f.degree, radius)
-                + _tail_bound_rel(params, p, 0.0, radius) for f in funcs}
-
-    # cheap pre-pass fixes the log-domain shift
-    _, shift = _sector_sums(params, p, [], 1, 4, 0.0, radius, signed)
-    shift += 2.0
+    radial = np.array([_radial_ratio(params.d, f.degree, p) for f in funcs])
 
     levels = _LEVELS if max_levels is None else _LEVELS[:max_levels]
     prev = None
     last_err = None
-    nodes_used = 0
     for level, order in levels:
-        totals, max_log = _sector_sums(params, p, funcs, level, order, shift, radius, signed)
-        if max_log - shift > 600.0:
-            raise OracleFailure("log-domain shift underestimated the integrand peak")
+        faces, w = _face_grid(params, level, order)
+        if prev is None:
+            _check_degrees(funcs, faces)
+        totals = _sector_sums(params, p, funcs, faces, w)
         if totals[0] <= 0.0:
             raise OracleFailure("vanishing normalization integral")
-        ratios = totals[1:] / totals[0]
-        nodes_used = ((2 * level * order)) ** n
+        ratios = radial * totals[1:] / totals[0]
         if prev is not None:
             deltas = np.abs(ratios - prev)
-            ok = all(
-                dlt <= 0.5 * max(abs_tol, rel_tol * abs(r))
-                for dlt, r in zip(deltas, ratios)
-            )
             last_err = deltas
-            if ok:
-                out = {}
-                for f, r, dlt in zip(funcs, ratios, deltas):
-                    bound = float(dlt) + tail.get(f.name, 0.0) * (1.0 + abs(r))
-                    out[f.name] = MomentEstimate(
+            if all(dlt <= 0.5 * max(abs_tol, rel_tol * abs(r)) for dlt, r in zip(deltas, ratios)):
+                return {
+                    f.name: MomentEstimate(
                         value=float(r),
-                        std_err=bound,
-                        n_samples=nodes_used,
-                        ess=float(nodes_used),
+                        std_err=float(dlt),
+                        n_samples=w.size,
+                        ess=float(w.size),
                         method="quadrature",
                     )
-                return out
+                    for f, r, dlt in zip(funcs, ratios, deltas)
+                }
         prev = ratios
     raise OracleFailure(
         f"quadrature did not reach tol={abs_tol:g} at max refinement (last delta {last_err})"

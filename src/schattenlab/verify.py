@@ -110,11 +110,15 @@ def _identity_sides(params, p, which):
     return lhs, rhs
 
 
-def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, seed=0):
+def _require_identity_case(params, p):
     if params.a != 2:
         raise ValueError("the moment identities require a = 2")
     if math.isinf(p):
         raise ValueError("the p * M_p(...) term is undefined at p = inf")
+
+
+def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, seed=0):
+    _require_identity_case(params, p)
     claim = f"identity-{which}[{_ens_tag(params)},p={_p_tag(p)}]"
     lhs_terms, rhs_terms = _identity_sides(params, p, which)
     if method == "auto":
@@ -164,6 +168,7 @@ def check_identity1(params, p, method="auto", tol=1e-5, budget=200_000, seed=0):
 
 def identity_suite_for(params, p, tol=1e-5):
     """All three moment identities on one shared quadrature grid."""
+    _require_identity_case(params, p)
     groups = {which: _identity_sides(params, p, which) for which in (1, 2, 3)}
     funcs = {}
     for lhs_terms, rhs_terms in groups.values():

@@ -67,6 +67,53 @@ def test_quadrature_oracle_failure_never_silent():
         )
 
 
+def test_quadrature_reports_face_node_count():
+    # the face grid has (2*level - 1)*order nodes on each of its n - 1 axes;
+    # a loose tolerance stops at the second level, (3, 10): 5 panels of 10
+    assert mo.quadrature_moment(EnsembleParams(2, 1, 0, 1), 2.0, "x1_sq").n_samples == 1
+    for n in (2, 3):
+        est = mo.quadrature_moments(EnsembleParams(2, 1, 0, n), 2.0, ["x1_sq"],
+                                    abs_tol=1.0, rel_tol=1.0)["x1_pow2"]
+        assert est.n_samples == 50 ** (n - 1)
+        assert est.ess == est.n_samples
+
+
+def _aomoto_product_mean(b, c, n, k):
+    """Aomoto's E[x_1^2 ... x_k^2] for the (2, b, c) gas at p = inf.
+
+    With t = x^2 the gas is the Selberg density on [0,1]^n with
+    alpha = (c+1)/2, beta = 1 and gamma = b/2.
+    """
+    alpha, gamma = (c + 1) / 2.0, b / 2.0
+    return math.prod((alpha + (n - i) * gamma) / (alpha + 1.0 + (2 * n - i - 1) * gamma)
+                     for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadrature_aomoto_at_p_infinity(abc, n):
+    ests = mo.quadrature_moments(EnsembleParams(*abc, n), math.inf, ["x1_sq", "x1sq_x2sq"])
+    _, b, c = abc
+    assert ests["x1_pow2"].value == pytest.approx(_aomoto_product_mean(b, c, n, 1), rel=1e-10)
+    assert ests["x1sq_x2sq"].value == pytest.approx(_aomoto_product_mean(b, c, n, 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_quadrature_odd_functional_on_signed_sector(n, p):
+    # the (1,2,0) gas is even under x -> -x, so the mean coordinate has mean 0;
+    # the face x_n = t alone would give a positive value, the face x_1 = -t cancels it
+    mean_x = mo.Functional("mean_x", 1.0, lambda x: np.mean(x, axis=1))
+    est = mo.quadrature_moment(EnsembleParams(1, 2, 0, n), p, mean_x)
+    assert abs(est.value) <= 1e-12
+
+
+def test_quadrature_rejects_wrong_declared_degree():
+    wrong = mo.Functional("norm2_sq_as_cubic", 3.0, lambda x: np.sum(x**2, axis=1))
+    with pytest.raises(mo.OracleFailure):
+        mo.quadrature_moment(EnsembleParams(2, 1, 0, 2), 2.0, wrong)
+
+
 def test_closed_form_moment_values():
     assert mo.closed_form_moment(1, 0, 2, 2) == pytest.approx(0.5, rel=1e-12)
     assert mo.closed_form_moment(8, 0, 4, 4) == pytest.approx(2.0, rel=1e-12)

@@ -29,6 +29,10 @@ def test_identity_requires_even_a_and_finite_p():
         vf.check_identity1(EnsembleParams(1, 2, 0, 2), 2.0)
     with pytest.raises(ValueError):
         vf.check_identity2(EnsembleParams(2, 1, 0, 2), math.inf)
+    with pytest.raises(ValueError):
+        vf.identity_suite_for(EnsembleParams(1, 2, 0, 2), 2.0)
+    with pytest.raises(ValueError):
+        vf.identity_suite_for(EnsembleParams(2, 1, 0, 3), math.inf)
 
 
 def test_identity_mc_route():
