@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -68,7 +67,6 @@ class RunConfig:
     subcommand: str
     options: dict
     seed: int
-    out: str
     fmt: str
 
 
@@ -120,35 +118,12 @@ def _open_out(path):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_verify(args):
+def _cmd_verify(args, writer):
     only = None
     if args.ensemble is not None or args.n is not None or args.p is not None:
         only = (args.ensemble, args.n, args.p)
-    cfg = RunConfig(
-        "verify",
-        _jsonable_opts({
-            "suite": args.suite,
-            "budget_scale": args.budget_scale,
-            "ensemble": list(args.ensemble) if args.ensemble else None,
-            "n": args.n,
-            "p": args.p,
-            "tol": args.tol,
-        }),
-        args.seed,
-        args.out or "-",
-        args.format,
-    )
-    stream, close = _open_out(args.out)
-    writer = _Writer(cfg, stream)
-    writer.header()
-    try:
-        reports = vf.run_suite(args.suite, budget_scale=args.budget_scale,
-                               seed=args.seed, only=only, tol=args.tol)
-    except mo.OracleFailure as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        if close:
-            stream.close()
-        return EXIT_ORACLE
+    reports = vf.run_suite(args.suite, budget_scale=args.budget_scale,
+                           seed=args.seed, only=only, tol=args.tol)
     all_ok = True
     for rep in reports:
         writer.record(rep.to_record())
@@ -156,8 +131,6 @@ def _cmd_verify(args):
         print(f"{status} {rep.claim_id} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}",
               file=sys.stderr)
         all_ok = all_ok and rep.passed
-    if close:
-        stream.close()
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -218,38 +191,17 @@ def _estimate_moment(args, writer):
     )
 
 
-def _cmd_estimate(args):
-    cfg = RunConfig("estimate", {k: v for k, v in vars(args).items()
-                                 if k not in ("func", "out", "format", "seed")},
-                    args.seed, args.out or "-", args.format)
-    cfg.options = _jsonable_opts(cfg.options)
-    stream, close = _open_out(args.out)
-    writer = _Writer(cfg, stream)
-    writer.header()
-    try:
-        if args.quantity == "sigma":
-            _estimate_sigma(args, writer)
-        elif args.quantity == "var":
-            _estimate_var(args, writer)
-        else:
-            _estimate_moment(args, writer)
-    except mo.OracleFailure as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        if close:
-            stream.close()
-        return EXIT_ORACLE
-    if close:
-        stream.close()
+def _cmd_estimate(args, writer):
+    if args.quantity == "sigma":
+        _estimate_sigma(args, writer)
+    elif args.quantity == "var":
+        _estimate_var(args, writer)
+    else:
+        _estimate_moment(args, writer)
     return EXIT_OK
 
 
-def _cmd_sample(args):
-    cfg = RunConfig("sample", _jsonable_opts({k: v for k, v in vars(args).items()
-                                              if k not in ("func", "out", "format", "seed")}),
-                    args.seed, args.out or "-", args.format)
-    stream, close = _open_out(args.out)
-    writer = _Writer(cfg, stream)
-    writer.header()
+def _cmd_sample(args, writer):
     if args.target == "gas":
         params = EnsembleParams(*args.ensemble, args.n)
         batch = sp.gas_sample(params, args.p, args.samples, args.seed,
@@ -260,18 +212,10 @@ def _cmd_sample(args):
                                       burn_in=args.burn_in or 300)
     for row in batch.points:
         writer.record({f"x{i}": float(v) for i, v in enumerate(row)})
-    if close:
-        stream.close()
     return EXIT_OK
 
 
-def _cmd_sweep(args):
-    cfg = RunConfig("sweep", _jsonable_opts({k: v for k, v in vars(args).items()
-                                             if k not in ("func", "out", "format", "seed")}),
-                    args.seed, args.out or "-", args.format)
-    stream, close = _open_out(args.out)
-    writer = _Writer(cfg, stream)
-    writer.header()
+def _cmd_sweep(args, writer):
     idx = 0
     for abc in args.ensembles:
         for n in args.n_list:
@@ -288,18 +232,10 @@ def _cmd_sweep(args):
                 }
                 rec.update(est.as_dict())
                 writer.record(rec)
-    if close:
-        stream.close()
     return EXIT_OK
 
 
-def _cmd_gamma(args):
-    cfg = RunConfig("gamma", _jsonable_opts({k: v for k, v in vars(args).items()
-                                             if k not in ("func", "out", "format", "seed")}),
-                    args.seed, args.out or "-", args.format)
-    stream, close = _open_out(args.out)
-    writer = _Writer(cfg, stream)
-    writer.header()
+def _cmd_gamma(args, writer):
     if args.grid:
         ds = np.unique(np.round(np.geomspace(4, 10_000, 15)).astype(int))
         ps = np.geomspace(1.0, 10_000.0, 15)
@@ -322,9 +258,26 @@ def _cmd_gamma(args):
             }
         )
         print(f"{r.value:.12g}", file=sys.stderr)
-    if close:
-        stream.close()
     return EXIT_OK
+
+
+def _run(args):
+    """Write the header, run the subcommand body on the output stream and
+    return its exit code; an oracle failure exits with EXIT_ORACLE."""
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("func", "out", "format", "seed", "subcommand")}
+    config = RunConfig(args.subcommand, _jsonable_opts(options), args.seed, args.format)
+    stream, close = _open_out(args.out)
+    try:
+        writer = _Writer(config, stream)
+        writer.header()
+        return args.func(args, writer)
+    except mo.OracleFailure as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
+    finally:
+        if close:
+            stream.close()
 
 
 def _jsonable_opts(opts):
@@ -347,9 +300,6 @@ def _mcmc_kwargs(args):
         kw["burn_in"] = args.burn_in
     if getattr(args, "thinning", None):
         kw["thinning"] = args.thinning
-    workers = os.environ.get("SCHATTENLAB_WORKERS")
-    if workers:
-        kw["n_workers"] = int(workers)
     return kw
 
 
@@ -436,7 +386,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

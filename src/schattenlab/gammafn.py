@@ -7,43 +7,16 @@ import numpy as np
 
 __all__ = ["log_gamma", "gamma_ratio", "gamma_gap", "GammaRatio"]
 
-# Bernoulli numbers B_2, B_4, ..., B_16 for the Stirling tail.
-_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_SHIFT_THRESHOLD = 10.0
-
 
 def log_gamma(x):
-    """Natural log of Gamma(x) for x > 0.
+    """Natural log of Gamma(x) for x > 0, by math.lgamma.
 
-    Stirling series after raising the argument above 10; relative error
-    stays below 1e-13 on [1e-3, 1e8].
+    Against mpmath its relative error is at most 2.7e-14 over 400 geometric
+    points of [1e-3, 1e8] (those with |log Gamma(x)| > 1e-3).
     """
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    x = float(x)
-    shift = 0.0
-    while x < _SHIFT_THRESHOLD:
-        shift -= math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv_sq = inv * inv
-    tail = 0.0
-    power = inv
-    for j, b in enumerate(_BERNOULLI, start=1):
-        tail += b / (2 * j * (2 * j - 1)) * power
-        power *= inv_sq
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + tail + shift
+    return math.lgamma(x)
 
 
 @dataclass(frozen=True)
@@ -74,10 +47,12 @@ def gamma_ratio(d, p, q):
 
 
 def gamma_gap(d, p):
-    """The difference ratio(d,p,2)^2 - ratio(d,p,4), computed stably in log domain.
+    """The difference ratio(d,p,2)^2 - ratio(d,p,4), computed in the log domain.
 
     The two terms agree to O(1/(p*d)); the shared exponent is factored out
-    before subtracting so the result keeps full relative accuracy.
+    before subtracting, but the difference of the two log-Gamma combinations
+    still cancels: against mpmath the relative error reaches 3.5e-6 on a
+    36-point grid with d and p up to 1e5.
     """
     if d < 1 or p < 1:
         raise ValueError("gamma_gap requires d >= 1, p >= 1")

@@ -1,9 +1,14 @@
-"""Matrices over R, C and H: small-scale SVD, Schatten norms and the exact
+"""Matrices over R, C and H: singular values, Schatten norms and the exact
 fourth-moment identities between entries and singular values.
 
-Quaternion matrices are stored as (n, n, 4) component arrays and reduced to a
-2n x 2n complex matrix for spectral work; the embedded singular values come in
-equal pairs and are returned once each.
+Every batch routine takes entries as a (..., n, n) real or complex array, or a
+(..., n, n, 4) component array over H, with any leading batch axes; this is
+the one module that turns such entries into |a_ij|^2, the complex embedding,
+singular values and entry sums.  Quaternion matrices are reduced to a 2n x 2n
+complex matrix for spectral work; the embedded singular values come in equal
+pairs and are returned once each.  `singular_values` uses the library SVD;
+the one-sided Jacobi SVD behind `svd` is the single-matrix reference the tests
+check it against.
 """
 
 import math
@@ -17,9 +22,14 @@ __all__ = [
     "MatrixSample",
     "SvdResult",
     "EntryIdentityTerms",
+    "EntrySums",
     "JacobiConvergenceError",
+    "abs_sq",
+    "singular_values",
     "svd",
     "schatten_norm",
+    "entry_sums",
+    "entry_identity_batch",
     "entry_identity_terms",
     "symmetry_transform",
     "random_matrix",
@@ -60,7 +70,7 @@ class MatrixSample:
         return self.entries[i, j]
 
     def frobenius_sq(self):
-        return float(np.sum(_abs_sq(self)))
+        return float(np.sum(abs_sq(self.field, self.entries)))
 
 
 @dataclass(frozen=True)
@@ -94,26 +104,33 @@ def _qconj(p):
     return out
 
 
-def _qmatmul(p, q):
-    """Quaternion matrix product of (n, n, 4) arrays in the given order."""
-    terms = _qmul(p[:, :, None, :], q[None, :, :, :])
-    return terms.sum(axis=1)
+def _halves(entries):
+    """Complex halves (A, B) of a quaternion matrix T = A + B j."""
+    return entries[..., 0] + 1j * entries[..., 1], entries[..., 2] + 1j * entries[..., 3]
 
 
 def _embed(entries):
-    """Complex adjoint embedding of a quaternion matrix: T = A + B j maps to
-    [[A, B], [-conj(B), conj(A)]]."""
-    a = entries[..., 0] + 1j * entries[..., 1]
-    b = entries[..., 2] + 1j * entries[..., 3]
+    """Complex adjoint embedding of quaternion matrices (..., n, n, 4):
+    T = A + B j maps to [[A, B], [-conj(B), conj(A)]]."""
+    a, b = _halves(entries)
     return np.block([[a, b], [-b.conj(), a.conj()]])
 
 
-def _abs_sq(sample):
-    if sample.field == "H":
-        return np.sum(sample.entries**2, axis=-1)
-    if sample.field == "C":
-        return np.abs(sample.entries) ** 2
-    return sample.entries**2
+def abs_sq(field, entries):
+    """Entrywise |a_ij|^2 of (..., n, n) entries, or (..., n, n, 4) over H."""
+    if field == "H":
+        return np.sum(entries**2, axis=-1)
+    if field == "C":
+        return np.abs(entries) ** 2
+    return entries**2
+
+
+def singular_values(field, entries):
+    """Non-increasing singular values of (..., n, n[, 4]) entries by the
+    library SVD; over H every other value of the doubled embedded spectrum."""
+    if field == "H":
+        return np.linalg.svd(_embed(entries), compute_uv=False)[..., 0::2]
+    return np.linalg.svd(entries, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +172,8 @@ def _jacobi_singular_values(mat, tol=1e-13, max_sweeps=64):
 
 
 def svd(sample):
-    """Singular values of a MatrixSample, non-increasing.
+    """Singular values of a MatrixSample, non-increasing, by the one-sided
+    Jacobi iteration: the single-matrix reference for `singular_values`.
 
     Quaternion matrices go through the complex adjoint embedding; the doubled
     spectrum is de-duplicated by averaging adjacent pairs.
@@ -180,14 +198,82 @@ def schatten_norm(sample, p):
 # entry / singular-value identities
 
 @dataclass(frozen=True)
+class EntrySums:
+    """Per-matrix entry sums of a batch, one array entry per matrix.
+
+    With q_ij = |a_ij|^2: frobenius_sq = sum q_ij, sum_abs4 = sum q_ij^2,
+    row_cross = sum_i sum_{j != k} q_ij q_ik, col_cross the same over columns,
+    pair_cross = sum over i != l, j != k of q_ij q_lk, and quartic_cross =
+    sum over i != l, j != k of scalar(a_ij conj(a_lj) a_lk conj(a_ik)), its
+    factors multiplied in this order; quartic_cross_vector is the summed
+    magnitude of the discarded (provably vanishing) non-scalar part.
+    """
+
+    frobenius_sq: np.ndarray
+    sum_abs4: np.ndarray
+    row_cross: np.ndarray
+    col_cross: np.ndarray
+    pair_cross: np.ndarray
+    quartic_cross: np.ndarray
+    quartic_cross_vector: np.ndarray
+
+
+def _gram_quartic(field, entries):
+    """Scalar part and non-scalar magnitude of gram_il * gram_li, gram = T T^*.
+
+    The double sum over j, k of a_ij conj(a_lj) a_lk conj(a_ik) factorizes as
+    gram[i, l] * gram[l, i] with the original factor order.
+    """
+    if field == "H":
+        a, b = _halves(entries)
+        # T = A + B j has T T^* = (A A^* + B B^*) + (B A^T - A B^T) j, and
+        # (p + q j)(r + s j) = (p r - q conj(s)) + (p s + q conj(r)) j
+        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+        ga = a @ at.conj() + b @ bt.conj()
+        gb = b @ at - a @ bt
+        ga_t, gb_t = ga.swapaxes(-1, -2), gb.swapaxes(-1, -2)
+        pa = ga * ga_t - gb * gb_t.conj()
+        pb = ga * gb_t + gb * ga_t.conj()
+        return pa.real, np.sqrt(pa.imag**2 + np.abs(pb) ** 2)
+    gram = entries @ entries.conj().swapaxes(-1, -2)
+    prod = gram * gram.swapaxes(-1, -2)
+    if field == "C":
+        return prod.real, np.abs(prod.imag)
+    return prod, None
+
+
+def entry_sums(field, entries):
+    """EntrySums of a batch of matrices (B, n, n), or (B, n, n, 4) over H."""
+    n = entries.shape[1]
+    q = abs_sq(field, entries)
+    q2 = q**2
+    row = q.sum(axis=2)
+    col = q.sum(axis=1)
+    abs4 = q2.sum(axis=(1, 2))
+    total = q.sum(axis=(1, 2))
+    scal, vec = _gram_quartic(field, entries)
+    off = ~np.eye(n, dtype=bool)
+    qqt = q @ q.transpose(0, 2, 1)
+    return EntrySums(
+        frobenius_sq=total,
+        sum_abs4=abs4,
+        row_cross=(row**2 - q2.sum(axis=2)).sum(axis=1),
+        col_cross=(col**2 - q2.sum(axis=1)).sum(axis=1),
+        pair_cross=total**2 - (row**2).sum(axis=1) - (col**2).sum(axis=1) + abs4,
+        quartic_cross=(scal - qqt)[:, off].sum(axis=1),
+        quartic_cross_vector=np.zeros(len(q)) if vec is None else vec[:, off].sum(axis=1),
+    )
+
+
+@dataclass(frozen=True)
 class EntryIdentityTerms:
     """Both sides of the quartic entry identities.
 
     lhs4 = sum s_i^4 and lhs22 = sum_{i != j} s_i^2 s_j^2 come from the SVD;
-    the remaining fields are entry sums.  The quartic cross sum is evaluated
-    in the matrix algebra with its factors in fixed order and then projected
-    onto the scalar part; quartic_cross_vector records the magnitude of the
-    discarded (provably vanishing) non-scalar part.
+    the remaining fields are entry sums (see EntrySums), and det_cross
+    (R and C only) is twice the summed squared 2 x 2 minors.  Fields are
+    floats for one matrix (entry_identity_terms) and per-matrix arrays for a
+    batch (entry_identity_batch).
     """
 
     lhs4: float
@@ -206,63 +292,36 @@ class EntryIdentityTerms:
         return self.pair_cross - self.quartic_cross
 
 
-def entry_identity_terms(sample):
-    """Evaluate the fourth-moment identities linking entries and singular values."""
-    n = sample.n
-    q = _abs_sq(sample)
-    total = q.sum()
-    row = q.sum(axis=1)
-    col = q.sum(axis=0)
-    abs4 = float(np.sum(q**2))
-    row_col_cross = float(np.sum(row**2 - np.sum(q**2, axis=1)) + np.sum(col**2 - np.sum(q**2, axis=0)))
-    pair_cross = float(total**2 - np.sum(row**2) - np.sum(col**2) + abs4)
-
-    # gram = T T^*; the double sum over j, k of a_ij conj(a_lj) a_lk conj(a_ik)
-    # factorizes as gram[i, l] * gram[l, i] with the original factor order.
-    if sample.field == "H":
-        e = sample.entries
-        gram = _qmatmul(e, _qconj(e).transpose(1, 0, 2))
-        prod = _qmul(gram, gram.transpose(1, 0, 2))
-        scal = prod[..., 0]
-        vec = np.linalg.norm(prod[..., 1:], axis=-1)
-    elif sample.field == "C":
-        gram = sample.entries @ sample.entries.conj().T
-        prod = gram * gram.T
-        scal = prod.real
-        vec = np.abs(prod.imag)
-    else:
-        gram = sample.entries @ sample.entries.T
-        scal = gram * gram.T
-        vec = np.zeros_like(scal)
-    off = ~np.eye(n, dtype=bool)
-    qqt = q @ q.T
-    quartic = float(scal[off].sum() - qqt[off].sum())
-    quartic_vec = float(vec[off].sum())
-
-    sv = svd(sample).singular_values
-    s2 = sv**2
-    lhs4 = float(np.sum(s2**2))
-    lhs22 = float(np.sum(s2) ** 2 - lhs4)
-
+def entry_identity_batch(field, entries):
+    """Both sides of the fourth-moment identities for a batch (B, n, n[, 4]),
+    with the singular values from the library SVD."""
+    sums = entry_sums(field, entries)
+    s2 = singular_values(field, entries) ** 2
+    lhs4 = np.sum(s2**2, axis=1)
     det_cross = None
-    if sample.field in ("R", "C"):
-        a = sample.entries
-        outer = np.einsum("ij,lk->iljk", a, a)
-        minors = outer - outer.transpose(0, 1, 3, 2)
+    if field != "H":
+        n = entries.shape[1]
+        outer = np.einsum("bij,blk->biljk", entries, entries)
+        minors = outer - outer.transpose(0, 1, 2, 4, 3)
         iu, lu = np.triu_indices(n, k=1)
-        sub = minors[iu, lu][:, iu, lu]
-        det_cross = float(2.0 * np.sum(np.abs(sub) ** 2))
-
+        sub = minors[:, iu, lu][:, :, iu, lu]
+        det_cross = 2.0 * np.sum(np.abs(sub) ** 2, axis=(1, 2))
     return EntryIdentityTerms(
         lhs4=lhs4,
-        sum_abs4=abs4,
-        row_col_cross=row_col_cross,
-        quartic_cross=quartic,
-        quartic_cross_vector=quartic_vec,
-        lhs22=lhs22,
-        pair_cross=pair_cross,
+        sum_abs4=sums.sum_abs4,
+        row_col_cross=sums.row_cross + sums.col_cross,
+        quartic_cross=sums.quartic_cross,
+        quartic_cross_vector=sums.quartic_cross_vector,
+        lhs22=np.sum(s2, axis=1) ** 2 - lhs4,
+        pair_cross=sums.pair_cross,
         det_cross=det_cross,
     )
+
+
+def entry_identity_terms(sample):
+    """Evaluate the fourth-moment identities linking entries and singular values."""
+    batch = entry_identity_batch(sample.field, sample.entries[None])
+    return EntryIdentityTerms(*(None if v is None else float(v[0]) for v in vars(batch).values()))
 
 
 # ---------------------------------------------------------------------------

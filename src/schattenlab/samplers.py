@@ -8,11 +8,11 @@ an independent route to the same uniform measure.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import matrixlab as ml
 from .density import log_f_p
 from .util import batch_means
 
@@ -27,10 +27,8 @@ __all__ = [
     "matrix_hit_and_run",
     "exact_p2_matrix_sample",
     "coords_to_entries",
-    "entries_abs_sq",
     "frobenius_sq_batch",
     "batch_singular_values",
-    "matrices",
 ]
 
 
@@ -152,7 +150,7 @@ def _run_chain(params, p, keep, burn_in, thinning, seed_seq, stream_id, validate
 
 
 def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
-                thinning=1, n_workers=1, validate=False):
+                thinning=1, validate=False):
     """Per-coordinate random-walk Metropolis draws from the weighted gas density.
 
     Step sizes adapt toward 0.44 acceptance during burn-in only and freeze
@@ -168,16 +166,11 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
     base = n_samples // n_chains
     rem = n_samples % n_chains
     keeps = [base + (1 if c < rem else 0) for c in range(n_chains)]
-    jobs = [
-        (params, p, keeps[c], burn_in, thinning, seqs[c], c, validate)
+    results = [
+        _run_chain(params, p, keeps[c], burn_in, thinning, seqs[c], c, validate)
         for c in range(n_chains)
         if keeps[c] > 0
     ]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_chain_job, jobs))
-    else:
-        results = [_chain_job(j) for j in jobs]
     points = np.concatenate([r[0] for r in results], axis=0)
     states = [r[1] for r in results]
     acc = np.mean(
@@ -192,17 +185,13 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
         diagnostics={
             "method": "mcmc",
             "acceptance": acc,
-            "chains": len(jobs),
+            "chains": len(results),
             "burn_in": burn_in,
             "thinning": thinning,
             "ess_norm2sq": ess_total,
             "final_states": states,
         },
     )
-
-
-def _chain_job(args):
-    return _run_chain(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -380,40 +369,15 @@ def coords_to_entries(spec, coords):
     return out
 
 
-def entries_abs_sq(spec, entries):
-    """Entrywise |a_ij|^2 for a batched entries array."""
-    if spec.field == "H" and entries.ndim == 4:
-        return np.sum(entries**2, axis=-1)
-    if np.iscomplexobj(entries):
-        return np.abs(entries) ** 2
-    return entries**2
-
-
 def frobenius_sq_batch(spec, coords):
     """||T||_2^2 per coordinate row."""
-    entries = coords_to_entries(spec, coords)
-    return entries_abs_sq(spec, entries).sum(axis=(1, 2))
-
-
-def _embed_batch(entries4):
-    a = entries4[..., 0] + 1j * entries4[..., 1]
-    b = entries4[..., 2] + 1j * entries4[..., 3]
-    top = np.concatenate([a, b], axis=2)
-    bot = np.concatenate([-b.conj(), a.conj()], axis=2)
-    return np.concatenate([top, bot], axis=1)
+    return ml.abs_sq(spec.field, coords_to_entries(spec, coords)).sum(axis=(1, 2))
 
 
 def batch_singular_values(spec, coords):
-    """Singular values (non-increasing) for each coordinate row.
-
-    Uses the library linear-algebra backend; the in-package Jacobi SVD is the
-    reference implementation and the two are cross-checked in the test suite.
-    """
-    entries = coords_to_entries(spec, coords)
-    if spec.field == "H":
-        sv = np.linalg.svd(_embed_batch(entries), compute_uv=False)
-        return sv[:, 0::2]
-    return np.linalg.svd(entries, compute_uv=False)
+    """Singular values (non-increasing) for each coordinate row, by the
+    library SVD in matrixlab.singular_values."""
+    return ml.singular_values(spec.field, coords_to_entries(spec, coords))
 
 
 def _schatten_norms(spec, coords):
@@ -508,14 +472,3 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
         points=pts,
         diagnostics={"method": "exact-ball", "chains": 1, "ess_norm2sq": batch_means(v)[2]},
     )
-
-
-def matrices(spec, batch, limit=None):
-    """Materialize MatrixSample objects from a coordinate batch."""
-    from .matrixlab import MatrixSample
-
-    entries = coords_to_entries(spec, batch.points if isinstance(batch, SampleBatch) else batch)
-    if limit is not None:
-        entries = entries[:limit]
-    field = spec.field if spec.subspace != "AntiSymHermitian" else "C"
-    return [MatrixSample(field, e) for e in entries]

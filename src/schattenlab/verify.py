@@ -414,26 +414,26 @@ def check_gamma_discrepancy(c_const=5.0):
 
 def check_entry_identities(per_field=1000, n_range=(2, 8), tol=1e-9, seed=0):
     """Both quartic entry identities (and the minor form over R/C) on random
-    Gaussian matrices of every field."""
+    Gaussian matrices of every field, each (field, n) group in one batch."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = 0.0
     counts = 0
     ns = list(range(n_range[0], n_range[1] + 1))
     for fld in ("R", "C", "H"):
+        groups = {}
         for m in range(per_field):
             n = ns[m % len(ns)]
-            t = ml.entry_identity_terms(ml.random_matrix(fld, n, rng))
-            scale4 = max(1.0, abs(t.lhs4))
-            scale22 = max(1.0, abs(t.lhs22))
-            worst = max(
-                worst,
-                abs(t.lhs4 - t.rhs4()) / scale4,
-                abs(t.lhs22 - t.rhs22()) / scale22,
-                t.quartic_cross_vector / scale4,
-            )
+            groups.setdefault(n, []).append(ml.random_matrix(fld, n, rng).entries)
+        for mats in groups.values():
+            t = ml.entry_identity_batch(fld, np.stack(mats))
+            scale4 = np.maximum(1.0, np.abs(t.lhs4))
+            scale22 = np.maximum(1.0, np.abs(t.lhs22))
+            resid = [np.abs(t.lhs4 - t.rhs4()) / scale4, np.abs(t.lhs22 - t.rhs22()) / scale22,
+                     t.quartic_cross_vector / scale4]
             if t.det_cross is not None:
-                worst = max(worst, abs(t.lhs22 - t.det_cross) / scale22)
-            counts += 1
+                resid.append(np.abs(t.lhs22 - t.det_cross) / scale22)
+            worst = max(worst, float(np.max(resid)))
+            counts += len(mats)
     return CheckReport(
         claim_id=f"entry-identities[n={n_range[0]}..{n_range[1]}]",
         passed=worst <= tol,
@@ -441,7 +441,7 @@ def check_entry_identities(per_field=1000, n_range=(2, 8), tol=1e-9, seed=0):
         rhs=0.0,
         tolerance=tol,
         method="exact",
-        provenance="jacobi-svd-vs-entry-sums",
+        provenance="library-svd-vs-entry-sums",
         details={"matrices": counts},
     )
 
@@ -723,42 +723,16 @@ def check_antisym_normalization(n, p, k=2, budget=40_000, seed=0):
 # ---------------------------------------------------------------------------
 # entry-level correlations over the uniform ball measure
 
-def _batched_gram_quartic(spec, entries):
-    """Per-sample sum over i!=l, j!=k of scalar(a_ij conj(a_lj) a_lk conj(a_ik))."""
-    bsz, n = entries.shape[0], entries.shape[1]
-    if spec.field == "H":
-        conj = entries.copy()
-        conj[..., 1:] *= -1.0
-        p1 = entries[:, :, None, :, :]  # [b, i, -, j, c]
-        p2 = conj[:, None, :, :, :]  # [b, -, l, j, c]
-        gram = ml._qmul(p1, p2).sum(axis=3)
-        prod = ml._qmul(gram, gram.transpose(0, 2, 1, 3))
-        scal = prod[..., 0]
-    else:
-        gram = entries @ entries.conj().transpose(0, 2, 1)
-        scal = np.real(gram * gram.transpose(0, 2, 1))
-    q = sp.entries_abs_sq(spec, entries)
-    qqt = q @ q.transpose(0, 2, 1)
-    off = ~np.eye(n, dtype=bool)
-    return (scal - qqt)[:, off].sum(axis=1)
-
-
 def _entry_statistics(spec, coords):
     """Per-sample symmetrized entry moments used by the correlation checks."""
     entries = sp.coords_to_entries(spec, coords)
     n = spec.n
-    q = sp.entries_abs_sq(spec, entries)
-    m2 = q.mean(axis=(1, 2))
-    row = (q.sum(axis=2) ** 2 - (q**2).sum(axis=2)).sum(axis=1) / (n * n * (n - 1))
-    col = (q.sum(axis=1) ** 2 - (q**2).sum(axis=1)).sum(axis=1) / (n * n * (n - 1))
-    tot = q.sum(axis=(1, 2))
-    diag_cross = (
-        tot**2
-        - (q.sum(axis=2) ** 2).sum(axis=1)
-        - (q.sum(axis=1) ** 2).sum(axis=1)
-        + (q**2).sum(axis=(1, 2))
-    ) / (n * n * (n - 1) ** 2)
-    quart = _batched_gram_quartic(spec, entries) / (n * n * (n - 1) ** 2)
+    sums = ml.entry_sums(spec.field, entries)
+    m2 = sums.frobenius_sq / (n * n)
+    row = sums.row_cross / (n * n * (n - 1))
+    col = sums.col_cross / (n * n * (n - 1))
+    diag_cross = sums.pair_cross / (n * n * (n - 1) ** 2)
+    quart = sums.quartic_cross / (n * n * (n - 1) ** 2)
     # scalar product of distinct diagonal entries (isotropy: mean must vanish)
     if spec.field == "H":
         diag = entries[:, np.arange(n), np.arange(n), 0]

@@ -134,3 +134,12 @@ def test_header_carries_config(tmp_path):
     assert head["config"]["seed"] == 5
     assert head["config"]["options"]["d"] == 9.0
     assert head["schema"] == 1
+
+    out = tmp_path / "hv.jsonl"
+    run_cli("verify", "--suite", "gamma", "--seed", "6", "--out", str(out))
+    with open(out, encoding="utf-8") as fh:
+        head = json.loads(fh.readline())
+    assert head["config"]["subcommand"] == "verify"
+    assert head["config"]["seed"] == 6
+    assert head["config"]["options"] == {"suite": "gamma", "budget_scale": 1.0, "ensemble": None,
+                                         "n": None, "p": None, "tol": None}

@@ -36,6 +36,15 @@ def test_svd_quaternion_embedding_pairs():
         assert np.max(np.abs(emb[0::2] - emb[1::2])) < 1e-10 * emb[0]
         ours = ml.svd(t).singular_values
         assert np.max(np.abs(ours - emb[0::2])) < 1e-10 * emb[0]
+    # a (B, n, n, 4) batch embeds and decomposes matrix by matrix
+    batch = rng.standard_normal((5, 3, 3, 4))
+    emb = ml._embed(batch)
+    sv = ml.singular_values("H", batch)
+    assert emb.shape == (5, 6, 6) and sv.shape == (5, 3)
+    for k in range(5):
+        assert np.array_equal(emb[k], ml._embed(batch[k]))
+        ref = ml.svd(ml.MatrixSample("H", batch[k])).singular_values
+        assert np.max(np.abs(sv[k] - ref)) < 1e-10 * ref[0]
 
 
 def test_frobenius_consistency():
@@ -77,8 +86,11 @@ def test_entry_identities_random(field):
     rng = np.random.default_rng(13)
     for n in range(2, 6):
         for _ in range(25):
-            t = ml.entry_identity_terms(ml.random_matrix(field, n, rng))
+            mat = ml.random_matrix(field, n, rng)
+            t = ml.entry_identity_terms(mat)
             scale4 = max(1.0, t.lhs4)
+            # lhs4 comes from the library SVD; the Jacobi SVD is the reference
+            assert abs(t.lhs4 - np.sum(ml.svd(mat).singular_values ** 4)) < 1e-10 * scale4
             assert abs(t.lhs4 - t.rhs4()) < 1e-9 * scale4
             assert abs(t.lhs22 - t.rhs22()) < 1e-9 * max(1.0, abs(t.lhs22))
             assert t.quartic_cross_vector < 1e-9 * scale4

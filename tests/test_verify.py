@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from schattenlab.ensembles import EnsembleParams
+from schattenlab.ensembles import EnsembleParams, SchattenSpec
+from schattenlab import matrixlab as ml
+from schattenlab import samplers as sp
 from schattenlab import verify as vf
 
 
@@ -107,6 +110,22 @@ def test_entry_correlations_p2():
     rep = vf.check_entry_correlations("R", 2.0, n=4, budget=30_000, seed=9)
     assert rep.passed
     assert abs(rep.details["quartic_z"]) <= 3.0
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_entry_statistics_match_single_matrix_terms(field):
+    n = 3
+    spec = SchattenSpec(field, "Full", n, 2.0)
+    coords = np.random.default_rng(28).standard_normal((6, spec.dim))
+    m2, row, col, diag_cross, quart, _ = vf._entry_statistics(spec, coords)
+    for k, e in enumerate(sp.coords_to_entries(spec, coords)):
+        mat = ml.MatrixSample(field, e)
+        t = ml.entry_identity_terms(mat)
+        assert m2[k] == pytest.approx(mat.frobenius_sq() / (n * n), rel=1e-12)
+        assert row[k] + col[k] == pytest.approx(t.row_col_cross / (n * n * (n - 1)), rel=1e-12)
+        assert diag_cross[k] == pytest.approx(t.pair_cross / (n * n * (n - 1) ** 2), rel=1e-12)
+        assert quart[k] == pytest.approx(t.quartic_cross / (n * n * (n - 1) ** 2),
+                                         rel=1e-12, abs=1e-12 * t.lhs4)
 
 
 def test_isotropic_constant():
