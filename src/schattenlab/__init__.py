@@ -12,7 +12,7 @@ from .ensembles import (  # noqa: F401
     SchattenSpec,
     ensemble_of,
 )
-from .density import log_f, log_f_p, homogeneity_degree  # noqa: F401
+from .density import log_f, log_f_p  # noqa: F401
 from .gammafn import GammaRatio, gamma_gap, gamma_ratio, log_gamma  # noqa: F401
 from .matrixlab import (  # noqa: F401
     EntryIdentityTerms,

@@ -45,6 +45,14 @@ def _parse_p(text):
     return p
 
 
+def _parse_count(minimum):
+    def parse(text):
+        if not text.strip().lstrip("-").isdigit() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}")
+        return int(text)
+    return parse
+
+
 def _parse_ensemble(text):
     try:
         a, b, c = (int(t) for t in text.split(","))
@@ -86,7 +94,7 @@ class _Writer:
             "version": __version__,
             "config": {
                 "subcommand": self.config.subcommand,
-                "options": self.config.options,
+                "options": vf._jsonable(self.config.options),
                 "seed": self.config.seed,
                 "format": self.config.fmt,
             },
@@ -98,6 +106,7 @@ class _Writer:
             self.stream.write("# " + json.dumps(head, sort_keys=True) + "\n")
 
     def record(self, rec):
+        rec = vf._jsonable(rec)
         if self.fmt == "jsonl":
             self.stream.write(json.dumps(rec, sort_keys=True) + "\n")
             return
@@ -136,14 +145,15 @@ def _cmd_verify(args, writer):
 
 def _estimate_sigma(args, writer):
     spec = SchattenSpec(args.field, args.subspace, args.n, args.p)
-    est = mo.sigma_pipeline(spec, sampler=args.sampler, budget=args.samples, seed=args.seed)
+    est = mo.sigma_pipeline(spec, sampler=args.sampler, budget=args.samples, seed=args.seed,
+                            mcmc_kwargs=_mcmc_kwargs(args))
     writer.record(
         {
             "record": "sigma",
             "field": args.field,
             "subspace": args.subspace,
             "n": args.n,
-            "p": "inf" if math.isinf(args.p) else args.p,
+            "p": args.p,
             "sigma_sq": est.sigma_sq,
             "std_err": est.std_err,
             "var_norm_sq": est.var_norm_sq,
@@ -160,8 +170,7 @@ def _estimate_var(args, writer):
     params = EnsembleParams(*args.ensemble, args.n)
     est = mo.var_mp_pipeline(params, args.p, budget=args.samples, seed=args.seed,
                              mcmc_kwargs=_mcmc_kwargs(args))
-    rec = {"record": "var_mp", "ensemble": list(args.ensemble), "n": args.n,
-           "p": "inf" if math.isinf(args.p) else args.p}
+    rec = {"record": "var_mp", "ensemble": list(args.ensemble), "n": args.n, "p": args.p}
     rec.update(est.as_dict())
     writer.record(rec)
 
@@ -173,13 +182,13 @@ def _estimate_moment(args, writer):
     else:
         batch = sp.gas_sample(params, args.p, args.samples, args.seed,
                               mcmc_kwargs=_mcmc_kwargs(args))
-        est = mo.estimate_moment(batch, args.functional, args.p)
+        est = mo.estimate_moment(batch, args.functional)
     writer.record(
         {
             "record": "moment",
             "ensemble": list(args.ensemble),
             "n": args.n,
-            "p": "inf" if math.isinf(args.p) else args.p,
+            "p": args.p,
             "functional": args.functional,
             "value": est.value,
             "std_err": est.std_err,
@@ -209,7 +218,7 @@ def _cmd_sample(args, writer):
     else:
         spec = SchattenSpec(args.field, args.subspace, args.n, args.p)
         batch = sp.matrix_hit_and_run(spec, n_samples=args.samples, seed=args.seed,
-                                      burn_in=args.burn_in or 300)
+                                      **_mcmc_kwargs(args))
     for row in batch.points:
         writer.record({f"x{i}": float(v) for i, v in enumerate(row)})
     return EXIT_OK
@@ -224,12 +233,7 @@ def _cmd_sweep(args, writer):
                 est = mo.var_mp_pipeline(params, p, budget=args.samples,
                                          seed=args.seed + idx)
                 idx += 1
-                rec = {
-                    "record": "sweep",
-                    "ensemble": list(abc),
-                    "n": n,
-                    "p": "inf" if math.isinf(p) else p,
-                }
+                rec = {"record": "sweep", "ensemble": list(abc), "n": n, "p": p}
                 rec.update(est.as_dict())
                 writer.record(rec)
     return EXIT_OK
@@ -266,7 +270,7 @@ def _run(args):
     return its exit code; an oracle failure exits with EXIT_ORACLE."""
     options = {k: v for k, v in vars(args).items()
                if k not in ("func", "out", "format", "seed", "subcommand")}
-    config = RunConfig(args.subcommand, _jsonable_opts(options), args.seed, args.format)
+    config = RunConfig(args.subcommand, options, args.seed, args.format)
     stream, close = _open_out(args.out)
     try:
         writer = _Writer(config, stream)
@@ -280,27 +284,11 @@ def _run(args):
             stream.close()
 
 
-def _jsonable_opts(opts):
-    out = {}
-    for k, v in opts.items():
-        if isinstance(v, float) and math.isinf(v):
-            out[k] = "inf"
-        elif isinstance(v, (list, tuple)):
-            out[k] = [_jsonable_opts({"v": x})["v"] for x in v]
-        else:
-            out[k] = v
-    return out
-
-
 def _mcmc_kwargs(args):
-    kw = {}
-    if getattr(args, "chains", None):
-        kw["n_chains"] = args.chains
-    if getattr(args, "burn_in", None):
-        kw["burn_in"] = args.burn_in
-    if getattr(args, "thinning", None):
-        kw["thinning"] = args.thinning
-    return kw
+    """The chain flags given on the command line, named as the samplers name them."""
+    names = {"chains": "n_chains", "burn_in": "burn_in", "thinning": "thinning"}
+    return {kw: getattr(args, flag) for flag, kw in names.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _add_common(sub):
@@ -341,9 +329,9 @@ def build_parser():
     e.add_argument("--functional", default="x1_sq")
     e.add_argument("--method", default="mc", choices=("mc", "quadrature"))
     e.add_argument("--samples", type=int, default=50_000)
-    e.add_argument("--chains", type=int, default=None)
-    e.add_argument("--burn-in", type=int, default=None)
-    e.add_argument("--thinning", type=int, default=None)
+    e.add_argument("--chains", type=_parse_count(1), default=None)
+    e.add_argument("--burn-in", type=_parse_count(0), default=None)
+    e.add_argument("--thinning", type=_parse_count(1), default=None)
     _add_common(e)
     e.set_defaults(func=_cmd_estimate)
 
@@ -355,9 +343,9 @@ def build_parser():
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--p", type=_parse_p, default=2.0)
     s.add_argument("--samples", type=int, default=1000)
-    s.add_argument("--chains", type=int, default=None)
-    s.add_argument("--burn-in", type=int, default=None)
-    s.add_argument("--thinning", type=int, default=None)
+    s.add_argument("--chains", type=_parse_count(1), default=None)
+    s.add_argument("--burn-in", type=_parse_count(0), default=None)
+    s.add_argument("--thinning", type=_parse_count(1), default=None)
     _add_common(s)
     s.set_defaults(func=_cmd_sample)
 

@@ -1,4 +1,4 @@
-"""Log-domain evaluation of the gas densities and their homogeneity utilities.
+"""Log-domain evaluation of the gas densities, weighted and unweighted.
 
 All density work stays in log domain: the pair product overflows double
 precision near n ~ 20 otherwise.  Coincidence points and zeros of the
@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-__all__ = ["log_f", "log_f_p", "homogeneity_degree"]
+__all__ = ["log_f", "log_f_p"]
 
 
 def _check_dim(params, x):
@@ -66,7 +66,3 @@ def log_f_p(params, p, x):
         out = base - np.sum(np.abs(pts) ** p, axis=1)
     return float(out[0]) if single else out
 
-
-def homogeneity_degree(params):
-    """Positive-homogeneity degree of the unweighted density, d - n."""
-    return params.degree

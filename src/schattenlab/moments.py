@@ -16,7 +16,7 @@ import numpy as np
 from . import density
 from .ensembles import ensemble_of
 from .gammafn import log_gamma
-from .util import batch_means, batch_means_cov
+from .util import batch_means, batch_means_cov, delta_se
 
 __all__ = [
     "Functional",
@@ -164,7 +164,7 @@ _SIMPLE = {
 }
 
 
-def resolve_functional(fid, p=None):
+def resolve_functional(fid):
     """Resolve a registered functional id; ':'-parameterized ids carry arguments.
 
     Examples: "one", "x1_sq", "x1sq_x2sq", "normpow:4", "norm2_sq*normpow:6",
@@ -204,9 +204,9 @@ class MomentEstimate:
     low_confidence: bool = False
 
 
-def estimate_moment(batch, functional, p=None):
+def estimate_moment(batch, functional):
     """Batch-means Monte Carlo estimate of a functional over a SampleBatch."""
-    func = resolve_functional(functional, p)
+    func = resolve_functional(functional)
     values = func(batch.points)
     mean, se, eff = batch_means(values)
     return MomentEstimate(
@@ -239,6 +239,9 @@ def closed_form_moment(d, s, l, p):
 # and at p = inf, where t <= 1, it is 1/(d+k).  Only the face is a quadrature.
 
 _LEVELS = ((2, 6), (3, 10), (4, 14), (5, 18), (6, 24), (7, 30))
+# successive levels must agree within half of max(_ABS_TOL, _REL_TOL * |value|)
+_ABS_TOL = 1e-8
+_REL_TOL = 1e-10
 
 
 def _panel_nodes(level, order):
@@ -304,7 +307,7 @@ def _radial_ratio(d, k, p):
     return d / (d + k) if math.isinf(p) else closed_form_moment(d, 0.0, k, p)
 
 
-def quadrature_moments(params, p, functionals, abs_tol=1e-8, rel_tol=1e-10, max_levels=None):
+def quadrature_moments(params, p, functionals):
     """Deterministic moment ratios M_p(F)/M_p(1) for several functionals at once.
 
     The radius is integrated exactly, so every functional must be homogeneous
@@ -316,7 +319,7 @@ def quadrature_moments(params, p, functionals, abs_tol=1e-8, rel_tol=1e-10, max_
     n = params.n
     if n > 3:
         raise ValueError("quadrature oracle is limited to n <= 3")
-    funcs = [resolve_functional(f, p) for f in functionals]
+    funcs = [resolve_functional(f) for f in functionals]
     signed = params.a % 2 == 1
     if signed and params.c % 2 == 1:
         raise OracleFailure("odd-a ensembles need even c for smooth quadrature")
@@ -324,10 +327,9 @@ def quadrature_moments(params, p, functionals, abs_tol=1e-8, rel_tol=1e-10, max_
         raise OracleFailure("odd-a ensembles need even (or infinite) p")
     radial = np.array([_radial_ratio(params.d, f.degree, p) for f in funcs])
 
-    levels = _LEVELS if max_levels is None else _LEVELS[:max_levels]
     prev = None
     last_err = None
-    for level, order in levels:
+    for level, order in _LEVELS:
         faces, w = _face_grid(params, level, order)
         if prev is None:
             _check_degrees(funcs, faces)
@@ -338,7 +340,7 @@ def quadrature_moments(params, p, functionals, abs_tol=1e-8, rel_tol=1e-10, max_
         if prev is not None:
             deltas = np.abs(ratios - prev)
             last_err = deltas
-            if all(dlt <= 0.5 * max(abs_tol, rel_tol * abs(r)) for dlt, r in zip(deltas, ratios)):
+            if all(dlt <= 0.5 * max(_ABS_TOL, _REL_TOL * abs(r)) for dlt, r in zip(deltas, ratios)):
                 return {
                     f.name: MomentEstimate(
                         value=float(r),
@@ -351,14 +353,14 @@ def quadrature_moments(params, p, functionals, abs_tol=1e-8, rel_tol=1e-10, max_
                 }
         prev = ratios
     raise OracleFailure(
-        f"quadrature did not reach tol={abs_tol:g} at max refinement (last delta {last_err})"
+        f"quadrature did not reach tol={_ABS_TOL:g} at max refinement (last delta {last_err})"
     )
 
 
-def quadrature_moment(params, p, functional, abs_tol=1e-8, rel_tol=1e-10):
+def quadrature_moment(params, p, functional):
     """Single-functional wrapper around quadrature_moments."""
-    func = resolve_functional(functional, p)
-    return quadrature_moments(params, p, [func], abs_tol=abs_tol, rel_tol=rel_tol)[func.name]
+    func = resolve_functional(functional)
+    return quadrature_moments(params, p, [func])[func.name]
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +388,7 @@ def _sigma_from_values(v, d, method):
     var = m2 - m * m
     sigma_sq = d * var / m**2
     # delta method on (m, m2) -> d*(m2/m^2 - 1)
-    grad = np.array([-2.0 * d * m2 / m**3, d / m**2])
-    se = float(np.sqrt(max(0.0, grad @ cov @ grad)))
+    se = delta_se([-2.0 * d * m2 / m**3, d / m**2], cov)
     return SigmaEstimate(
         sigma_sq=float(sigma_sq),
         var_norm_sq=float(var),
@@ -404,12 +405,15 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
     """Estimate the thin-shell statistic of K_{p,E} from the singular-value law.
 
     sampler: "auto" (exact at p=2, MCMC otherwise, then the radial pushforward)
-    or "hit_and_run" for the direct matrix walk.
+    or "hit_and_run" for the direct matrix walk.  mcmc_kwargs (n_chains,
+    burn_in, thinning) go to whichever chain sampler runs: Metropolis or
+    hit-and-run; the exact p=2 sampler has no chains.
     """
     from . import samplers  # local import avoids a module cycle
 
     if sampler == "hit_and_run":
-        mats = samplers.matrix_hit_and_run(spec, n_samples=budget, seed=seed)
+        mats = samplers.matrix_hit_and_run(spec, n_samples=budget, seed=seed,
+                                           **(mcmc_kwargs or {}))
         v = samplers.frobenius_sq_batch(spec, mats.points)
         return _sigma_from_values(v, spec.dim, "hit_and_run")
 
@@ -473,27 +477,18 @@ def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=Non
     term_cross = n * (n - 1) * ec
     term_square = n**2 * e2**2
     combination = term_quartic + term_cross - term_square
-    grad = np.array([n, n * (n - 1), -2.0 * n**2 * e2])
-    se = float(np.sqrt(max(0.0, grad @ cov @ grad)))
-
-    gap_grad = np.array([0.0, 1.0, -2.0 * e2])
-    gap_se = float(np.sqrt(max(0.0, gap_grad @ cov @ gap_grad)))
-
-    r_grad = np.array([1.0 / e2**2, 0.0, -2.0 * e4 / e2**3])
-    r_se = float(np.sqrt(max(0.0, r_grad @ cov @ r_grad)))
-
     return VarMpEstimate(
         term_quartic=float(term_quartic),
         term_cross=float(term_cross),
         term_square=float(term_square),
         combination=float(combination),
-        std_err=se,
+        std_err=delta_se([n, n * (n - 1), -2.0 * n**2 * e2], cov),
         cross_gap=float(ec - e2**2),
-        cross_gap_se=gap_se,
+        cross_gap_se=delta_se([0.0, 1.0, -2.0 * e2], cov),
         coord_sq_mean=float(e2),
         coord_sq_se=float(np.sqrt(max(0.0, cov[2, 2]))),
         quart_ratio=float(e4 / e2**2),
-        quart_ratio_se=r_se,
+        quart_ratio_se=delta_se([1.0 / e2**2, 0.0, -2.0 * e4 / e2**3], cov),
         ess=eff,
         n=n,
     )

@@ -18,7 +18,6 @@ from .util import batch_means
 
 __all__ = [
     "SampleBatch",
-    "ChainState",
     "SamplerUnavailable",
     "mcmc_sample",
     "exact_p2_sample",
@@ -48,18 +47,6 @@ class SampleBatch:
         return self.points.shape[0]
 
 
-@dataclass
-class ChainState:
-    """Final state of one Metropolis chain."""
-
-    position: np.ndarray
-    log_density: float
-    step_sizes: np.ndarray
-    accepted: np.ndarray
-    proposed: np.ndarray
-    rng_stream: int
-
-
 # ---------------------------------------------------------------------------
 # random-walk Metropolis for the gas densities
 
@@ -75,7 +62,9 @@ def _init_point(params, p, rng):
     return rng.standard_normal(n) * scale
 
 
-def _run_chain(params, p, keep, burn_in, thinning, seed_seq, stream_id, validate):
+def _run_chain(params, p, keep, burn_in, thinning, seed_seq, validate):
+    """One adaptive Metropolis chain: its kept draws and its per-coordinate
+    acceptance rates after burn-in."""
     rng = np.random.default_rng(seed_seq)
     n = params.n
     a, b, c = params.a, params.b, params.c
@@ -138,15 +127,7 @@ def _run_chain(params, p, keep, burn_in, thinning, seed_seq, stream_id, validate
         fresh = float(log_f_p(params, p, x))
         if not math.isclose(fresh, logf, rel_tol=1e-8, abs_tol=1e-8):
             raise AssertionError(f"cached log density drifted: {logf} vs {fresh}")
-    state = ChainState(
-        position=x.copy(),
-        log_density=float(log_f_p(params, p, x)),
-        step_sizes=steps,
-        accepted=accepted,
-        proposed=proposed,
-        rng_stream=stream_id,
-    )
-    return out, state
+    return out, accepted / np.maximum(proposed, 1.0)
 
 
 def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
@@ -167,19 +148,13 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
     rem = n_samples % n_chains
     keeps = [base + (1 if c < rem else 0) for c in range(n_chains)]
     results = [
-        _run_chain(params, p, keeps[c], burn_in, thinning, seqs[c], c, validate)
+        _run_chain(params, p, keeps[c], burn_in, thinning, seqs[c], validate)
         for c in range(n_chains)
         if keeps[c] > 0
     ]
     points = np.concatenate([r[0] for r in results], axis=0)
-    states = [r[1] for r in results]
-    acc = np.mean(
-        [s.accepted / np.maximum(s.proposed, 1.0) for s in states], axis=0
-    )
-    ess_total = 0.0
-    for r in results:
-        v = np.sum(r[0] ** 2, axis=1)
-        ess_total += batch_means(v)[2]
+    acc = np.mean([r[1] for r in results], axis=0)
+    ess_total = sum(batch_means(np.sum(r[0] ** 2, axis=1))[2] for r in results)
     return SampleBatch(
         points=points,
         diagnostics={
@@ -189,7 +164,6 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
             "burn_in": burn_in,
             "thinning": thinning,
             "ess_norm2sq": ess_total,
-            "final_states": states,
         },
     )
 

@@ -1,10 +1,10 @@
-"""Batch-means error bars and effective sample sizes for correlated draws."""
+"""Batch-means error bars, effective sample sizes and delta-method errors."""
 
 import math
 
 import numpy as np
 
-__all__ = ["batch_means", "batch_means_cov", "ess"]
+__all__ = ["batch_means", "batch_means_cov", "delta_se"]
 
 
 def batch_means(values):
@@ -54,6 +54,8 @@ def batch_means_cov(values):
     return means, cov, ess_min
 
 
-def ess(values):
-    """Effective sample size alone."""
-    return batch_means(values)[2]
+def delta_se(grad, cov):
+    """Delta-method standard error sqrt(g.C.g) of a smooth function of the
+    means, from its gradient g and the covariance C of the means."""
+    grad = np.asarray(grad, dtype=float)
+    return float(np.sqrt(max(0.0, grad @ cov @ grad)))

@@ -13,7 +13,7 @@ from . import moments as mo
 from . import samplers as sp
 from .ensembles import BETA, EnsembleParams, SchattenSpec, ensemble_of
 from .gammafn import gamma_gap, gamma_ratio, log_gamma
-from .util import batch_means, batch_means_cov
+from .util import batch_means, batch_means_cov, delta_se
 
 __all__ = [
     "CheckReport",
@@ -97,6 +97,10 @@ def _ens_tag(params):
 
 def _identity_sides(params, p, which):
     """Functional combinations (lhs_terms, rhs_terms) as (coeff, Functional) lists."""
+    if params.a != 2:
+        raise ValueError("the moment identities require a = 2")
+    if math.isinf(p):
+        raise ValueError("the p * M_p(...) term is undefined at p = inf")
     d, n, c = params.d, params.n, params.c
     if which == 1:
         lhs = [((2 * d + (1 - c) * n) / n, mo.norm_sq())]
@@ -110,47 +114,70 @@ def _identity_sides(params, p, which):
     return lhs, rhs
 
 
-def _require_identity_case(params, p):
-    if params.a != 2:
-        raise ValueError("the moment identities require a = 2")
-    if math.isinf(p):
-        raise ValueError("the p * M_p(...) term is undefined at p = inf")
+def _closeness(claim_id, lhs, rhs, tol, details):
+    """Oracle verdict: |lhs - rhs| <= tol * max(1, |lhs|, |rhs|)."""
+    tol_eff = tol * max(1.0, abs(lhs), abs(rhs))
+    return CheckReport(
+        claim_id=claim_id,
+        passed=abs(lhs - rhs) <= tol_eff,
+        lhs=lhs,
+        rhs=rhs,
+        tolerance=tol_eff,
+        method="quadrature",
+        provenance="quadrature-oracle",
+        details=details,
+    )
 
 
-def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, seed=0):
-    _require_identity_case(params, p)
-    claim = f"identity-{which}[{_ens_tag(params)},p={_p_tag(p)}]"
-    lhs_terms, rhs_terms = _identity_sides(params, p, which)
-    if method == "auto":
-        method = "quadrature" if params.n <= 3 else "mc"
-    if method == "quadrature":
-        funcs = [f for _, f in lhs_terms + rhs_terms]
-        ests = mo.quadrature_moments(params, p, funcs)
+def _z(num, se):
+    """num / se, or 0 when the standard error vanishes."""
+    return num / se if se > 0 else 0.0
+
+
+def _mean_z(values):
+    """z of the batch-means mean of a sample path against 0."""
+    mean, se, _ = batch_means(values)
+    return _z(mean, se)
+
+
+def _identity_claim(params, p, which):
+    return f"identity-{which}[{_ens_tag(params)},p={_p_tag(p)}]"
+
+
+def _identity_reports(params, p, whiches, tol):
+    """The requested moment identities from one quadrature call over their
+    functionals, one report each with the residual and the oracle error bound."""
+    groups = {which: _identity_sides(params, p, which) for which in whiches}
+    funcs = {f.name: f for lhs, rhs in groups.values() for _, f in lhs + rhs}
+    ests = mo.quadrature_moments(params, p, list(funcs.values()))
+    reports = []
+    for which, (lhs_terms, rhs_terms) in groups.items():
         lhs = sum(coef * ests[f.name].value for coef, f in lhs_terms)
         rhs = sum(coef * ests[f.name].value for coef, f in rhs_terms)
         bound = sum(abs(coef) * ests[f.name].std_err for coef, f in lhs_terms + rhs_terms)
-        tol_eff = tol * max(1.0, abs(lhs), abs(rhs))
-        return CheckReport(
-            claim_id=claim,
-            passed=abs(lhs - rhs) <= tol_eff,
-            lhs=lhs,
-            rhs=rhs,
-            tolerance=tol_eff,
-            method="quadrature",
-            provenance="quadrature-oracle",
-            details={"residual": lhs - rhs, "oracle_error_bound": bound},
-        )
-    gas = sp.gas_sample(params, p, budget, seed)
-    x = gas.points
+        reports.append(_closeness(_identity_claim(params, p, which), lhs, rhs, tol,
+                                  {"residual": lhs - rhs, "oracle_error_bound": bound}))
+    return reports
+
+
+def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, seed=0):
+    if method not in ("auto", "quadrature", "mc"):
+        raise ValueError(f"method must be 'auto', 'quadrature' or 'mc', got {method!r}")
+    if method == "auto":
+        method = "quadrature" if params.n <= 3 else "mc"
+    if method == "quadrature":
+        return _identity_reports(params, p, (which,), tol)[0]
+    lhs_terms, rhs_terms = _identity_sides(params, p, which)
+    x = sp.gas_sample(params, p, budget, seed).points
     diff = np.zeros(len(x))
     for coef, f in lhs_terms:
         diff += coef * f.fn(x)
     for coef, f in rhs_terms:
         diff -= coef * f.fn(x)
     mean, se, eff = batch_means(diff)
-    z = mean / se if se > 0 else 0.0
+    z = _z(mean, se)
     return CheckReport(
-        claim_id=claim,
+        claim_id=_identity_claim(params, p, which),
         passed=abs(z) <= 3.0,
         lhs=mean,
         rhs=0.0,
@@ -168,31 +195,7 @@ def check_identity1(params, p, method="auto", tol=1e-5, budget=200_000, seed=0):
 
 def identity_suite_for(params, p, tol=1e-5):
     """All three moment identities on one shared quadrature grid."""
-    _require_identity_case(params, p)
-    groups = {which: _identity_sides(params, p, which) for which in (1, 2, 3)}
-    funcs = {}
-    for lhs_terms, rhs_terms in groups.values():
-        for _, f in lhs_terms + rhs_terms:
-            funcs[f.name] = f
-    ests = mo.quadrature_moments(params, p, list(funcs.values()))
-    reports = []
-    for which, (lhs_terms, rhs_terms) in groups.items():
-        lhs = sum(coef * ests[f.name].value for coef, f in lhs_terms)
-        rhs = sum(coef * ests[f.name].value for coef, f in rhs_terms)
-        tol_eff = tol * max(1.0, abs(lhs), abs(rhs))
-        reports.append(
-            CheckReport(
-                claim_id=f"identity-{which}[{_ens_tag(params)},p={_p_tag(p)}]",
-                passed=abs(lhs - rhs) <= tol_eff,
-                lhs=lhs,
-                rhs=rhs,
-                tolerance=tol_eff,
-                method="quadrature",
-                provenance="quadrature-oracle",
-                details={"residual": lhs - rhs},
-            )
-        )
-    return reports
+    return _identity_reports(params, p, (1, 2, 3), tol)
 
 
 def check_identity2(params, p, method="auto", tol=1e-5, budget=200_000, seed=0):
@@ -234,17 +237,7 @@ def check_int_by_parts(params, p, xi=2, f_id="one", tol=1e-5):
     ests = mo.quadrature_moments(params, p, funcs)
     lhs = (xi + c + 1) * ests[lhs_f.name].value
     rhs = sum(coef * ests[f.name].value for coef, f in rhs_terms)
-    tol_eff = tol * max(1.0, abs(lhs), abs(rhs))
-    return CheckReport(
-        claim_id=claim,
-        passed=abs(lhs - rhs) <= tol_eff,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tol_eff,
-        method="quadrature",
-        provenance="quadrature-oracle",
-        details={"residual": lhs - rhs},
-    )
+    return _closeness(claim, lhs, rhs, tol, {"residual": lhs - rhs})
 
 
 def check_homogeneous_moment(params, p, l, tol_factor=10.0):
@@ -457,27 +450,23 @@ def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, 
     (1 - 20%) * 17/8 at 3 sigma.  The 17/8 reference is a lower bound, not a
     limit value: the measured ratio settles near 2.70 for both b = 1 and
     b = 2, so only the one-sided comparison is asserted; the report still
-    carries the two-sided band position.
+    carries the two-sided band position.  Any other p raises ValueError.
     """
+    if p not in (1, 2) and not math.isinf(p):
+        raise ValueError(f"quartic-ratio references exist for p in {{1, 2, inf}}, got {p!r}")
     rows = []
     ok = True
     for i, n in enumerate(n_grid):
         params = EnsembleParams(2, b, c, n)
         est = mo.var_mp_pipeline(params, p, budget=budget, seed=seed + 17 * i)
         r, se = est.quart_ratio, est.quart_ratio_se
-        if math.isinf(p):
-            good = (r - 1.4) / se >= 3.0 if se > 0 else r >= 1.4
-            ref = 1.5
-        elif p == 2:
+        if p == 2:
             ref = 2.0
             good = abs(r - ref) <= 0.10 * ref + 3.0 * se
-        elif p == 1:
-            ref = 17.0 / 8.0
-            lo = 0.8 * ref
-            good = (r - lo) / se >= 3.0 if se > 0 else r >= lo
         else:
-            ref = float("nan")
-            good = True
+            ref = 1.5 if math.isinf(p) else 17.0 / 8.0
+            lo = 1.4 if math.isinf(p) else 0.8 * ref
+            good = r - lo >= 3.0 * se
         row = {"n": n, "ratio": r, "se": se, "reference": ref, "passed": good}
         if p == 1:
             row["within_two_sided_20pct"] = bool(abs(r - ref) <= 0.20 * ref)
@@ -499,7 +488,7 @@ def check_cross_term_negative(b, c, n, budget=200_000, seed=0, p=math.inf):
     """Negative correlation of coordinate squares at p=inf, with 3 sigma."""
     params = EnsembleParams(2, b, c, n)
     est = mo.var_mp_pipeline(params, p, budget=budget, seed=seed)
-    z = est.cross_gap / est.cross_gap_se if est.cross_gap_se > 0 else 0.0
+    z = _z(est.cross_gap, est.cross_gap_se)
     return CheckReport(
         claim_id=f"cross-term-negative[(2,{b},{c}),n={n},p={_p_tag(p)}]",
         passed=z <= -3.0,
@@ -644,19 +633,10 @@ def check_hermitian_split(n, p, xi=2, tol=1e-4):
     lhs = mo.quadrature_moment(lhs_params, p, f).value
     n1 = (n + 1) // 2
     n2 = n // 2
-    rhs = mo.quadrature_moment(EnsembleParams(2, 2, 0, n1), p, mo.abs_pow_sum(xi)).value
-    rhs += mo.quadrature_moment(EnsembleParams(2, 2, 2, n2), p, mo.abs_pow_sum(xi)).value
-    tol_eff = tol * max(1.0, abs(lhs), abs(rhs))
-    return CheckReport(
-        claim_id=f"hermitian-split[n={n},p={_p_tag(p)},xi={xi}]",
-        passed=abs(lhs - rhs) <= tol_eff,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tol_eff,
-        method="quadrature",
-        provenance="quadrature-oracle",
-        details={"n1": n1, "n2": n2, "residual": lhs - rhs},
-    )
+    rhs = mo.quadrature_moment(EnsembleParams(2, 2, 0, n1), p, f).value
+    rhs += mo.quadrature_moment(EnsembleParams(2, 2, 2, n2), p, f).value
+    return _closeness(f"hermitian-split[n={n},p={_p_tag(p)},xi={xi}]", lhs, rhs, tol,
+                      {"n1": n1, "n2": n2, "residual": lhs - rhs})
 
 
 def check_antisym_normalization(n, p, k=2, budget=40_000, seed=0):
@@ -701,7 +681,7 @@ def check_antisym_normalization(n, p, k=2, budget=40_000, seed=0):
         factor = 2.0 ** (-k / p) * math.exp(log_gamma(1 + d / p) - log_gamma(1 + (d + k) / p))
     rhs = factor * m_gas
     se = math.hypot(se_hr, factor * se_gas)
-    z = (m_hr - rhs) / se if se > 0 else 0.0
+    z = _z(m_hr - rhs, se)
     return CheckReport(
         claim_id=f"antisym-normalization[n={n},p={_p_tag(p)},k={k}]",
         passed=structure_ok and abs(z) <= 3.0,
@@ -760,17 +740,14 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
     m2, row, col, diag_cross, quart, diag_prod = _entry_statistics(spec, batch.points)
     adj = 0.5 * (row + col)
 
-    sub = {}
-    # rotation identity: adjacent = disjoint + (2/beta) quartic
-    d_rot = adj - diag_cross - (2.0 / beta) * quart
-    mean, se, _ = batch_means(d_rot)
-    sub["rotation_identity_z"] = mean / se if se > 0 else 0.0
-    # position symmetry: row vs column cross terms
-    mean_rc, se_rc, _ = batch_means(row - col)
-    sub["row_col_z"] = mean_rc / se_rc if se_rc > 0 else 0.0
-    # isotropy: mean product of distinct diagonal entries
-    mean_dp, se_dp, _ = batch_means(diag_prod)
-    sub["diag_product_z"] = mean_dp / se_dp if se_dp > 0 else 0.0
+    sub = {
+        # rotation identity: adjacent = disjoint + (2/beta) quartic
+        "rotation_identity_z": _mean_z(adj - diag_cross - (2.0 / beta) * quart),
+        # position symmetry: row vs column cross terms
+        "row_col_z": _mean_z(row - col),
+        # isotropy: mean product of distinct diagonal entries
+        "diag_product_z": _mean_z(diag_prod),
+    }
 
     ok = abs(sub["rotation_identity_z"]) <= 3.0 and abs(sub["row_col_z"]) <= 3.0
     ok = ok and abs(sub["diag_product_z"]) <= 3.0
@@ -781,25 +758,20 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
                                  budget=budget, seed=seed + 5)
         c4, c4_se = gas.quart_ratio, gas.quart_ratio_se
         sub["premise_c4"] = c4
-        sub["premise_c4_below_2"] = (2.0 - c4) / c4_se >= 3.0 if c4_se > 0 else c4 < 2.0
-        spec2 = SchattenSpec(field, "Full", n, p)
-        sig = mo.sigma_pipeline(spec2, budget=min(budget, 50_000), seed=seed + 6)
+        sub["premise_c4_below_2"] = 2.0 - c4 >= 3.0 * c4_se
+        sig = mo.sigma_pipeline(spec, budget=min(budget, 50_000), seed=seed + 6)
         sub["premise_sigma_sq"] = sig.sigma_sq
         sub["premise_sigma_small"] = sig.sigma_sq < n
         joint = np.stack([adj, m2], axis=1)
         means, cov, _ = batch_means_cov(joint)
         gap = means[0] - means[1] ** 2
-        grad = np.array([1.0, -2.0 * means[1]])
-        gap_se = float(np.sqrt(max(0.0, grad @ cov @ grad)))
         sub["neg_corr_gap"] = gap
-        sub["neg_corr_z"] = gap / gap_se if gap_se > 0 else 0.0
+        sub["neg_corr_z"] = _z(gap, delta_se([1.0, -2.0 * means[1]], cov))
         ok = ok and sub["premise_c4_below_2"] and sub["premise_sigma_small"]
         ok = ok and sub["neg_corr_z"] <= -3.0
     if p == 2:
-        mean_q, se_q, _ = batch_means(quart)
-        sub["quartic_z"] = mean_q / se_q if se_q > 0 else 0.0
-        mean_eq, se_eq, _ = batch_means(adj - diag_cross)
-        sub["cross_equal_z"] = mean_eq / se_eq if se_eq > 0 else 0.0
+        sub["quartic_z"] = _mean_z(quart)
+        sub["cross_equal_z"] = _mean_z(adj - diag_cross)
         ok = ok and abs(sub["quartic_z"]) <= 3.0 and abs(sub["cross_equal_z"]) <= 3.0
 
     return CheckReport(

@@ -1,10 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from schattenlab import cli
+from schattenlab import moments as mo
+from schattenlab import samplers as sp
+from schattenlab.ensembles import SchattenSpec
 
 
 def run_cli(*args):
@@ -123,6 +127,8 @@ def test_usage_errors():
     assert run_cli("verify", "--suite", "wat").returncode == cli.EXIT_USAGE
     assert run_cli("estimate", "sigma", "--p", "0.3").returncode == cli.EXIT_USAGE
     assert run_cli().returncode == cli.EXIT_USAGE
+    assert run_cli("sample", "gas", "--chains", "0").returncode == cli.EXIT_USAGE
+    assert run_cli("sample", "gas", "--burn-in", "-1").returncode == cli.EXIT_USAGE
 
 
 def test_header_carries_config(tmp_path):
@@ -143,3 +149,35 @@ def test_header_carries_config(tmp_path):
     assert head["config"]["seed"] == 6
     assert head["config"]["options"] == {"suite": "gamma", "budget_scale": 1.0, "ensemble": None,
                                          "n": None, "p": None, "tol": None}
+
+
+def test_chain_flags_reach_the_sampler(tmp_path):
+    # Metropolis behind estimate sigma at p=4, hit-and-run behind sample matrix
+    # and behind estimate sigma --sampler hit_and_run: each record must equal the
+    # direct library call with the same chain settings.
+    out = tmp_path / "s.jsonl"
+    assert cli.main(["estimate", "sigma", "--n", "2", "--p", "4", "--samples", "2000",
+                     "--chains", "1", "--burn-in", "200", "--thinning", "2", "--seed", "3",
+                     "--out", str(out)]) == cli.EXIT_OK
+    est = mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 4.0), budget=2000, seed=3,
+                            mcmc_kwargs={"n_chains": 1, "burn_in": 200, "thinning": 2})
+    rec = json.loads(data_lines(out)[0])
+    assert (rec["sigma_sq"], rec["std_err"], rec["ess"]) == (est.sigma_sq, est.std_err, est.ess)
+
+    out = tmp_path / "h.jsonl"
+    assert cli.main(["estimate", "sigma", "--sampler", "hit_and_run", "--n", "2", "--p", "inf",
+                     "--samples", "600", "--chains", "3", "--burn-in", "20", "--seed", "4",
+                     "--out", str(out)]) == cli.EXIT_OK
+    est = mo.sigma_pipeline(SchattenSpec("R", "Full", 2, math.inf), sampler="hit_and_run",
+                            budget=600, seed=4, mcmc_kwargs={"n_chains": 3, "burn_in": 20})
+    rec = json.loads(data_lines(out)[0])
+    assert (rec["sigma_sq"], rec["std_err"]) == (est.sigma_sq, est.std_err)
+
+    out = tmp_path / "m.jsonl"
+    assert cli.main(["sample", "matrix", "--n", "2", "--p", "inf", "--samples", "120",
+                     "--chains", "4", "--thinning", "3", "--burn-in", "0", "--seed", "5",
+                     "--out", str(out)]) == cli.EXIT_OK
+    batch = sp.matrix_hit_and_run(SchattenSpec("R", "Full", 2, math.inf), n_samples=120,
+                                  seed=5, n_chains=4, thinning=3, burn_in=0)
+    rows = [json.loads(ln) for ln in data_lines(out)]
+    assert [[r[f"x{i}"] for i in range(4)] for r in rows] == batch.points.tolist()

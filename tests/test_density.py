@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.density import homogeneity_degree, log_f, log_f_p
+from schattenlab.density import log_f, log_f_p
 from schattenlab.ensembles import EnsembleParams
 
 FACT_TABLE = [
@@ -45,14 +45,14 @@ def test_dimension_mismatch():
 
 
 def test_homogeneity_degree_values():
-    assert homogeneity_degree(EnsembleParams(2, 2, 1, 2)) == 6
-    assert homogeneity_degree(EnsembleParams(1, 1, 0, 2)) == 1
+    assert EnsembleParams(2, 2, 1, 2).degree == 6
+    assert EnsembleParams(1, 1, 0, 2).degree == 1
 
 
 def test_homogeneity_scaling_all_families():
     rng = np.random.default_rng(2)
     for params in FACT_TABLE:
-        deg = homogeneity_degree(params)
+        deg = params.degree
         for _ in range(20):
             x = rng.standard_normal(params.n) * 2.0
             r = float(np.exp(rng.uniform(-2, 2)))

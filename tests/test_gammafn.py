@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,3 +90,27 @@ def test_gamma_gap_sandwich_samples():
         for p in [1.0, 2.0, 37.0, 4096.0]:
             val = gamma_gap(d, p) / gamma_ratio(d, p, 2).value ** 2
             assert 0.02 / (p * (p + d)) <= val <= 50.0 / (p * d)
+
+
+def _exact_gap(d, p):
+    """ratio(d,p,2)^2 - ratio(d,p,4) as a Fraction: at p = 1 the ratios are
+    1/((d+1)(d+2)) and 1/((d+1)...(d+4)), at p = 2 they are 2/(d+2) and
+    4/((d+2)(d+4))."""
+    d = Fraction(d)
+    if p == 1:
+        r2 = 1 / ((d + 1) * (d + 2))
+        r4 = r2 / ((d + 3) * (d + 4))
+    else:
+        r2 = 2 / (d + 2)
+        r4 = 4 / ((d + 2) * (d + 4))
+    return r2 * r2 - r4
+
+
+def test_gamma_gap_exact_rationals():
+    # the two terms agree to O(1/(p d)), so this pins the cancellation-free route
+    for p in (1, 2):
+        for k in range(8):
+            d = 10**k
+            exact = _exact_gap(d, p)
+            err = abs(Fraction(gamma_gap(float(d), float(p))) - exact) / exact
+            assert err <= 1e-13, (d, p, float(err))

@@ -59,21 +59,22 @@ def test_quadrature_rejects_large_n_and_odd_cases():
         mo.quadrature_moment(EnsembleParams(1, 1, 1, 2), 2.0, "one")
 
 
-def test_quadrature_oracle_failure_never_silent():
+def test_quadrature_oracle_failure_never_silent(monkeypatch):
+    monkeypatch.setattr(mo, "_LEVELS", mo._LEVELS[:2])
+    monkeypatch.setattr(mo, "_ABS_TOL", 1e-14)
+    monkeypatch.setattr(mo, "_REL_TOL", 1e-16)
     with pytest.raises(mo.OracleFailure):
-        mo.quadrature_moments(
-            EnsembleParams(2, 2, 1, 3), 1.0, ["norm2_4"], abs_tol=1e-14,
-            rel_tol=1e-16, max_levels=2,
-        )
+        mo.quadrature_moments(EnsembleParams(2, 2, 1, 3), 1.0, ["norm2_4"])
 
 
-def test_quadrature_reports_face_node_count():
+def test_quadrature_reports_face_node_count(monkeypatch):
     # the face grid has (2*level - 1)*order nodes on each of its n - 1 axes;
     # a loose tolerance stops at the second level, (3, 10): 5 panels of 10
     assert mo.quadrature_moment(EnsembleParams(2, 1, 0, 1), 2.0, "x1_sq").n_samples == 1
+    monkeypatch.setattr(mo, "_ABS_TOL", 1.0)
+    monkeypatch.setattr(mo, "_REL_TOL", 1.0)
     for n in (2, 3):
-        est = mo.quadrature_moments(EnsembleParams(2, 1, 0, n), 2.0, ["x1_sq"],
-                                    abs_tol=1.0, rel_tol=1.0)["x1_pow2"]
+        est = mo.quadrature_moments(EnsembleParams(2, 1, 0, n), 2.0, ["x1_sq"])["x1_pow2"]
         assert est.n_samples == 50 ** (n - 1)
         assert est.ess == est.n_samples
 

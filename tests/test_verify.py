@@ -17,6 +17,7 @@ def test_identity_suite_quadrature():
     ):
         for rep in reports:
             assert rep.passed, rep
+            assert 0.0 <= rep.details["oracle_error_bound"] <= rep.tolerance
 
 
 def test_identity_lhs_coefficient_example():
@@ -36,6 +37,8 @@ def test_identity_requires_even_a_and_finite_p():
         vf.identity_suite_for(EnsembleParams(1, 2, 0, 2), 2.0)
     with pytest.raises(ValueError):
         vf.identity_suite_for(EnsembleParams(2, 1, 0, 3), math.inf)
+    with pytest.raises(ValueError):
+        vf.check_identity1(EnsembleParams(2, 1, 0, 2), 2.0, method="bogus")
 
 
 def test_identity_mc_route():
@@ -97,6 +100,9 @@ def test_neg_correlation_p2():
     assert rep.passed
     r = rep.details["grid"][0]["ratio"]
     assert abs(r - 2.0) < 0.2
+    # only p in {1, 2, inf} carry a reference; any other p must not pass silently
+    with pytest.raises(ValueError):
+        vf.check_neg_correlation_threshold(1, 0, 3.0)
 
 
 def test_antisym_normalization_small():
