@@ -404,10 +404,16 @@ def _sigma_from_values(v, d, method):
 def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=None):
     """Estimate the thin-shell statistic of K_{p,E} from the singular-value law.
 
-    sampler: "auto" (exact at p=2, MCMC otherwise, then the radial pushforward)
-    or "hit_and_run" for the direct matrix walk.  mcmc_kwargs (n_chains,
-    burn_in, thinning) go to whichever chain sampler runs: Metropolis or
-    hit-and-run; the exact p=2 sampler has no chains.
+    sampler: "auto" (gas draws, then the radial pushforward; at p=2 the radius
+    alone, see below) or "hit_and_run" for the direct matrix walk.
+    mcmc_kwargs (n_chains, burn_in, thinning) go to whichever chain sampler
+    runs: Metropolis or hit-and-run.
+
+    The pushforward sends x to scale * u^(1/d) * x / ||x||_p, so
+    v = multiplicity * scale^2 * u^(2/d) * ||x||_2^2 / ||x||_p^2.  At p=2 the
+    last factor is 1 and v reads only the radius: "auto" then draws u on the
+    pushforward's stream (seed + 1), samples no gas and reports method
+    "radial".  Its numbers equal the gas + pushforward route's to rounding.
     """
     from . import samplers  # local import avoids a module cycle
 
@@ -419,10 +425,16 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
 
     mapping = ensemble_of(spec)
     params = mapping.params
-    gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     scale = 1.0 if math.isinf(spec.p) else 2.0 ** (-1.0 / spec.p)
     if mapping.multiplicity == 1:
         scale = 1.0
+    if spec.p == 2:
+        # ||x||_2 / ||x||_p = 1 here, so the gas would cancel out of v
+        samplers._check_budget(budget)
+        u = np.random.default_rng(np.random.SeedSequence(seed + 1)).random(budget)
+        v = mapping.multiplicity * scale**2 * u ** (2.0 / params.d)
+        return _sigma_from_values(v, spec.dim, "radial")
+    gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     ball = samplers.ball_pushforward(gas, params, spec.p, seed=seed + 1, norm_scale=scale)
     v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
     return _sigma_from_values(v, spec.dim, gas.diagnostics.get("method", "mc"))

@@ -47,6 +47,11 @@ class SampleBatch:
         return self.points.shape[0]
 
 
+def _check_budget(n_samples):
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # random-walk Metropolis for the gas densities
 
@@ -137,10 +142,10 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
     Step sizes adapt toward 0.44 acceptance during burn-in only and freeze
     afterwards, so the retained path is a fixed-kernel Markov chain.  Chains
     get independent spawned seed streams and merge in chain order, making the
-    result a pure function of (inputs, seed).
+    result a pure function of (inputs, seed).  diagnostics["burn_in_share"]
+    reports the burn-in sweeps as a share of all sweeps run.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_budget(n_samples)
     if burn_in is None:
         burn_in = 1000 + 60 * params.n
     seqs = np.random.SeedSequence(seed).spawn(n_chains)
@@ -155,6 +160,7 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
     points = np.concatenate([r[0] for r in results], axis=0)
     acc = np.mean([r[1] for r in results], axis=0)
     ess_total = sum(batch_means(np.sum(r[0] ** 2, axis=1))[2] for r in results)
+    burn_sweeps = burn_in * len(results)
     return SampleBatch(
         points=points,
         diagnostics={
@@ -163,6 +169,7 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
             "chains": len(results),
             "burn_in": burn_in,
             "thinning": thinning,
+            "burn_in_share": burn_sweeps / (burn_sweeps + n_samples * thinning),
             "ess_norm2sq": ess_total,
         },
     )
@@ -182,6 +189,7 @@ def exact_p2_sample(params, n_samples, seed=0):
     eigenvalues; the Laguerre shape is chosen so the substitution y = x^2
     reproduces the gas exactly.  Anything else raises SamplerUnavailable.
     """
+    _check_budget(n_samples)
     n, a, b, c = params.n, params.a, params.b, params.c
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if a == 1 and c == 0:
@@ -217,24 +225,29 @@ def _hermite_chunk(params, m, rng):
         df = b * (n - np.arange(1, n))
         off = np.sqrt(rng.chisquare(df, size=(m, n - 1))) / math.sqrt(2.0)
         j = np.arange(n - 1)
-        mats[:, j, j + 1] = off
-        mats[:, j + 1, j] = off
+        mats[:, j + 1, j] = off  # eigvalsh reads the lower triangle only
     lam = np.linalg.eigvalsh(mats)
     return lam / math.sqrt(2.0)
 
 
 def _laguerre_chunk(params, m, rng):
+    """Rescaled eigenvalues of B B^T for the lower bidiagonal Laguerre model B
+    (diagonal a_i, sub-diagonal s_i), built as the tridiagonal matrix with
+    diagonal a_i^2 + s_(i-1)^2 and sub-diagonal a_i s_i (lower triangle only,
+    which is all eigvalsh reads)."""
     n, b, c = params.n, params.b, params.c
     two_shape = b * (n - 1) + c + 1  # = 2 * Laguerre shape parameter
-    bid = np.zeros((m, n, n))
     idx = np.arange(n)
     diag_df = two_shape - b * idx
-    bid[:, idx, idx] = np.sqrt(rng.chisquare(diag_df, size=(m, n)))
+    a_sq = rng.chisquare(diag_df, size=(m, n))
+    lag = np.zeros((m, n, n))
+    lag[:, idx, idx] = a_sq
     if n > 1:
         j = np.arange(n - 1)
         sub_df = b * (n - 1 - j)
-        bid[:, j + 1, j] = np.sqrt(rng.chisquare(sub_df, size=(m, n - 1)))
-    lag = bid @ bid.transpose(0, 2, 1)
+        s_sq = rng.chisquare(sub_df, size=(m, n - 1))
+        lag[:, j + 1, j + 1] += s_sq
+        lag[:, j + 1, j] = np.sqrt(a_sq[:, :-1] * s_sq)
     y = np.linalg.eigvalsh(lag) / 2.0
     signs = rng.integers(0, 2, size=y.shape) * 2.0 - 1.0
     return signs * np.sqrt(np.maximum(y, 0.0))
@@ -435,6 +448,7 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
     """
     if spec.subspace != "Full" or spec.p != 2:
         raise SamplerUnavailable("exact ball sampling needs p=2 on a Full subspace")
+    _check_budget(n_samples)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dim = spec.dim
     g = rng.standard_normal((n_samples, dim))

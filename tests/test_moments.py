@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.ensembles import EnsembleParams, SchattenSpec
+from schattenlab.ensembles import EnsembleParams, SchattenSpec, ensemble_of
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
 
@@ -168,6 +168,34 @@ def test_sigma_pipeline_invariant():
     assert est.sigma_sq == pytest.approx(
         est.d * est.var_norm_sq / est.mean_norm_sq**2, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("spec", [
+    *(SchattenSpec(f, "Full", n, 2.0) for f in "RCH" for n in (1, 2, 3)),
+    SchattenSpec("R", "Full", 16, 2.0),
+    SchattenSpec("C", "SelfAdjoint", 3, 2.0),
+    SchattenSpec("C", "AntiSymHermitian", 5, 2.0),
+    SchattenSpec("C", "ComplexSymmetric", 3, 2.0),
+], ids=lambda s: f"{s.field}-{s.subspace}-{s.n}")
+def test_sigma_pipeline_p2_reads_only_the_radius(spec):
+    # the gas cancels out of ||T||_2^2 at p=2: the radial route must equal the
+    # explicit gas + pushforward route on the same seeds
+    budget, seed = 3000, 41
+    est = mo.sigma_pipeline(spec, budget=budget, seed=seed)
+    mapping = ensemble_of(spec)
+    scale = 1.0 if mapping.multiplicity == 1 else 2.0**-0.5
+    gas = sp.gas_sample(mapping.params, 2.0, budget, seed)
+    ball = sp.ball_pushforward(gas, mapping.params, 2.0, seed=seed + 1, norm_scale=scale)
+    v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
+    ref = mo._sigma_from_values(v, spec.dim, "explicit")
+    assert est.method == "radial"
+    for key in ("sigma_sq", "mean_norm_sq", "std_err"):
+        assert getattr(est, key) == pytest.approx(getattr(ref, key), rel=1e-10, abs=0.0)
+
+
+def test_sigma_pipeline_p2_needs_a_budget():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 2.0), budget=0)
 
 
 def test_var_mp_pipeline_terms():

@@ -62,6 +62,42 @@ def test_exact_p2_replay_and_unavailable():
         sp.exact_p2_sample(EnsembleParams(3, 1, 0, 3), 10)
 
 
+def test_exact_p2_samplers_need_a_budget():
+    for n_samples in (0, -5):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sp.exact_p2_sample(EnsembleParams(2, 1, 0, 3), n_samples)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        sp.exact_p2_matrix_sample(SchattenSpec("R", "Full", 2, 2.0), 0)
+
+
+@pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3)])
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_laguerre_chunk_matches_dense_bidiagonal_product(abc, n):
+    # the same chi-square draws, squared into the dense B B^T of the
+    # bidiagonal Laguerre model, must give the chunk's eigenvalues
+    params = EnsembleParams(*abc, n)
+    m = 200
+    x = sp._laguerre_chunk(params, m, np.random.default_rng(51))
+    rng = np.random.default_rng(51)
+    a, b, c = abc
+    bid = np.zeros((m, n, n))
+    idx = np.arange(n)
+    bid[:, idx, idx] = np.sqrt(rng.chisquare(b * (n - 1) + c + 1 - b * idx, size=(m, n)))
+    if n > 1:
+        j = np.arange(n - 1)
+        bid[:, j + 1, j] = np.sqrt(rng.chisquare(b * (n - 1 - j), size=(m, n - 1)))
+    y = np.linalg.eigvalsh(bid @ bid.transpose(0, 2, 1)) / 2.0
+    assert np.max(np.abs(x**2 - y)) <= 1e-12 * np.max(y)
+
+
+def test_mcmc_reports_burn_in_share():
+    params = EnsembleParams(2, 1, 0, 2)
+    batch = sp.mcmc_sample(params, 2.0, n_chains=2, n_samples=300, seed=6, burn_in=100,
+                           thinning=2)
+    # 2 chains x 100 burn-in sweeps against 300 draws x 2 sweeps each
+    assert batch.diagnostics["burn_in_share"] == pytest.approx(200 / 800)
+
+
 def test_exact_vs_mcmc_max_coordinate_ks():
     # two-sample Kolmogorov-Smirnov on max |x_i|
     params = EnsembleParams(2, 1, 0, 3)
