@@ -63,12 +63,6 @@ class MatrixSample:
     def n(self):
         return self.entries.shape[0]
 
-    def entry(self, i, j):
-        """Entry (i, j) as a float, complex, or Quaternion."""
-        if self.field == "H":
-            return Quaternion(*self.entries[i, j])
-        return self.entries[i, j]
-
     def frobenius_sq(self):
         return float(np.sum(abs_sq(self.field, self.entries)))
 

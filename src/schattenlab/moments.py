@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
+from . import samplers
 from .ensembles import ensemble_of
 from .gammafn import log_gamma
 from .util import batch_means, batch_means_cov, delta_se
@@ -415,8 +416,6 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
     pushforward's stream (seed + 1), samples no gas and reports method
     "radial".  Its numbers equal the gas + pushforward route's to rounding.
     """
-    from . import samplers  # local import avoids a module cycle
-
     if sampler == "hit_and_run":
         mats = samplers.matrix_hit_and_run(spec, n_samples=budget, seed=seed,
                                            **(mcmc_kwargs or {}))
@@ -468,8 +467,6 @@ class VarMpEstimate:
 
 def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=None):
     """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws."""
-    from . import samplers
-
     if gas is None:
         gas = samplers.gas_sample(params, p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     x = gas.points

@@ -4,7 +4,8 @@ Three routes: adaptive random-walk Metropolis for arbitrary parameters, exact
 tridiagonal ensemble samplers for the Gaussian (p=2) weight, and a radial
 pushforward converting weighted gas draws into the singular-value law of a
 uniform ball sample.  A hit-and-run walk on the matrix subspace itself gives
-an independent route to the same uniform measure.
+an independent route to the same uniform measure.  Metropolis and hit-and-run
+share one lockstep chain loop, _run_chains.
 """
 
 import math
@@ -40,7 +41,6 @@ class SampleBatch:
     """Unweighted draws (one row per point) plus sampler diagnostics."""
 
     points: np.ndarray
-    weight_tag: str = "ones"
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -53,126 +53,140 @@ def _check_budget(n_samples):
 
 
 # ---------------------------------------------------------------------------
+# the chain loop shared by Metropolis and hit-and-run
+
+def _run_chains(n_samples, n_chains, seed, burn_in, thinning, start, sweep):
+    """Run min(n_chains, n_samples) chains in lockstep, each on its own
+    spawned seed stream, and return (points, diagnostics).
+
+    start(rngs) returns the (chains, dim) start states; sweep(x, rngs, s)
+    advances every row of x in place at sweep s.  After burn_in sweeps each
+    chain keeps every thinning-th state until it holds ceil(n_samples /
+    chains) draws; the draws merge in chain order and are cut to n_samples.
+    ess_norm2sq sums the batch-means ESS of ||state||^2 over the chains'
+    returned draws.
+    """
+    _check_budget(n_samples)
+    if n_chains < 1 or thinning < 1 or burn_in < 0:
+        raise ValueError("need n_chains >= 1, thinning >= 1 and burn_in >= 0")
+    chains = min(n_chains, n_samples)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
+    x = start(rngs)
+    keep_each = -(-n_samples // chains)
+    out = np.empty((chains, keep_each, x.shape[1]))
+    for s in range(burn_in + keep_each * thinning):
+        sweep(x, rngs, s)
+        kept, skip = divmod(s - burn_in, thinning)
+        if kept >= 0 and skip == 0:
+            out[:, kept] = x
+    points = out.reshape(chains * keep_each, -1)[:n_samples]
+    norm2sq = np.sum(points**2, axis=1)
+    ess = sum(batch_means(norm2sq[k : k + keep_each])[2] for k in range(0, n_samples, keep_each))
+    sweeps = chains * (burn_in + keep_each * thinning)
+    return points, {"chains": chains, "burn_in": burn_in, "thinning": thinning,
+                    "burn_in_share": chains * burn_in / sweeps, "ess_norm2sq": ess}
+
+
+# ---------------------------------------------------------------------------
 # random-walk Metropolis for the gas densities
 
 _ADAPT_WINDOW = 50
 _TARGET_ACCEPT = 0.44
 
 
-def _init_point(params, p, rng):
-    n = params.n
-    if math.isinf(p):
-        return rng.uniform(-0.95, 0.95, n)
-    scale = (params.d / (n * p)) ** (1.0 / p)
-    return rng.standard_normal(n) * scale
+class _Metropolis:
+    """Per-coordinate Metropolis with one state row per chain: coordinate i
+    of every chain moves at once, with per-chain step sizes and acceptance
+    counts.  Each chain's generator is called as a lone chain would call it:
+    its start point, then standard_normal(n) and random(n) per sweep."""
 
+    def __init__(self, params, p, burn_in, validate):
+        self.params, self.p, self.burn_in, self.validate = params, p, burn_in, validate
 
-def _run_chain(params, p, keep, burn_in, thinning, seed_seq, validate):
-    """One adaptive Metropolis chain: its kept draws and its per-coordinate
-    acceptance rates after burn-in."""
-    rng = np.random.default_rng(seed_seq)
-    n = params.n
-    a, b, c = params.a, params.b, params.c
-    inf_p = math.isinf(p)
-    x = _init_point(params, p, rng)
-    logf = float(log_f_p(params, p, x))
-    while not np.isfinite(logf):
-        x = _init_point(params, p, rng)
-        logf = float(log_f_p(params, p, x))
-    xa = x.copy() if a == 1 else x**a
-    if inf_p:
-        steps = np.full(n, 0.25)
-    else:
-        steps = np.full(n, 0.5 * (params.d / (n * p)) ** (1.0 / p))
-    acc_window = np.zeros(n)
-    prop_window = np.zeros(n)
-    accepted = np.zeros(n)
-    proposed = np.zeros(n)
-    out = np.empty((keep, n))
-    kept = 0
-    total_sweeps = burn_in + keep * thinning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sweep in range(total_sweeps):
-            adapting = sweep < burn_in
-            zs = rng.standard_normal(n)
-            us = rng.random(n)
+    def start(self, rngs):
+        params, p, n = self.params, self.p, self.params.n
+        scale = (params.d / (n * p)) ** (1.0 / p)
+        rows, logfs = [], []
+        for rng in rngs:
+            logf = -math.inf
+            while not np.isfinite(logf):  # redraw until the start has positive density
+                x = rng.uniform(-0.95, 0.95, n) if math.isinf(p) else rng.standard_normal(n) * scale
+                logf = float(log_f_p(params, p, x))
+            rows.append(x)
+            logfs.append(logf)
+        self.x, self.logf = np.stack(rows), np.array(logfs)
+        self.xa = self.x.copy() if params.a == 1 else self.x**params.a
+        self.steps = np.full(self.x.shape, 0.25 if math.isinf(p) else 0.5 * scale)
+        self.acc_window, self.accepted = np.zeros(self.x.shape), np.zeros(self.x.shape)
+        self.sampling_sweeps = 0
+        return self.x
+
+    def sweep(self, x, rngs, s):
+        n, a, b, c, p = self.params.n, self.params.a, float(self.params.b), self.params.c, self.p
+        inf_p = math.isinf(p)
+        adapting = s < self.burn_in
+        draws = [(rng.standard_normal(n), rng.random(n)) for rng in rngs]
+        # coordinate-major views: row i holds coordinate i of every chain
+        moves = (self.steps * np.stack([z for z, _ in draws])).T
+        us = np.stack([u for _, u in draws]).T
+        xs, xa, xas = x.T, self.xa, self.xa.T
+        accepts = np.empty(xs.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(n):
-                prop = x[i] + steps[i] * zs[i]
-                if adapting:
-                    prop_window[i] += 1
-                else:
-                    proposed[i] += 1
-                if inf_p and abs(prop) > 1.0:
-                    continue
+                xi = xs[i]
+                prop = xi + moves[i]
                 prop_a = prop if a == 1 else prop**a
-                ratio = (prop_a - xa) / (xa[i] - xa)
-                ratio[i] = 1.0
-                delta = b * float(np.sum(np.log(np.abs(ratio))))
+                ratio = prop_a[:, None] - xa
+                ratio /= xas[i][:, None] - xa
+                ratio[:, i] = 1.0
+                delta = b * np.add.reduce(np.log(np.abs(ratio)), axis=1)
                 if c:
-                    delta += c * (math.log(abs(prop / x[i])) if prop != 0.0 else -math.inf)
+                    delta += c * np.log(np.abs(prop / xi))
                 if not inf_p:
-                    delta -= abs(prop) ** p - abs(x[i]) ** p
-                if delta >= 0.0 or us[i] < math.exp(delta):
-                    x[i] = prop
-                    xa[i] = prop_a
-                    logf += delta
-                    if adapting:
-                        acc_window[i] += 1
-                    else:
-                        accepted[i] += 1
-            if adapting and (sweep + 1) % _ADAPT_WINDOW == 0:
-                rates = acc_window / np.maximum(prop_window, 1.0)
-                steps *= np.exp(0.6 * (rates - _TARGET_ACCEPT))
-                acc_window[:] = 0.0
-                prop_window[:] = 0.0
-            if not adapting and (sweep - burn_in) % thinning == 0 and kept < keep:
-                out[kept] = x
-                kept += 1
-    if validate:
-        fresh = float(log_f_p(params, p, x))
-        if not math.isclose(fresh, logf, rel_tol=1e-8, abs_tol=1e-8):
-            raise AssertionError(f"cached log density drifted: {logf} vs {fresh}")
-    return out, accepted / np.maximum(proposed, 1.0)
+                    delta -= np.abs(prop) ** p - np.abs(xi) ** p
+                accept = us[i] < np.exp(delta)  # always true for delta >= 0
+                if inf_p:
+                    accept &= np.abs(prop) <= 1.0
+                if self.validate:
+                    np.add(self.logf, delta, out=self.logf, where=accept)
+                np.copyto(xi, prop, where=accept)
+                np.copyto(xas[i], prop_a, where=accept)
+                accepts[i] = accept
+        if adapting:
+            self.acc_window += accepts.T
+            if (s + 1) % _ADAPT_WINDOW == 0:
+                self.steps *= np.exp(0.6 * (self.acc_window / _ADAPT_WINDOW - _TARGET_ACCEPT))
+                self.acc_window[:] = 0.0
+        else:
+            self.accepted += accepts.T
+            self.sampling_sweeps += 1
 
 
 def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
                 thinning=1, validate=False):
     """Per-coordinate random-walk Metropolis draws from the weighted gas density.
 
-    Step sizes adapt toward 0.44 acceptance during burn-in only and freeze
-    afterwards, so the retained path is a fixed-kernel Markov chain.  Chains
-    get independent spawned seed streams and merge in chain order, making the
-    result a pure function of (inputs, seed).  diagnostics["burn_in_share"]
-    reports the burn-in sweeps as a share of all sweeps run.
+    Step sizes adapt per chain toward 0.44 acceptance during burn-in only and
+    freeze afterwards, so the retained path is a fixed-kernel Markov chain.
+    The chains run in lockstep, each on its own spawned seed stream; each
+    keeps ceil(n_samples / chains) draws, merged in chain order and cut to
+    n_samples, so the result is a pure function of (inputs, seed).
+    diagnostics["burn_in_share"] reports the burn-in sweeps as a share of
+    all sweeps run.
     """
-    _check_budget(n_samples)
     if burn_in is None:
         burn_in = 1000 + 60 * params.n
-    seqs = np.random.SeedSequence(seed).spawn(n_chains)
-    base = n_samples // n_chains
-    rem = n_samples % n_chains
-    keeps = [base + (1 if c < rem else 0) for c in range(n_chains)]
-    results = [
-        _run_chain(params, p, keeps[c], burn_in, thinning, seqs[c], validate)
-        for c in range(n_chains)
-        if keeps[c] > 0
-    ]
-    points = np.concatenate([r[0] for r in results], axis=0)
-    acc = np.mean([r[1] for r in results], axis=0)
-    ess_total = sum(batch_means(np.sum(r[0] ** 2, axis=1))[2] for r in results)
-    burn_sweeps = burn_in * len(results)
-    return SampleBatch(
-        points=points,
-        diagnostics={
-            "method": "mcmc",
-            "acceptance": acc,
-            "chains": len(results),
-            "burn_in": burn_in,
-            "thinning": thinning,
-            "burn_in_share": burn_sweeps / (burn_sweeps + n_samples * thinning),
-            "ess_norm2sq": ess_total,
-        },
-    )
+    walk = _Metropolis(params, p, burn_in, validate)
+    points, diag = _run_chains(n_samples, n_chains, seed, burn_in, thinning,
+                               walk.start, walk.sweep)
+    if validate:
+        fresh = log_f_p(params, p, walk.x)
+        for cached, new in zip(walk.logf, fresh):
+            if not math.isclose(new, cached, rel_tol=1e-8, abs_tol=1e-8):
+                raise AssertionError(f"cached log density drifted: {cached} vs {new}")
+    acceptance = np.mean(walk.accepted / walk.sampling_sweeps, axis=0)
+    return SampleBatch(points=points, diagnostics={"method": "mcmc", "acceptance": acceptance,
+                                                   **diag})
 
 
 # ---------------------------------------------------------------------------
@@ -383,49 +397,32 @@ _BISECT_STEPS = 60
 def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinning=1):
     """Hit-and-run walk over the uniform measure on K_{p,E}.
 
-    Chains start at the origin and move along uniform chord points; chord
-    endpoints come from 60 bisection steps on the Schatten norm along the
-    direction.  Chains carry independent seed streams and are merged in chain
-    order; the returned points are coordinate rows (see coords_to_entries).
+    Chains start at the origin and move to a uniform point of the chord
+    through the current point along a uniform direction; chord endpoints come
+    from 60 bisection steps on the Schatten norm.  The chains run in lockstep,
+    each on its own spawned seed stream; each keeps ceil(n_samples / chains)
+    draws, merged in chain order and cut to n_samples.  The returned points
+    are coordinate rows (see coords_to_entries).
     """
     if spec.n > 12:
         raise ValueError("hit-and-run is limited to n <= 12")
     dim = spec.dim
-    n_chains = min(n_chains, n_samples)
-    seqs = np.random.SeedSequence(seed).spawn(n_chains)
-    rngs = [np.random.default_rng(s) for s in seqs]
-    x = np.zeros((n_chains, dim))
-    keep_each = -(-n_samples // n_chains)
-    out = np.empty((n_chains, keep_each, dim))
-    kept = 0
-    accepted_steps = 0
-    for sweep in range(burn_in + keep_each * thinning):
+
+    def start(rngs):
+        return np.zeros((len(rngs), dim))
+
+    def sweep(x, rngs, s):
         dirs = np.stack([r.standard_normal(dim) for r in rngs])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        nrm_dir = _schatten_norms(spec, dirs)
         # ||x + t v|| >= |t| ||v|| - 1, so the chord lies within |t| <= 2/||v||
-        t_hi = 2.0 / nrm_dir + 1e-9
+        t_hi = 2.0 / _schatten_norms(spec, dirs) + 1e-9
         lo_plus = _bisect_boundary(spec, x, dirs, t_hi)
         lo_minus = _bisect_boundary(spec, x, -dirs, t_hi)
         u = np.array([r.random() for r in rngs])
-        t = -lo_minus + u * (lo_minus + lo_plus)
-        x = x + t[:, None] * dirs
-        accepted_steps += 1
-        if sweep >= burn_in and (sweep - burn_in) % thinning == 0 and kept < keep_each:
-            out[:, kept] = x
-            kept += 1
-    points = out.reshape(n_chains * keep_each, dim)[:n_samples]
-    v = frobenius_sq_batch(spec, points)
-    return SampleBatch(
-        points=points,
-        diagnostics={
-            "method": "hit_and_run",
-            "chains": n_chains,
-            "burn_in": burn_in,
-            "thinning": thinning,
-            "ess_norm2sq": batch_means(v)[2],
-        },
-    )
+        x += (-lo_minus + u * (lo_minus + lo_plus))[:, None] * dirs
+
+    points, diag = _run_chains(n_samples, n_chains, seed, burn_in, thinning, start, sweep)
+    return SampleBatch(points=points, diagnostics={"method": "hit_and_run", **diag})
 
 
 def _bisect_boundary(spec, x, dirs, t_hi):

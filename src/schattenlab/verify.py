@@ -12,7 +12,7 @@ from . import matrixlab as ml
 from . import moments as mo
 from . import samplers as sp
 from .ensembles import BETA, EnsembleParams, SchattenSpec, ensemble_of
-from .gammafn import gamma_gap, gamma_ratio, log_gamma
+from .gammafn import gamma_gap, gamma_ratio
 from .util import batch_means, batch_means_cov, delta_se
 
 __all__ = [
@@ -678,7 +678,7 @@ def check_antisym_normalization(n, p, k=2, budget=40_000, seed=0):
     if math.isinf(p):
         factor = 1.0
     else:
-        factor = 2.0 ** (-k / p) * math.exp(log_gamma(1 + d / p) - log_gamma(1 + (d + k) / p))
+        factor = 2.0 ** (-k / p) * gamma_ratio(d, p, k).value
     rhs = factor * m_gas
     se = math.hypot(se_hr, factor * se_gas)
     z = _z(m_hr - rhs, se)

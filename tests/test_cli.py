@@ -129,6 +129,9 @@ def test_usage_errors():
     assert run_cli().returncode == cli.EXIT_USAGE
     assert run_cli("sample", "gas", "--chains", "0").returncode == cli.EXIT_USAGE
     assert run_cli("sample", "gas", "--burn-in", "-1").returncode == cli.EXIT_USAGE
+    assert run_cli("sample", "matrix", "--samples", "0").returncode == cli.EXIT_USAGE
+    assert run_cli("estimate", "sigma", "--sampler", "hit_and_run",
+                   "--samples", "0").returncode == cli.EXIT_USAGE
 
 
 def test_header_carries_config(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from schattenlab.density import log_f_p
 from schattenlab.ensembles import EnsembleParams, SchattenSpec
 from schattenlab.gammafn import log_gamma
 from schattenlab import moments as mo
@@ -68,6 +69,87 @@ def test_exact_p2_samplers_need_a_budget():
             sp.exact_p2_sample(EnsembleParams(2, 1, 0, 3), n_samples)
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         sp.exact_p2_matrix_sample(SchattenSpec("R", "Full", 2, 2.0), 0)
+    spec = SchattenSpec("R", "Full", 2, math.inf)
+    for n_samples in (0, -5):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sp.matrix_hit_and_run(spec, n_samples)
+    params = EnsembleParams(2, 1, 0, 3)
+    for bad in ({"n_chains": 0}, {"thinning": 0}, {"burn_in": -1}):
+        with pytest.raises(ValueError, match="n_chains >= 1, thinning >= 1 and burn_in >= 0"):
+            sp.mcmc_sample(params, 4.0, n_samples=10, **bad)
+        with pytest.raises(ValueError, match="n_chains >= 1, thinning >= 1 and burn_in >= 0"):
+            sp.matrix_hit_and_run(spec, 10, **bad)
+
+
+def _serial_metropolis_chain(params, p, keep, burn_in, thinning, seed_seq):
+    """One adaptive Metropolis chain, coordinate by coordinate in scalar
+    arithmetic: the reference that the lockstep sweep must reproduce."""
+    rng = np.random.default_rng(seed_seq)
+    n, a, b, c = params.n, params.a, params.b, params.c
+    scale = (params.d / (n * p)) ** (1.0 / p)
+    logf = -math.inf
+    while not np.isfinite(logf):
+        x = rng.uniform(-0.95, 0.95, n) if math.isinf(p) else rng.standard_normal(n) * scale
+        logf = float(log_f_p(params, p, x))
+    xa = x.copy() if a == 1 else x**a
+    steps = np.full(n, 0.25 if math.isinf(p) else 0.5 * scale)
+    window = np.zeros(n)
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(burn_in + keep * thinning):
+            zs, us = rng.standard_normal(n), rng.random(n)
+            for i in range(n):
+                prop = x[i] + steps[i] * zs[i]
+                if math.isinf(p) and abs(prop) > 1.0:
+                    continue
+                prop_a = prop if a == 1 else prop**a
+                ratio = (prop_a - xa) / (xa[i] - xa)
+                ratio[i] = 1.0
+                delta = b * float(np.sum(np.log(np.abs(ratio))))
+                if c:
+                    delta += c * (math.log(abs(prop / x[i])) if prop != 0.0 else -math.inf)
+                if not math.isinf(p):
+                    delta -= abs(prop) ** p - abs(x[i]) ** p
+                if delta >= 0.0 or us[i] < math.exp(delta):
+                    x[i], xa[i] = prop, prop_a
+                    window[i] += sweep < burn_in
+            if sweep < burn_in and (sweep + 1) % 50 == 0:
+                steps *= np.exp(0.6 * (window / 50 - 0.44))
+                window[:] = 0.0
+            if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+                out.append(x.copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("abc, n, p, chains", [
+    ((2, 1, 0), 3, 4.0, 3), ((2, 2, 1), 3, math.inf, 2), ((1, 2, 0), 3, 2.0, 2),
+    ((2, 2, 1), 4, 1.0, 4), ((1, 1, 0), 1, 2.0, 1),
+])
+def test_lockstep_metropolis_matches_serial_chains(abc, n, p, chains):
+    params = EnsembleParams(*abc, n)
+    batch = sp.mcmc_sample(params, p, n_chains=chains, n_samples=60 * chains, seed=31,
+                           burn_in=120, thinning=2, validate=True)
+    seqs = np.random.SeedSequence(31).spawn(chains)
+    ref = [_serial_metropolis_chain(params, p, 60, 120, 2, s) for s in seqs]
+    assert np.array_equal(batch.points, np.concatenate(ref))
+
+
+CHAIN_WALKS = {
+    "metropolis": lambda **kw: sp.mcmc_sample(EnsembleParams(2, 1, 0, 3), 4.0, **kw),
+    "hit_and_run": lambda **kw: sp.matrix_hit_and_run(SchattenSpec("C", "Full", 2, 3.0), **kw),
+}
+
+
+@pytest.mark.parametrize("walk", CHAIN_WALKS.values(), ids=CHAIN_WALKS.keys())
+def test_chains_run_on_own_streams_and_merge_in_chain_order(walk):
+    # chain 0 has spawn key 0 whatever the chain count, so a 3-chain run of
+    # 3m draws starts with the m draws of a 1-chain run on the same seed
+    m = 12
+    three = walk(n_chains=3, n_samples=3 * m, seed=17, burn_in=20, thinning=2).points
+    one = walk(n_chains=1, n_samples=m, seed=17, burn_in=20, thinning=2).points
+    assert three.shape[0] == 3 * m
+    assert np.array_equal(three[:m], one)
+    assert not np.array_equal(three[m : 2 * m], one)
 
 
 @pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3)])
@@ -91,11 +173,10 @@ def test_laguerre_chunk_matches_dense_bidiagonal_product(abc, n):
 
 
 def test_mcmc_reports_burn_in_share():
-    params = EnsembleParams(2, 1, 0, 2)
-    batch = sp.mcmc_sample(params, 2.0, n_chains=2, n_samples=300, seed=6, burn_in=100,
-                           thinning=2)
-    # 2 chains x 100 burn-in sweeps against 300 draws x 2 sweeps each
-    assert batch.diagnostics["burn_in_share"] == pytest.approx(200 / 800)
+    for walk in CHAIN_WALKS.values():
+        batch = walk(n_chains=2, n_samples=30, seed=6, burn_in=10, thinning=2)
+        # 2 chains x 10 burn-in sweeps against 30 draws x 2 sweeps each
+        assert batch.diagnostics["burn_in_share"] == pytest.approx(20 / 80)
 
 
 def test_exact_vs_mcmc_max_coordinate_ks():
