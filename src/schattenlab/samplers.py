@@ -56,23 +56,26 @@ def _check_budget(n_samples):
 # the chain loop shared by Metropolis and hit-and-run
 
 def _run_chains(n_samples, n_chains, seed, burn_in, thinning, start, sweep):
-    """Run min(n_chains, n_samples) chains in lockstep, each on its own
-    spawned seed stream, and return (points, diagnostics).
+    """Run chains in lockstep, each on its own spawned seed stream, and
+    return (points, diagnostics).
 
     start(rngs) returns the (chains, dim) start states; sweep(x, rngs, s)
-    advances every row of x in place at sweep s.  After burn_in sweeps each
-    chain keeps every thinning-th state until it holds ceil(n_samples /
-    chains) draws; the draws merge in chain order and are cut to n_samples.
-    ess_norm2sq sums the batch-means ESS of ||state||^2 over the chains'
-    returned draws.
+    advances every row of x in place at sweep s.  Each chain keeps
+    keep_each = ceil(n_samples / min(n_chains, n_samples)) draws, every
+    thinning-th state after burn_in sweeps, and only the ceil(n_samples /
+    keep_each) chains whose draws are returned run: the last returned chain
+    may be cut short, but none runs idle.  The draws merge in chain order and
+    are cut to n_samples; chain k's stream depends only on (seed, k), so the
+    draws equal those of a run with n_chains = chains.  ess_norm2sq sums the
+    batch-means ESS of ||state||^2 over the chains' returned draws.
     """
     _check_budget(n_samples)
     if n_chains < 1 or thinning < 1 or burn_in < 0:
         raise ValueError("need n_chains >= 1, thinning >= 1 and burn_in >= 0")
-    chains = min(n_chains, n_samples)
+    keep_each = -(-n_samples // min(n_chains, n_samples))
+    chains = -(-n_samples // keep_each)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
     x = start(rngs)
-    keep_each = -(-n_samples // chains)
     out = np.empty((chains, keep_each, x.shape[1]))
     for s in range(burn_in + keep_each * thinning):
         sweep(x, rngs, s)
@@ -169,10 +172,12 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
     Step sizes adapt per chain toward 0.44 acceptance during burn-in only and
     freeze afterwards, so the retained path is a fixed-kernel Markov chain.
     The chains run in lockstep, each on its own spawned seed stream; each
-    keeps ceil(n_samples / chains) draws, merged in chain order and cut to
-    n_samples, so the result is a pure function of (inputs, seed).
-    diagnostics["burn_in_share"] reports the burn-in sweeps as a share of
-    all sweeps run.
+    keeps ceil(n_samples / min(n_chains, n_samples)) draws, merged in chain
+    order and cut to n_samples, so the result is a pure function of (inputs,
+    seed).  Only the chains that return draws run (see _run_chains), so
+    n_chains=4, n_samples=5 runs 3 chains and diagnostics["chains"] and
+    ["acceptance"] cover those 3.  diagnostics["burn_in_share"] reports the
+    burn-in sweeps as a share of all sweeps run.
     """
     if burn_in is None:
         burn_in = 1000 + 60 * params.n
@@ -400,9 +405,11 @@ def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinni
     Chains start at the origin and move to a uniform point of the chord
     through the current point along a uniform direction; chord endpoints come
     from 60 bisection steps on the Schatten norm.  The chains run in lockstep,
-    each on its own spawned seed stream; each keeps ceil(n_samples / chains)
-    draws, merged in chain order and cut to n_samples.  The returned points
-    are coordinate rows (see coords_to_entries).
+    each on its own spawned seed stream; each keeps ceil(n_samples /
+    min(n_chains, n_samples)) draws, merged in chain order and cut to
+    n_samples.  Only the chains that return draws run (see _run_chains), so
+    40 draws from the default 32 chains run 20 chains of 2 draws each.  The
+    returned points are coordinate rows (see coords_to_entries).
     """
     if spec.n > 12:
         raise ValueError("hit-and-run is limited to n <= 12")
@@ -441,7 +448,9 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
     """Uniform draws from the Frobenius-norm ball (p=2, Full subspaces only).
 
     The flat coordinates are a Euclidean isometry there, so scaled Gaussian
-    directions with a beta-law radius sample the ball exactly.
+    directions with a beta-law radius sample the ball exactly.  The unit
+    directions are scaled by the radius in place (the same multiply as a
+    scaled copy), so no second (n_samples, dim) array of draws is made.
     """
     if spec.subspace != "Full" or spec.p != 2:
         raise SamplerUnavailable("exact ball sampling needs p=2 on a Full subspace")
@@ -451,9 +460,9 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
     g = rng.standard_normal((n_samples, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = rng.random(n_samples) ** (1.0 / dim)
-    pts = g * r[:, None]
-    v = frobenius_sq_batch(spec, pts)
+    g *= r[:, None]
+    v = frobenius_sq_batch(spec, g)
     return SampleBatch(
-        points=pts,
+        points=g,
         diagnostics={"method": "exact-ball", "chains": 1, "ess_norm2sq": batch_means(v)[2]},
     )

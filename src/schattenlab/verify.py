@@ -703,8 +703,26 @@ def check_antisym_normalization(n, p, k=2, budget=40_000, seed=0):
 # ---------------------------------------------------------------------------
 # entry-level correlations over the uniform ball measure
 
+# Matrices per block of _entry_statistics: the block, not the budget, sizes
+# the entry temporaries (about 1 MB each for Full R at n=4).
+_ENTRY_BLOCK = 8192
+
+
 def _entry_statistics(spec, coords):
-    """Per-sample symmetrized entry moments used by the correlation checks."""
+    """Per-sample symmetrized entry moments used by the correlation checks:
+    (m2, row, col, diag_cross, quart, diag_prod), one value per coordinate row.
+
+    The rows are expanded to entries _ENTRY_BLOCK at a time, so the memory
+    beyond the draws does not grow with the budget.  Every statistic is a
+    function of one matrix, so the blocks concatenate to the values of one
+    batch bit for bit.
+    """
+    blocks = [_entry_block_statistics(spec, coords[i : i + _ENTRY_BLOCK])
+              for i in range(0, len(coords), _ENTRY_BLOCK)]
+    return tuple(np.concatenate(stat) for stat in zip(*blocks))
+
+
+def _entry_block_statistics(spec, coords):
     entries = sp.coords_to_entries(spec, coords)
     n = spec.n
     sums = ml.entry_sums(spec.field, entries)

@@ -152,6 +152,22 @@ def test_chains_run_on_own_streams_and_merge_in_chain_order(walk):
     assert not np.array_equal(three[m : 2 * m], one)
 
 
+def test_only_chains_that_return_draws_run():
+    # 40 draws from 32 chains keep 2 each, so 20 chains hold all of them; 5
+    # draws from 4 chains keep 2 each, so 3 chains do
+    spec = SchattenSpec("R", "Full", 2, math.inf)
+    walk = sp.matrix_hit_and_run(spec, 40, seed=3, burn_in=0)
+    twenty = sp.matrix_hit_and_run(spec, 40, seed=3, burn_in=0, n_chains=20)
+    assert walk.diagnostics["chains"] == 20
+    assert np.array_equal(walk.points, twenty.points)
+    params = EnsembleParams(2, 1, 0, 3)
+    gas = sp.mcmc_sample(params, 4.0, n_chains=4, n_samples=5, seed=3, burn_in=20)
+    three = sp.mcmc_sample(params, 4.0, n_chains=3, n_samples=5, seed=3, burn_in=20)
+    assert gas.diagnostics["chains"] == 3
+    assert np.array_equal(gas.points, three.points)
+    assert np.array_equal(gas.diagnostics["acceptance"], three.diagnostics["acceptance"])
+
+
 @pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3)])
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_laguerre_chunk_matches_dense_bidiagonal_product(abc, n):
