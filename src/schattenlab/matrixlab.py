@@ -1,14 +1,14 @@
-"""Matrices over R, C and H: singular values, Schatten norms and the exact
-fourth-moment identities between entries and singular values.
+"""Matrices over R, C and H: subspace coordinates, singular values, Schatten
+norms and the exact fourth-moment identities between entries and singular values.
 
-Every batch routine takes entries as a (..., n, n) real or complex array, or a
-(..., n, n, 4) component array over H, with any leading batch axes; this is
-the one module that turns such entries into |a_ij|^2, the complex embedding,
-singular values and entry sums.  Quaternion matrices are reduced to a 2n x 2n
-complex matrix for spectral work; the embedded singular values come in equal
-pairs and are returned once each.  `singular_values` uses the library SVD;
-the one-sided Jacobi SVD behind `svd` is the single-matrix reference the tests
-check it against.
+This is the one module that turns subspace coordinates into entries, a
+(..., n, n) real or complex array or a (..., n, n, 4) component array over H,
+and entries, with any leading batch axes, into |a_ij|^2, the complex
+embedding, singular values, Schatten norms and entry sums.  Quaternion
+matrices are reduced to a 2n x 2n complex matrix for spectral work; the
+embedded singular values come in equal pairs and are returned once each.
+`singular_values` uses the library SVD; the one-sided Jacobi SVD behind `svd`
+is the single-matrix reference the tests check it against.
 """
 
 import math
@@ -26,6 +26,10 @@ __all__ = [
     "JacobiConvergenceError",
     "abs_sq",
     "singular_values",
+    "schatten_norms",
+    "coords_to_entries",
+    "frobenius_sq_batch",
+    "batch_singular_values",
     "svd",
     "schatten_norm",
     "entry_sums",
@@ -127,6 +131,76 @@ def singular_values(field, entries):
     return np.linalg.svd(entries, compute_uv=False)
 
 
+def schatten_norms(field, entries, p):
+    """Schatten p-norms of (..., n, n[, 4]) entries: the lp norm of the
+    singular values; p = inf is the largest one (0 for an empty matrix)."""
+    sv = singular_values(field, entries)
+    if math.isinf(p):
+        return np.max(sv, axis=-1, initial=0.0)
+    return np.sum(sv**p, axis=-1) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# matrix subspace coordinates
+
+def _field_values(field, cols, count):
+    """count field elements from real columns (B, beta * count): R the columns,
+    C a block of real parts then one of imaginary parts, H (B, count, 4)."""
+    if field == "C":
+        return cols[:, :count] + 1j * cols[:, count:]
+    if field == "H":
+        return cols.reshape(len(cols), count, 4)
+    return cols
+
+
+def coords_to_entries(spec, coords):
+    """Expand real coordinate rows (B, dim) into (B, n, n) entries, (B, n, n, 4) over H.
+
+    A row holds, positions row by row and field values as in _field_values:
+    Full the n*n field values (a view for R and H); SelfAdjoint the real
+    diagonal, then the k = n(n-1)/2 field values above it, conjugated below;
+    ComplexSymmetric n complex diagonal values, then k complex values above
+    it, mirrored; AntiSymHermitian k reals a_ij of i (A - A^T).
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    bsz, n, field = coords.shape[0], spec.n, spec.field
+    if coords.shape[1] != spec.dim:
+        raise ValueError(f"expected {spec.dim} coordinates, got {coords.shape[1]}")
+    if spec.subspace == "Full":
+        vals = _field_values(field, coords, n * n)
+        return vals.reshape((bsz, n, n) + vals.shape[2:])
+    iu, ju = np.triu_indices(n, k=1)
+    if spec.subspace == "AntiSymHermitian":
+        out = np.zeros((bsz, n, n))
+        out[:, iu, ju] = coords
+        out[:, ju, iu] = -coords
+        return 1j * out
+    idx = np.arange(n)
+    n_diag = 2 * n if spec.subspace == "ComplexSymmetric" else n
+    upper = _field_values(field, coords[:, n_diag:], len(iu))
+    out = np.zeros((bsz, n, n) + upper.shape[2:], dtype=upper.dtype)
+    if spec.subspace == "ComplexSymmetric":
+        out[:, idx, idx] = _field_values(field, coords[:, :n_diag], n)
+        lower = upper
+    else:
+        real = out[..., 0] if field == "H" else out
+        real[:, idx, idx] = coords[:, :n]
+        lower = _qconj(upper) if field == "H" else upper.conj()
+    out[:, iu, ju] = upper
+    out[:, ju, iu] = lower
+    return out
+
+
+def frobenius_sq_batch(spec, coords):
+    """||T||_2^2 per coordinate row."""
+    return abs_sq(spec.field, coords_to_entries(spec, coords)).sum(axis=(1, 2))
+
+
+def batch_singular_values(spec, coords):
+    """singular_values for each coordinate row."""
+    return singular_values(spec.field, coords_to_entries(spec, coords))
+
+
 # ---------------------------------------------------------------------------
 # one-sided Jacobi SVD
 
@@ -181,11 +255,8 @@ def svd(sample):
 
 
 def schatten_norm(sample, p):
-    """Schatten p-norm: lp norm of the singular values; p = inf is the largest one."""
-    sv = svd(sample).singular_values
-    if math.isinf(p):
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv**p) ** (1.0 / p))
+    """Schatten p-norm of a MatrixSample: schatten_norms on a batch of one."""
+    return float(schatten_norms(sample.field, sample.entries[None], p)[0])
 
 
 # ---------------------------------------------------------------------------

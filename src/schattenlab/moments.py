@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
+from . import matrixlab as ml
 from . import samplers
 from .ensembles import ensemble_of
 from .gammafn import log_gamma
@@ -239,6 +240,8 @@ def closed_form_moment(d, s, l, p):
 #     int_0^inf t^(d+k-1) exp(-s t^p) dt = Gamma((d+k)/p) / p * s^(-(d+k)/p),
 # and at p = inf, where t <= 1, it is 1/(d+k).  Only the face is a quadrature.
 
+# the largest n the oracle integrates; callers that route by n read it
+ORACLE_MAX_N = 3
 _LEVELS = ((2, 6), (3, 10), (4, 14), (5, 18), (6, 24), (7, 30))
 # successive levels must agree within half of max(_ABS_TOL, _REL_TOL * |value|)
 _ABS_TOL = 1e-8
@@ -318,8 +321,8 @@ def quadrature_moments(params, p, functionals):
     successive levels agree within tolerance; raises OracleFailure otherwise.
     """
     n = params.n
-    if n > 3:
-        raise ValueError("quadrature oracle is limited to n <= 3")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"quadrature oracle is limited to n <= {ORACLE_MAX_N}")
     funcs = [resolve_functional(f) for f in functionals]
     signed = params.a % 2 == 1
     if signed and params.c % 2 == 1:
@@ -419,7 +422,7 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
     if sampler == "hit_and_run":
         mats = samplers.matrix_hit_and_run(spec, n_samples=budget, seed=seed,
                                            **(mcmc_kwargs or {}))
-        v = samplers.frobenius_sq_batch(spec, mats.points)
+        v = ml.frobenius_sq_batch(spec, mats.points)
         return _sigma_from_values(v, spec.dim, "hit_and_run")
 
     mapping = ensemble_of(spec)

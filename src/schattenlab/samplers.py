@@ -17,6 +17,9 @@ from . import matrixlab as ml
 from .density import log_f_p
 from .util import batch_means
 
+# kept under its old name for perfbench/worker.py, whose warm-up calls it here
+batch_singular_values = ml.batch_singular_values
+
 __all__ = [
     "SampleBatch",
     "SamplerUnavailable",
@@ -26,9 +29,6 @@ __all__ = [
     "ball_pushforward",
     "matrix_hit_and_run",
     "exact_p2_matrix_sample",
-    "coords_to_entries",
-    "frobenius_sq_batch",
-    "batch_singular_values",
 ]
 
 
@@ -314,86 +314,6 @@ def ball_pushforward(gas, params, p, seed=0, norm_scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# matrix subspace coordinates and batched spectra
-
-def coords_to_entries(spec, coords):
-    """Expand real coordinate rows (B, dim) into matrix entries.
-
-    Full H returns an (B, n, n, 4) component array, everything else a real or
-    complex (B, n, n) array.
-    """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    bsz = coords.shape[0]
-    n = spec.n
-    if coords.shape[1] != spec.dim:
-        raise ValueError(f"expected {spec.dim} coordinates, got {coords.shape[1]}")
-    iu, ju = np.triu_indices(n, k=1)
-    if spec.subspace == "Full":
-        if spec.field == "R":
-            return coords.reshape(bsz, n, n)
-        if spec.field == "C":
-            half = n * n
-            return (coords[:, :half] + 1j * coords[:, half:]).reshape(bsz, n, n)
-        return coords.reshape(bsz, n, n, 4)
-    if spec.subspace == "SelfAdjoint":
-        if spec.field == "R":
-            out = np.zeros((bsz, n, n))
-            out[:, np.arange(n), np.arange(n)] = coords[:, :n]
-            out[:, iu, ju] = coords[:, n:]
-            out[:, ju, iu] = coords[:, n:]
-            return out
-        if spec.field == "C":
-            out = np.zeros((bsz, n, n), dtype=complex)
-            out[:, np.arange(n), np.arange(n)] = coords[:, :n]
-            k = n * (n - 1) // 2
-            z = coords[:, n : n + k] + 1j * coords[:, n + k :]
-            out[:, iu, ju] = z
-            out[:, ju, iu] = z.conj()
-            return out
-        out = np.zeros((bsz, n, n, 4))
-        out[:, np.arange(n), np.arange(n), 0] = coords[:, :n]
-        k = n * (n - 1) // 2
-        quat = coords[:, n:].reshape(bsz, k, 4)
-        out[:, iu, ju, :] = quat
-        conj = quat.copy()
-        conj[..., 1:] *= -1.0
-        out[:, ju, iu, :] = conj
-        return out
-    if spec.subspace == "AntiSymHermitian":
-        out = np.zeros((bsz, n, n))
-        out[:, iu, ju] = coords
-        out[:, ju, iu] = -coords
-        return 1j * out
-    # ComplexSymmetric
-    out = np.zeros((bsz, n, n), dtype=complex)
-    diag = coords[:, :n] + 1j * coords[:, n : 2 * n]
-    out[:, np.arange(n), np.arange(n)] = diag
-    k = n * (n - 1) // 2
-    z = coords[:, 2 * n : 2 * n + k] + 1j * coords[:, 2 * n + k :]
-    out[:, iu, ju] = z
-    out[:, ju, iu] = z
-    return out
-
-
-def frobenius_sq_batch(spec, coords):
-    """||T||_2^2 per coordinate row."""
-    return ml.abs_sq(spec.field, coords_to_entries(spec, coords)).sum(axis=(1, 2))
-
-
-def batch_singular_values(spec, coords):
-    """Singular values (non-increasing) for each coordinate row, by the
-    library SVD in matrixlab.singular_values."""
-    return ml.singular_values(spec.field, coords_to_entries(spec, coords))
-
-
-def _schatten_norms(spec, coords):
-    sv = batch_singular_values(spec, coords)
-    if math.isinf(spec.p):
-        return sv[:, 0]
-    return np.sum(sv**spec.p, axis=1) ** (1.0 / spec.p)
-
-
-# ---------------------------------------------------------------------------
 # hit-and-run on the Schatten ball
 
 _BISECT_STEPS = 60
@@ -409,7 +329,7 @@ def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinni
     min(n_chains, n_samples)) draws, merged in chain order and cut to
     n_samples.  Only the chains that return draws run (see _run_chains), so
     40 draws from the default 32 chains run 20 chains of 2 draws each.  The
-    returned points are coordinate rows (see coords_to_entries).
+    returned points are coordinate rows (see matrixlab.coords_to_entries).
     """
     if spec.n > 12:
         raise ValueError("hit-and-run is limited to n <= 12")
@@ -422,9 +342,11 @@ def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinni
         dirs = np.stack([r.standard_normal(dim) for r in rngs])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # ||x + t v|| >= |t| ||v|| - 1, so the chord lies within |t| <= 2/||v||
-        t_hi = 2.0 / _schatten_norms(spec, dirs) + 1e-9
-        lo_plus = _bisect_boundary(spec, x, dirs, t_hi)
-        lo_minus = _bisect_boundary(spec, x, -dirs, t_hi)
+        t_hi = 2.0 / ml.schatten_norms(spec.field, ml.coords_to_entries(spec, dirs), spec.p) + 1e-9
+        # both chord ends in one bisection over the rows (x, +dirs), (x, -dirs)
+        ends = _bisect_boundary(spec, np.concatenate([x, x]), np.concatenate([dirs, -dirs]),
+                                np.concatenate([t_hi, t_hi]))
+        lo_plus, lo_minus = ends[: len(x)], ends[len(x) :]
         u = np.array([r.random() for r in rngs])
         x += (-lo_minus + u * (lo_minus + lo_plus))[:, None] * dirs
 
@@ -438,7 +360,8 @@ def _bisect_boundary(spec, x, dirs, t_hi):
     hi = t_hi.copy()
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        inside = _schatten_norms(spec, x + mid[:, None] * dirs) <= 1.0
+        mats = ml.coords_to_entries(spec, x + mid[:, None] * dirs)
+        inside = ml.schatten_norms(spec.field, mats, spec.p) <= 1.0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     return lo
@@ -448,7 +371,8 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
     """Uniform draws from the Frobenius-norm ball (p=2, Full subspaces only).
 
     The flat coordinates are a Euclidean isometry there, so scaled Gaussian
-    directions with a beta-law radius sample the ball exactly.  The unit
+    directions with a beta-law radius sample the ball exactly, and the ESS
+    series ||T||_2^2 is read from the coordinate rows.  The unit
     directions are scaled by the radius in place (the same multiply as a
     scaled copy), so no second (n_samples, dim) array of draws is made.
     """
@@ -461,7 +385,7 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = rng.random(n_samples) ** (1.0 / dim)
     g *= r[:, None]
-    v = frobenius_sq_batch(spec, g)
+    v = np.einsum("ij,ij->i", g, g)  # ||T||_2^2, as the coordinates are an isometry
     return SampleBatch(
         points=g,
         diagnostics={"method": "exact-ball", "chains": 1, "ess_norm2sq": batch_means(v)[2]},

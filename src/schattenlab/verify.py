@@ -164,7 +164,7 @@ def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, s
     if method not in ("auto", "quadrature", "mc"):
         raise ValueError(f"method must be 'auto', 'quadrature' or 'mc', got {method!r}")
     if method == "auto":
-        method = "quadrature" if params.n <= 3 else "mc"
+        method = "quadrature" if params.n <= mo.ORACLE_MAX_N else "mc"
     if method == "quadrature":
         return _identity_reports(params, p, (which,), tol)[0]
     lhs_terms, rhs_terms = _identity_sides(params, p, which)
@@ -626,8 +626,8 @@ def check_sigma_band_hit_and_run(field="R", n=4, budget=30_000, seed=0,
 def check_hermitian_split(n, p, xi=2, tol=1e-4):
     """Moment ratios of the coupled-eigenvalue gas split into two decoupled
     even-gas halves."""
-    if n < 2 or n > 3:
-        raise ValueError("quadrature route supports n in {2, 3}")
+    if n < 2 or n > mo.ORACLE_MAX_N:
+        raise ValueError(f"quadrature route supports 2 <= n <= {mo.ORACLE_MAX_N}")
     lhs_params = EnsembleParams(1, 2, 0, n)
     f = mo.abs_pow_sum(xi)
     lhs = mo.quadrature_moment(lhs_params, p, f).value
@@ -644,29 +644,26 @@ def check_antisym_normalization(n, p, k=2, budget=40_000, seed=0):
     doubled p-norm, and the homogeneous moment relation between the matrix
     walk and the gas with its power-of-two and Gamma factors."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pair_worst = 0.0
-    norm_worst = 0.0
-    for _ in range(50):
-        t = ml.random_antisym_hermitian(n, rng)
-        sv = ml.svd(t).singular_values
-        s = n // 2
-        theta = sv[0 : 2 * s : 2]
-        pair_worst = max(pair_worst, float(np.max(np.abs(sv[0 : 2 * s : 2] - sv[1 : 2 * s : 2]))))
-        if n % 2:
-            pair_worst = max(pair_worst, abs(sv[-1]))
-        if math.isinf(p):
-            lhs_norm, rhs_norm = ml.schatten_norm(t, p), float(np.max(theta))
-        else:
-            lhs_norm = ml.schatten_norm(t, p) ** p
-            rhs_norm = 2.0 * float(np.sum(theta**p))
-        norm_worst = max(norm_worst, abs(lhs_norm - rhs_norm) / max(1.0, abs(lhs_norm)))
+    mats = np.stack([ml.random_antisym_hermitian(n, rng).entries for _ in range(50)])
+    sv = ml.singular_values("C", mats)
+    s = n // 2
+    theta = sv[:, 0 : 2 * s : 2]
+    pair_worst = float(np.max(np.abs(theta - sv[:, 1 : 2 * s : 2])))
+    if n % 2:
+        pair_worst = max(pair_worst, float(np.max(sv[:, -1])))
+    norms = ml.schatten_norms("C", mats, p)
+    if math.isinf(p):
+        lhs_norm, rhs_norm = norms, np.max(theta, axis=1)
+    else:
+        lhs_norm, rhs_norm = norms**p, 2.0 * np.sum(theta**p, axis=1)
+    norm_worst = float(np.max(np.abs(lhs_norm - rhs_norm) / np.maximum(1.0, np.abs(lhs_norm))))
     structure_ok = pair_worst <= 1e-10 and norm_worst <= 1e-10
 
     spec = SchattenSpec("C", "AntiSymHermitian", n, p)
     mapping = ensemble_of(spec)
     params = mapping.params
     hr = sp.matrix_hit_and_run(spec, n_samples=budget, seed=seed)
-    sv = sp.batch_singular_values(spec, hr.points)
+    sv = ml.batch_singular_values(spec, hr.points)
     theta = sv[:, 0 : 2 * (n // 2) : 2]
     f_hr = np.sum(theta**k, axis=1)
     m_hr, se_hr, _ = batch_means(f_hr)
@@ -723,7 +720,7 @@ def _entry_statistics(spec, coords):
 
 
 def _entry_block_statistics(spec, coords):
-    entries = sp.coords_to_entries(spec, coords)
+    entries = ml.coords_to_entries(spec, coords)
     n = spec.n
     sums = ml.entry_sums(spec.field, entries)
     m2 = sums.frobenius_sq / (n * n)
@@ -732,10 +729,8 @@ def _entry_block_statistics(spec, coords):
     diag_cross = sums.pair_cross / (n * n * (n - 1) ** 2)
     quart = sums.quartic_cross / (n * n * (n - 1) ** 2)
     # scalar product of distinct diagonal entries (isotropy: mean must vanish)
-    if spec.field == "H":
-        diag = entries[:, np.arange(n), np.arange(n), 0]
-    else:
-        diag = np.real(entries[:, np.arange(n), np.arange(n)])
+    real = entries[..., 0] if spec.field == "H" else np.real(entries)
+    diag = real[:, np.arange(n), np.arange(n)]
     dsum = diag.sum(axis=1)
     diag_prod = (dsum**2 - (diag**2).sum(axis=1)) / (n * (n - 1))
     return m2, row, col, diag_cross, quart, diag_prod
@@ -982,16 +977,19 @@ def run_suite(name, budget_scale=1.0, seed=0, only=None, tol=None):
     """Run one named suite (or 'all'); returns the list of CheckReports.
 
     only = (ensemble, n, p) narrows the identities suite to matching
-    configurations; tol overrides the identity tolerance.
+    configurations; tol overrides the identity tolerance.  Both are for the
+    identities suite alone: any other suite, 'all' included, raises ValueError.
     """
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    if name != "identities" and (only is not None or tol is not None):
+        raise ValueError(f"ensemble, n, p and tol narrow only the identities suite, not {name!r}")
     if name == "all":
         out = []
         for key in SUITES:
             out.extend(SUITES[key](budget_scale, seed))
         out.append(report_k2_isotropy("SelfAdjoint", seed=seed))
         return out
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    if name == "identities" and (only is not None or tol is not None):
+    if name == "identities":
         return _suite_identities(budget_scale, seed, only=only, tol=tol)
     return SUITES[name](budget_scale, seed)

@@ -132,6 +132,10 @@ def test_usage_errors():
     assert run_cli("sample", "matrix", "--samples", "0").returncode == cli.EXIT_USAGE
     assert run_cli("estimate", "sigma", "--sampler", "hit_and_run",
                    "--samples", "0").returncode == cli.EXIT_USAGE
+    # the narrowing flags act on the identities suite alone
+    assert run_cli("verify", "--suite", "gamma", "--ensemble", "9,9,9", "--n", "7",
+                   "--p", "5", "--tol", "1e-30").returncode == cli.EXIT_USAGE
+    assert run_cli("verify", "--suite", "all", "--tol", "1e-3").returncode == cli.EXIT_USAGE
 
 
 def test_header_carries_config(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.ensembles import Quaternion
+from schattenlab.ensembles import Quaternion, SchattenSpec
 from schattenlab import matrixlab as ml
 
 
@@ -62,6 +62,80 @@ def test_schatten_norm_values():
     assert ml.schatten_norm(eye3, 1.0) == pytest.approx(3.0)
     assert ml.schatten_norm(eye3, math.inf) == pytest.approx(1.0)
     assert ml.schatten_norm(ml.MatrixSample("R", np.diag([3.0, 4.0])), 2.0) == pytest.approx(5.0)
+    empty = ml.MatrixSample("R", np.zeros((0, 0)))
+    assert ml.schatten_norm(empty, math.inf) == 0.0 and ml.schatten_norm(empty, 2.0) == 0.0
+    # the library-SVD norms against the one-sided Jacobi reference
+    rng = np.random.default_rng(16)
+    for field in ("R", "C", "H"):
+        for n in (1, 2, 3, 5):
+            t = ml.random_matrix(field, n, rng)
+            sv = ml.svd(t).singular_values
+            for p in (1.0, 2.0, 3.0, math.inf):
+                ref = sv[0] if math.isinf(p) else np.sum(sv**p) ** (1.0 / p)
+                assert ml.schatten_norm(t, p) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _layout_reference(spec, row):
+    """One matrix from one coordinate row, entry by entry from the documented
+    layout of coords_to_entries."""
+    n, field, sub = spec.n, spec.field, spec.subspace
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def element(cols, count, m):
+        """m-th of count field elements: R one real, C a real part from the
+        first block and an imaginary part from the second, H four components."""
+        if field == "R":
+            return cols[m]
+        if field == "C":
+            return complex(cols[m], cols[count + m])
+        return cols[4 * m : 4 * m + 4]
+
+    def conj(v):
+        return np.array([v[0], -v[1], -v[2], -v[3]]) if field == "H" else np.conj(v)
+
+    out = np.zeros((n, n, 4) if field == "H" else (n, n), dtype=complex if field == "C" else float)
+    if sub == "Full":
+        for i in range(n):
+            for j in range(n):
+                out[i, j] = element(row, n * n, i * n + j)
+    elif sub == "AntiSymHermitian":
+        out = out.astype(complex)
+        for m, (i, j) in enumerate(upper):
+            out[i, j], out[j, i] = 1j * row[m], -1j * row[m]
+    else:
+        symmetric = sub == "ComplexSymmetric"
+        n_diag = 2 * n if symmetric else n
+        for i in range(n):
+            if symmetric:
+                out[i, i] = element(row[:n_diag], n, i)
+            elif field == "H":
+                out[i, i, 0] = row[i]
+            else:
+                out[i, i] = row[i]
+        for m, (i, j) in enumerate(upper):
+            v = element(row[n_diag:], len(upper), m)
+            out[i, j] = v
+            out[j, i] = v if symmetric else conj(v)
+    return out
+
+
+@pytest.mark.parametrize("field,subspace", [
+    ("R", "Full"), ("C", "Full"), ("H", "Full"),
+    ("R", "SelfAdjoint"), ("C", "SelfAdjoint"), ("H", "SelfAdjoint"),
+    ("C", "AntiSymHermitian"), ("C", "ComplexSymmetric"),
+])
+def test_coords_to_entries_layout(field, subspace):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4):
+        spec = SchattenSpec(field, subspace, n, 2.0)
+        coords = rng.standard_normal((3, spec.dim))
+        entries = ml.coords_to_entries(spec, coords)
+        ref = np.stack([_layout_reference(spec, row) for row in coords])
+        assert entries.dtype == ref.dtype and np.array_equal(entries, ref)
+        if subspace == "Full" and field != "C":
+            assert np.shares_memory(entries, coords)
+    with pytest.raises(ValueError):
+        ml.coords_to_entries(spec, coords[:, 1:])
 
 
 def test_entry_identity_diag_case():

@@ -6,6 +6,7 @@ import pytest
 from schattenlab.density import log_f_p
 from schattenlab.ensembles import EnsembleParams, SchattenSpec
 from schattenlab.gammafn import log_gamma
+from schattenlab import matrixlab as ml
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
 from schattenlab.util import batch_means
@@ -247,16 +248,16 @@ def test_pushforward_skips_zero_points():
 
 
 def test_hit_and_run_membership_examples():
-    spec_inf = SchattenSpec("R", "Full", 2, math.inf)
-    assert sp._schatten_norms(spec_inf, np.array([[0.5, 0, 0, 0.5]]))[0] <= 1.0
-    spec_one = SchattenSpec("R", "Full", 2, 1.0)
-    assert sp._schatten_norms(spec_one, np.array([[0.6, 0, 0, 0.6]]))[0] > 1.0
+    spec = SchattenSpec("R", "Full", 2, math.inf)
+    half = ml.coords_to_entries(spec, np.array([[0.5, 0, 0, 0.5]]))
+    assert ml.schatten_norms("R", half, math.inf)[0] <= 1.0
+    assert ml.schatten_norms("R", 1.2 * half, 1.0)[0] > 1.0
 
 
 def test_hit_and_run_stays_inside_and_replays():
     spec = SchattenSpec("C", "Full", 2, 3.0)
     a = sp.matrix_hit_and_run(spec, n_samples=1500, seed=2, burn_in=50)
-    norms = sp._schatten_norms(spec, a.points)
+    norms = ml.schatten_norms("C", ml.coords_to_entries(spec, a.points), 3.0)
     assert np.max(norms) <= 1.0 + 1e-9
     b = sp.matrix_hit_and_run(spec, n_samples=1500, seed=2, burn_in=50)
     assert np.array_equal(a.points, b.points)
@@ -266,7 +267,7 @@ def test_hit_and_run_agrees_with_pushforward():
     # second moment of ||T||_2^2 via two independent routes (n=3, field R, p=4)
     spec = SchattenSpec("R", "Full", 3, 4.0)
     hr = sp.matrix_hit_and_run(spec, n_samples=12_000, seed=21)
-    v_hr = sp.frobenius_sq_batch(spec, hr.points)
+    v_hr = ml.frobenius_sq_batch(spec, hr.points)
     m1, se1, _ = batch_means(v_hr)
 
     params = EnsembleParams(2, 1, 0, 3)
@@ -281,7 +282,7 @@ def test_hit_and_run_entry_symmetries():
     # means of |a_11|^2, |a_12|^2, |a_21|^2 agree (position symmetry)
     spec = SchattenSpec("R", "Full", 3, math.inf)
     batch = sp.matrix_hit_and_run(spec, n_samples=12_000, seed=24)
-    entries = sp.coords_to_entries(spec, batch.points)
+    entries = ml.coords_to_entries(spec, batch.points)
     stats = {}
     for key, (i, j) in {"a11": (0, 0), "a12": (0, 1), "a21": (1, 0)}.items():
         stats[key] = batch_means(entries[:, i, j] ** 2)
@@ -294,7 +295,7 @@ def test_hit_and_run_entry_symmetries():
 def test_exact_ball_sampler_uniformity():
     spec = SchattenSpec("R", "Full", 2, 2.0)
     batch = sp.exact_p2_matrix_sample(spec, 50_000, seed=25)
-    v = sp.frobenius_sq_batch(spec, batch.points)
+    v = ml.frobenius_sq_batch(spec, batch.points)
     d = spec.dim
     m, se, _ = batch_means(v)
     assert abs(m - d / (d + 2.0)) <= 3.0 * se
@@ -316,11 +317,11 @@ def test_coords_round_trip_dimensions():
     ]:
         rng = np.random.default_rng(26)
         coords = rng.standard_normal((5, spec.dim))
-        entries = sp.coords_to_entries(spec, coords)
+        entries = ml.coords_to_entries(spec, coords)
         assert entries.shape[0] == 5 and entries.shape[1] == spec.n
         # frobenius consistency against singular values
-        sv = sp.batch_singular_values(spec, coords)
-        v = sp.frobenius_sq_batch(spec, coords)
+        sv = ml.batch_singular_values(spec, coords)
+        v = ml.frobenius_sq_batch(spec, coords)
         mult = 2.0 if spec.subspace == "AntiSymHermitian" else 1.0
         if spec.subspace == "AntiSymHermitian":
             s = sv[:, 0 : 2 * (spec.n // 2) : 2]
@@ -332,10 +333,10 @@ def test_coords_round_trip_dimensions():
 def test_hermitian_coords_give_hermitian_matrices():
     spec = SchattenSpec("C", "SelfAdjoint", 3, 2.0)
     rng = np.random.default_rng(27)
-    e = sp.coords_to_entries(spec, rng.standard_normal((4, spec.dim)))
+    e = ml.coords_to_entries(spec, rng.standard_normal((4, spec.dim)))
     assert np.allclose(e, e.conj().transpose(0, 2, 1))
     # anti-symmetric Hermitian: T is Hermitian with T^t = -T
     spec = SchattenSpec("C", "AntiSymHermitian", 4, 2.0)
-    e = sp.coords_to_entries(spec, rng.standard_normal((4, spec.dim)))
+    e = ml.coords_to_entries(spec, rng.standard_normal((4, spec.dim)))
     assert np.allclose(e, e.conj().transpose(0, 2, 1))
     assert np.allclose(e.transpose(0, 2, 1), -e)

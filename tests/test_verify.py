@@ -6,7 +6,6 @@ import pytest
 
 from schattenlab.ensembles import EnsembleParams, SchattenSpec
 from schattenlab import matrixlab as ml
-from schattenlab import samplers as sp
 from schattenlab import verify as vf
 
 
@@ -125,7 +124,7 @@ def test_entry_statistics_match_single_matrix_terms(field):
     spec = SchattenSpec(field, "Full", n, 2.0)
     coords = np.random.default_rng(28).standard_normal((6, spec.dim))
     m2, row, col, diag_cross, quart, _ = vf._entry_statistics(spec, coords)
-    for k, e in enumerate(sp.coords_to_entries(spec, coords)):
+    for k, e in enumerate(ml.coords_to_entries(spec, coords)):
         mat = ml.MatrixSample(field, e)
         t = ml.entry_identity_terms(mat)
         assert m2[k] == pytest.approx(mat.frobenius_sq() / (n * n), rel=1e-12)
