@@ -316,20 +316,21 @@ def ball_pushforward(gas, params, p, seed=0, norm_scale=1.0):
 # ---------------------------------------------------------------------------
 # hit-and-run on the Schatten ball
 
-_BISECT_STEPS = 60
-
-
 def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinning=1):
     """Hit-and-run walk over the uniform measure on K_{p,E}.
 
     Chains start at the origin and move to a uniform point of the chord
-    through the current point along a uniform direction; chord endpoints come
-    from 60 bisection steps on the Schatten norm.  The chains run in lockstep,
-    each on its own spawned seed stream; each keeps ceil(n_samples /
-    min(n_chains, n_samples)) draws, merged in chain order and cut to
-    n_samples.  Only the chains that return draws run (see _run_chains), so
-    40 draws from the default 32 chains run 20 chains of 2 draws each.  The
-    returned points are coordinate rows (see matrixlab.coords_to_entries).
+    through the current point along a uniform direction.  The point is drawn
+    by the shrinkage procedure of slice sampling (Neal, Ann. Statist. 31,
+    2003): t is uniform on a bracket around the chord, and each rejected t
+    becomes the bracket end on its side of 0, so the accepted t is exactly
+    uniform on the chord without either chord end being computed.  The chains
+    run in lockstep, each on its own spawned seed stream; each keeps
+    ceil(n_samples / min(n_chains, n_samples)) draws, merged in chain order
+    and cut to n_samples.  Only the chains that return draws run (see
+    _run_chains), so 40 draws from the default 32 chains run 20 chains of 2
+    draws each.  The returned points are coordinate rows (see
+    matrixlab.coords_to_entries).
     """
     if spec.n > 12:
         raise ValueError("hit-and-run is limited to n <= 12")
@@ -342,29 +343,25 @@ def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinni
         dirs = np.stack([r.standard_normal(dim) for r in rngs])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # ||x + t v|| >= |t| ||v|| - 1, so the chord lies within |t| <= 2/||v||
-        t_hi = 2.0 / ml.schatten_norms(spec.field, ml.coords_to_entries(spec, dirs), spec.p) + 1e-9
-        # both chord ends in one bisection over the rows (x, +dirs), (x, -dirs)
-        ends = _bisect_boundary(spec, np.concatenate([x, x]), np.concatenate([dirs, -dirs]),
-                                np.concatenate([t_hi, t_hi]))
-        lo_plus, lo_minus = ends[: len(x)], ends[len(x) :]
-        u = np.array([r.random() for r in rngs])
-        x += (-lo_minus + u * (lo_minus + lo_plus))[:, None] * dirs
+        hi = 2.0 / ml.schatten_norms(spec.field, ml.coords_to_entries(spec, dirs), spec.p) + 1e-9
+        lo = -hi
+        t = np.empty(len(x))
+        pending = np.arange(len(x))
+        # The loop ends: t = 0 is the current point, inside the ball, so the
+        # chord is an interval of positive length around 0 that the bracket
+        # always holds, and the shrinking bracket lands a draw on it.
+        while pending.size:
+            u = np.array([rngs[k].random() for k in pending])
+            t[pending] = lo[pending] + u * (hi[pending] - lo[pending])
+            mats = ml.coords_to_entries(spec, x[pending] + t[pending, None] * dirs[pending])
+            pending = pending[ml.schatten_norms(spec.field, mats, spec.p) > 1.0]
+            tp = t[pending]
+            hi[pending] = np.where(tp > 0.0, tp, hi[pending])
+            lo[pending] = np.where(tp < 0.0, tp, lo[pending])
+        x += t[:, None] * dirs
 
     points, diag = _run_chains(n_samples, n_chains, seed, burn_in, thinning, start, sweep)
     return SampleBatch(points=points, diagnostics={"method": "hit_and_run", **diag})
-
-
-def _bisect_boundary(spec, x, dirs, t_hi):
-    """Inner bound on the boundary crossing along +dirs from inside points."""
-    lo = np.zeros(x.shape[0])
-    hi = t_hi.copy()
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        mats = ml.coords_to_entries(spec, x + mid[:, None] * dirs)
-        inside = ml.schatten_norms(spec.field, mats, spec.p) <= 1.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return lo
 
 
 def exact_p2_matrix_sample(spec, n_samples, seed=0):

@@ -3,6 +3,7 @@ densities and the Schatten balls.  Every checker returns a CheckReport; the
 suite runner aggregates them for the CLI.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -12,14 +13,11 @@ from . import matrixlab as ml
 from . import moments as mo
 from . import samplers as sp
 from .ensembles import BETA, EnsembleParams, SchattenSpec, ensemble_of
-from .gammafn import gamma_gap, gamma_ratio
+from .gammafn import gamma_grid, gamma_ratio
 from .util import batch_means, batch_means_cov, delta_se
 
 __all__ = [
     "CheckReport",
-    "check_identity1",
-    "check_identity2",
-    "check_identity3",
     "identity_suite_for",
     "check_int_by_parts",
     "check_zeta_bounds",
@@ -140,35 +138,24 @@ def _mean_z(values):
     return _z(mean, se)
 
 
-def _identity_claim(params, p, which):
-    return f"identity-{which}[{_ens_tag(params)},p={_p_tag(p)}]"
-
-
-def _identity_reports(params, p, whiches, tol):
-    """The requested moment identities from one quadrature call over their
-    functionals, one report each with the residual and the oracle error bound."""
-    groups = {which: _identity_sides(params, p, which) for which in whiches}
-    funcs = {f.name: f for lhs, rhs in groups.values() for _, f in lhs + rhs}
+def _relation_reports(params, p, relations, tol):
+    """Oracle verdicts on relations (claim_id, lhs_terms, rhs_terms) from one
+    quadrature call over their functionals, one report each with the residual
+    and the oracle error bound."""
+    funcs = {f.name: f for _, lhs, rhs in relations for _, f in lhs + rhs}
     ests = mo.quadrature_moments(params, p, list(funcs.values()))
     reports = []
-    for which, (lhs_terms, rhs_terms) in groups.items():
+    for claim, lhs_terms, rhs_terms in relations:
         lhs = sum(coef * ests[f.name].value for coef, f in lhs_terms)
         rhs = sum(coef * ests[f.name].value for coef, f in rhs_terms)
         bound = sum(abs(coef) * ests[f.name].std_err for coef, f in lhs_terms + rhs_terms)
-        reports.append(_closeness(_identity_claim(params, p, which), lhs, rhs, tol,
+        reports.append(_closeness(claim, lhs, rhs, tol,
                                   {"residual": lhs - rhs, "oracle_error_bound": bound}))
     return reports
 
 
-def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, seed=0):
-    if method not in ("auto", "quadrature", "mc"):
-        raise ValueError(f"method must be 'auto', 'quadrature' or 'mc', got {method!r}")
-    if method == "auto":
-        method = "quadrature" if params.n <= mo.ORACLE_MAX_N else "mc"
-    if method == "quadrature":
-        return _identity_reports(params, p, (which,), tol)[0]
-    lhs_terms, rhs_terms = _identity_sides(params, p, which)
-    x = sp.gas_sample(params, p, budget, seed).points
+def _mc_relation_report(claim, lhs_terms, rhs_terms, x):
+    """|z| <= 3 verdict on the batch-means mean of lhs - rhs over shared draws x."""
     diff = np.zeros(len(x))
     for coef, f in lhs_terms:
         diff += coef * f.fn(x)
@@ -177,7 +164,7 @@ def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, s
     mean, se, eff = batch_means(diff)
     z = _z(mean, se)
     return CheckReport(
-        claim_id=_identity_claim(params, p, which),
+        claim_id=claim,
         passed=abs(z) <= 3.0,
         lhs=mean,
         rhs=0.0,
@@ -188,24 +175,26 @@ def _check_identity(params, p, which, method="auto", tol=1e-5, budget=200_000, s
     )
 
 
-def check_identity1(params, p, method="auto", tol=1e-5, budget=200_000, seed=0):
-    """Degree-2 identity: ((2d+(1-c)n)/n) M(||x||_2^2) = p M(||x||_{p+2}^{p+2})."""
-    return _check_identity(params, p, 1, method, tol, budget, seed)
+def identity_suite_for(params, p, tol=1e-5, method="auto", budget=200_000, seed=0):
+    """The three moment identities: the degree-2 identity
+    ((2d+(1-c)n)/n) M(||x||_2^2) = p M(||x||_{p+2}^{p+2}), the degree-4 one
+    with the -2 M(||x||_4^4) correction and the quartic one with the pair
+    cross-moment term.
 
-
-def identity_suite_for(params, p, tol=1e-5):
-    """All three moment identities on one shared quadrature grid."""
-    return _identity_reports(params, p, (1, 2, 3), tol)
-
-
-def check_identity2(params, p, method="auto", tol=1e-5, budget=200_000, seed=0):
-    """Degree-4 identity with the -2 M(||x||_4^4) correction."""
-    return _check_identity(params, p, 2, method, tol, budget, seed)
-
-
-def check_identity3(params, p, method="auto", tol=1e-5, budget=200_000, seed=0):
-    """Quartic identity with the pair cross-moment term."""
-    return _check_identity(params, p, 3, method, tol, budget, seed)
+    method "quadrature" checks them on one oracle call, "mc" on one set of
+    budget gas draws with |z| <= 3; "auto" takes quadrature for n up to
+    moments.ORACLE_MAX_N and MC above.
+    """
+    if method not in ("auto", "quadrature", "mc"):
+        raise ValueError(f"method must be 'auto', 'quadrature' or 'mc', got {method!r}")
+    relations = [(f"identity-{which}[{_ens_tag(params)},p={_p_tag(p)}]",
+                  *_identity_sides(params, p, which)) for which in (1, 2, 3)]
+    if method == "auto":
+        method = "quadrature" if params.n <= mo.ORACLE_MAX_N else "mc"
+    if method == "quadrature":
+        return _relation_reports(params, p, relations, tol)
+    x = sp.gas_sample(params, p, budget, seed).points
+    return [_mc_relation_report(*relation, x) for relation in relations]
 
 
 def check_int_by_parts(params, p, xi=2, f_id="one", tol=1e-5):
@@ -233,15 +222,12 @@ def check_int_by_parts(params, p, xi=2, f_id="one", tol=1e-5):
         raise ValueError("f_id must be 'one' or 'norm2_sq'")
     if n == 1:
         rhs_terms = [t for t in rhs_terms if not t[1].name.startswith("pair_ratio")]
-    funcs = [lhs_f] + [f for _, f in rhs_terms]
-    ests = mo.quadrature_moments(params, p, funcs)
-    lhs = (xi + c + 1) * ests[lhs_f.name].value
-    rhs = sum(coef * ests[f.name].value for coef, f in rhs_terms)
-    return _closeness(claim, lhs, rhs, tol, {"residual": lhs - rhs})
+    return _relation_reports(params, p, [(claim, [(xi + c + 1, lhs_f)], rhs_terms)], tol)[0]
 
 
-def check_homogeneous_moment(params, p, l, tol_factor=10.0):
-    """Closed-form transfer M(||x||_p^l f)/M(f) = Gamma ratio, f a coordinate square."""
+def check_homogeneous_moment(params, p, l):
+    """Closed-form transfer M(||x||_p^l f)/M(f) = Gamma ratio, f a coordinate
+    square, within 10 times the oracle's error estimates."""
     if math.isinf(p):
         raise ValueError("finite p only")
     base = mo.coord_pow(2)
@@ -249,7 +235,7 @@ def check_homogeneous_moment(params, p, l, tol_factor=10.0):
     ests = mo.quadrature_moments(params, p, [base, lifted])
     measured = ests[lifted.name].value / ests[base.name].value
     expected = mo.closed_form_moment(params.d, base.degree, l, p)
-    tol = tol_factor * (ests[lifted.name].std_err + ests[base.name].std_err + 1e-9)
+    tol = 10.0 * (ests[lifted.name].std_err + ests[base.name].std_err + 1e-9)
     tol_eff = max(tol, 1e-7) * max(1.0, abs(expected))
     return CheckReport(
         claim_id=f"homog-moment[{_ens_tag(params)},p={_p_tag(p)},l={l:g}]",
@@ -319,25 +305,21 @@ def check_holder_band(p, n, trials=100_000, seed=0):
 # ---------------------------------------------------------------------------
 # Gamma-ratio estimates
 
-def _gamma_grid():
+@functools.cache
+def _gamma_table():
+    """gammafn.gamma_grid over the grid of the Gamma checks, each quantity as
+    a (d, p) array: d runs down the rows, p across the columns."""
     ds = np.unique(np.round(np.geomspace(4, 10_000, 25)).astype(int))
     ps = np.geomspace(1.0, 10_000.0, 25)
-    return ds, ps
+    rows = gamma_grid(ds, ps)
+    return {key: np.array([r[key] for r in rows]).reshape(len(ds), len(ps)) for key in rows[0]}
 
 
 def check_gamma_gap_positive():
     """gap(d, p) > 0 over the whole grid, decreasing in d at fixed p."""
-    ds, ps = _gamma_grid()
-    min_gap = math.inf
-    monotone = True
-    for p in ps:
-        prev = math.inf
-        for d in ds:
-            g = gamma_gap(d, p)
-            min_gap = min(min_gap, g)
-            if g > prev * (1 + 1e-12):
-                monotone = False
-            prev = g
+    gap = _gamma_table()["gap"]
+    min_gap = float(np.min(gap))
+    monotone = not np.any(gap[1:] > gap[:-1] * (1 + 1e-12))
     return CheckReport(
         claim_id="gamma-gap-positive",
         passed=min_gap > 0.0 and monotone,
@@ -350,26 +332,17 @@ def check_gamma_gap_positive():
     )
 
 
-def check_gamma_sandwich(lo_const=0.02, hi_const=50.0):
-    """gap/ratio(q=2)^2 between lo/(p(p+d)) and hi/(p d) over the grid."""
-    ds, ps = _gamma_grid()
-    worst_lo = math.inf
-    worst_hi = 0.0
-    ok = True
-    for p in ps:
-        for d in ds:
-            val = gamma_gap(d, p) / gamma_ratio(d, p, 2.0).value ** 2
-            lo = lo_const / (p * (p + d))
-            hi = hi_const / (p * d)
-            worst_lo = min(worst_lo, val * p * (p + d))
-            worst_hi = max(worst_hi, val * p * d)
-            if not (lo <= val <= hi):
-                ok = False
+def check_gamma_sandwich():
+    """gap/ratio(q=2)^2 between 0.02/(p(p+d)) and 50/(p d) over the grid."""
+    lo_const, hi_const = 0.02, 50.0
+    t = _gamma_table()
+    val, d, p = t["gap_over_ratio2_sq"], t["d"], t["p"]
+    ok = np.all((lo_const / (p * (p + d)) <= val) & (val <= hi_const / (p * d)))
     return CheckReport(
         claim_id="gamma-gap-sandwich",
-        passed=ok,
-        lhs=worst_lo,
-        rhs=worst_hi,
+        passed=bool(ok),
+        lhs=float(np.min(val * p * (p + d))),
+        rhs=float(np.max(val * p * d)),
         tolerance=0.0,
         method="grid",
         provenance="log-gamma",
@@ -377,19 +350,17 @@ def check_gamma_sandwich(lo_const=0.02, hi_const=50.0):
     )
 
 
-def check_gamma_discrepancy(c_const=5.0):
-    """|discrepancy^{1/q} - 1| <= c q / d for q in {2, 4} over the grid."""
-    ds, ps = _gamma_grid()
+def check_gamma_discrepancy():
+    """|discrepancy^{1/q} - 1| <= 5 q / d for q in {2, 4} over the grid."""
+    c_const = 5.0
+    t = _gamma_table()
+    d = t["d"]
     worst = 0.0
     ok = True
-    for p in ps:
-        for d in ds:
-            for q in (2.0, 4.0):
-                disc = gamma_ratio(d, p, q).discrepancy
-                dev = abs(disc ** (1.0 / q) - 1.0)
-                worst = max(worst, dev * d / q)
-                if dev > c_const * q / d:
-                    ok = False
+    for q, disc in ((2.0, t["discrepancy_q2"]), (4.0, t["discrepancy_q4"])):
+        dev = np.abs(disc ** (1.0 / q) - 1.0)
+        worst = max(worst, float(np.max(dev * d / q)))
+        ok = ok and not np.any(dev > c_const * q / d)
     return CheckReport(
         claim_id="gamma-approximant-band",
         passed=ok,
@@ -484,13 +455,13 @@ def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, 
     )
 
 
-def check_cross_term_negative(b, c, n, budget=200_000, seed=0, p=math.inf):
+def check_cross_term_negative(b, c, n, budget=200_000, seed=0):
     """Negative correlation of coordinate squares at p=inf, with 3 sigma."""
     params = EnsembleParams(2, b, c, n)
-    est = mo.var_mp_pipeline(params, p, budget=budget, seed=seed)
+    est = mo.var_mp_pipeline(params, math.inf, budget=budget, seed=seed)
     z = _z(est.cross_gap, est.cross_gap_se)
     return CheckReport(
-        claim_id=f"cross-term-negative[(2,{b},{c}),n={n},p={_p_tag(p)}]",
+        claim_id=f"cross-term-negative[(2,{b},{c}),n={n},p=inf]",
         passed=z <= -3.0,
         lhs=est.cross_gap,
         rhs=0.0,
@@ -536,15 +507,16 @@ def check_thinshell_large_p(b, n_grid=(8, 16), budget=200_000, seed=0):
 
 
 def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8, 16),
-                              p_grid=(1.0, 2.0, 8.0, math.inf), budget=30_000, seed=0,
-                              band=(1.0 / 20.0, 20.0), eq1_band=(0.1, 10.0)):
+                              p_grid=(1.0, 2.0, 8.0, math.inf), budget=30_000, seed=0):
     """Normalized orders across the (ensemble, n, p) grid.
 
     Checks that M(x1^2)/M(1) and M(x1^4)/M(1) track n^{2/p} and n^{4/p}, that
     Var(||x||_2^2) tracks max(sigma^2, 1/p) n^{4/p} with sigma^2 from the ball
-    law of the same draws, and that the Euclidean second moment of the
-    volume-normalized ball has the dimension order (unit-ball moment rescaled
-    by the d^{-1/4-1/(2p)} volume radius)."""
+    law of the same draws, all three within [1/20, 20], and that the Euclidean
+    second moment of the volume-normalized ball has the dimension order
+    (unit-ball moment rescaled by the d^{-1/4-1/(2p)} volume radius) within
+    [0.1, 10]."""
+    band, eq1_band = (1.0 / 20.0, 20.0), (0.1, 10.0)
     rows = []
     ok = True
     idx = 0
@@ -602,9 +574,10 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
     )
 
 
-def check_sigma_band_hit_and_run(field="R", n=4, budget=30_000, seed=0,
-                                 band=(0.01, 10.0)):
-    """Thin-shell statistic of the operator-norm ball stays in a dimension-free band."""
+def check_sigma_band_hit_and_run(field="R", n=4, budget=30_000, seed=0):
+    """Thin-shell statistic of the operator-norm ball stays in the dimension-free
+    band [0.01, 10]."""
+    band = (0.01, 10.0)
     spec = SchattenSpec(field, "Full", n, math.inf)
     est = mo.sigma_pipeline(spec, sampler="hit_and_run", budget=budget, seed=seed)
     ok = band[0] <= est.sigma_sq <= band[1]
@@ -639,10 +612,11 @@ def check_hermitian_split(n, p, xi=2, tol=1e-4):
                       {"n1": n1, "n2": n2, "residual": lhs - rhs})
 
 
-def check_antisym_normalization(n, p, k=2, budget=40_000, seed=0):
+def check_antisym_normalization(n, p, budget=40_000, seed=0):
     """Anti-symmetric Hermitian bookkeeping: paired singular values, the
-    doubled p-norm, and the homogeneous moment relation between the matrix
-    walk and the gas with its power-of-two and Gamma factors."""
+    doubled p-norm, and the homogeneous moment relation (degree k = 2) between
+    the matrix walk and the gas with its power-of-two and Gamma factors."""
+    k = 2
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mats = np.stack([ml.random_antisym_hermitian(n, rng).entries for _ in range(50)])
     sv = ml.singular_values("C", mats)
@@ -802,9 +776,9 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
 # ---------------------------------------------------------------------------
 # isotropic constant of the operator-norm ball
 
-def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0, rel_tol=0.15):
+def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0):
     """Isotropic constant of the operator-norm ball against its dimension-free
-    limit 1/sqrt(pi e^{3/2}).
+    limit 1/sqrt(pi e^{3/2}), within 15%.
 
     The volume radius of the ball enters as a quoted asymptotic input; the
     Euclidean second moment comes from the cube-restricted gas.
@@ -821,6 +795,7 @@ def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0, rel_t
     v = np.sum(gas.points**2, axis=1)
     e2, se, _ = batch_means(v)
     d = params.d
+    rel_tol = 0.15
     l_est = math.sqrt(e2 / d) / vol_radius
     target = 1.0 / math.sqrt(math.pi * math.exp(1.5))
     # definitional consistency: E||T||_2^2 = d L^2 |K|^{2/d}

@@ -292,6 +292,28 @@ def test_hit_and_run_entry_symmetries():
         assert abs(m0 - m1) <= 3.0 * math.hypot(s0, s1)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_hit_and_run_chords_of_the_interval_are_uniform(p):
+    # at n=1 every chord is the whole ball [-1, 1], so the walk draws iid U(-1, 1)
+    spec = SchattenSpec("R", "Full", 1, p)
+    x = sp.matrix_hit_and_run(spec, n_samples=20_000, seed=28, burn_in=0).points[:, 0]
+    n = len(x)
+    se = math.sqrt((1.0 / 5.0 - 1.0 / 9.0) / n)  # Var x^2 = E x^4 - (E x^2)^2
+    assert abs(np.mean(x**2) - 1.0 / 3.0) <= 3.0 * se
+    lag1 = np.sum(x[1:] * x[:-1]) / np.sum(x**2)
+    assert abs(lag1) <= 3.0 / math.sqrt(n)
+
+
+def test_hit_and_run_meets_the_frobenius_ball_law():
+    # C SelfAdjoint n=3 has D = 9 real coordinates and they are an isometry,
+    # so the uniform ball law gives E ||T||_2^2 = D / (D + 2)
+    spec = SchattenSpec("C", "SelfAdjoint", 3, 2.0)
+    batch = sp.matrix_hit_and_run(spec, n_samples=20_000, seed=29)
+    m, se, _ = batch_means(ml.frobenius_sq_batch(spec, batch.points))
+    d = spec.dim
+    assert abs(m - d / (d + 2.0)) <= 3.0 * se
+
+
 def test_exact_ball_sampler_uniformity():
     spec = SchattenSpec("R", "Full", 2, 2.0)
     batch = sp.exact_p2_matrix_sample(spec, 50_000, seed=25)

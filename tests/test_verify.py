@@ -22,7 +22,7 @@ def test_identity_suite_quadrature():
 
 def test_identity_lhs_coefficient_example():
     # (2,1,0), n=2, p=2: the degree-2 identity carries coefficient 5
-    rep = vf.check_identity1(EnsembleParams(2, 1, 0, 2), 2.0)
+    rep = vf.identity_suite_for(EnsembleParams(2, 1, 0, 2), 2.0)[0]
     params = EnsembleParams(2, 1, 0, 2)
     assert (2 * params.d + 2) / 2 == 5.0
     assert rep.passed
@@ -30,22 +30,25 @@ def test_identity_lhs_coefficient_example():
 
 def test_identity_requires_even_a_and_finite_p():
     with pytest.raises(ValueError):
-        vf.check_identity1(EnsembleParams(1, 2, 0, 2), 2.0)
+        vf.identity_suite_for(EnsembleParams(1, 2, 0, 2), 2.0, method="mc")
     with pytest.raises(ValueError):
-        vf.check_identity2(EnsembleParams(2, 1, 0, 2), math.inf)
+        vf.identity_suite_for(EnsembleParams(2, 1, 0, 2), math.inf)
     with pytest.raises(ValueError):
         vf.identity_suite_for(EnsembleParams(1, 2, 0, 2), 2.0)
     with pytest.raises(ValueError):
         vf.identity_suite_for(EnsembleParams(2, 1, 0, 3), math.inf)
     with pytest.raises(ValueError):
-        vf.check_identity1(EnsembleParams(2, 1, 0, 2), 2.0, method="bogus")
+        vf.identity_suite_for(EnsembleParams(2, 1, 0, 2), 2.0, method="bogus")
 
 
 def test_identity_mc_route():
-    rep = vf.check_identity1(EnsembleParams(2, 1, 0, 4), 2.0, method="mc",
-                             budget=60_000, seed=3)
-    assert rep.method == "mc"
-    assert rep.passed, rep
+    # n=4 is past the oracle, so "auto" takes the same MC route on shared draws
+    reports = vf.identity_suite_for(EnsembleParams(2, 1, 0, 4), 2.0, budget=60_000, seed=3)
+    assert reports == vf.identity_suite_for(EnsembleParams(2, 1, 0, 4), 2.0, method="mc",
+                                            budget=60_000, seed=3)
+    for rep in reports:
+        assert rep.method == "mc"
+        assert rep.passed, rep
 
 
 def test_int_by_parts_cases():
