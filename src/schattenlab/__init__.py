@@ -8,21 +8,16 @@ from .ensembles import (  # noqa: F401
     BETA,
     EnsembleParams,
     GasMapping,
-    Quaternion,
     SchattenSpec,
     ensemble_of,
 )
 from .density import log_f, log_f_p  # noqa: F401
-from .gammafn import GammaRatio, gamma_gap, gamma_ratio, log_gamma  # noqa: F401
+from .gammafn import GammaRatio, gamma_gap, gamma_ratio  # noqa: F401
 from .matrixlab import (  # noqa: F401
     EntryIdentityTerms,
     MatrixSample,
-    SvdResult,
     entry_identity_terms,
     random_matrix,
-    schatten_norm,
-    svd,
-    symmetry_transform,
 )
 from .moments import (  # noqa: F401
     MomentEstimate,

@@ -112,10 +112,13 @@ class _Writer:
             return
         if self._csv is None:
             self._fields = list(rec.keys())
-            self._csv = csv.DictWriter(self.stream, fieldnames=self._fields,
-                                       extrasaction="ignore")
+            self._csv = csv.DictWriter(self.stream, fieldnames=self._fields)
             self._csv.writeheader()
-        self._csv.writerow({k: rec.get(k, "") for k in self._fields})
+        elif set(rec) != set(self._fields):
+            raise ValueError(f"csv record fields {sorted(rec)} differ from the header's "
+                             f"{sorted(self._fields)}")
+        self._csv.writerow({k: json.dumps(v, sort_keys=True) if isinstance(v, dict) else v
+                            for k, v in rec.items()})
 
 
 def _open_out(path):
@@ -135,7 +138,7 @@ def _cmd_verify(args, writer):
                            seed=args.seed, only=only, tol=args.tol)
     all_ok = True
     for rep in reports:
-        writer.record(rep.to_record())
+        writer.record(rep.to_record(nested=writer.fmt == "csv"))
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.claim_id} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}",
               file=sys.stderr)

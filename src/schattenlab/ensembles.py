@@ -1,10 +1,8 @@
 """Scalar fields, gas-ensemble parameters and the Schatten-ball to ensemble mapping."""
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
-    "Quaternion",
     "EnsembleParams",
     "SchattenSpec",
     "GasMapping",
@@ -17,53 +15,6 @@ __all__ = [
 FIELDS = ("R", "C", "H")
 SUBSPACES = ("Full", "SelfAdjoint", "AntiSymHermitian", "ComplexSymmetric")
 BETA = {"R": 1, "C": 2, "H": 4}
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + x*i + y*j + z*k with Hamilton multiplication."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, other):
-        return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self):
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
-    def __abs__(self):
-        return math.sqrt(self.norm_sq())
-
-    @property
-    def scalar(self):
-        return self.w
-
-    def vector_norm(self):
-        """Magnitude of the non-scalar part."""
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,11 @@
-"""Log-Gamma and the Gamma-ratio quantities used throughout the moment identities."""
+"""The Gamma-ratio quantities used throughout the moment identities."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["log_gamma", "gamma_ratio", "gamma_gap", "GammaRatio"]
-
-
-def log_gamma(x):
-    """Natural log of Gamma(x) for x > 0, by math.lgamma.
-
-    Against mpmath its relative error is at most 2.7e-14 over 400 geometric
-    points of [1e-3, 1e8] (those with |log Gamma(x)| > 1e-3).
-    """
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+__all__ = ["gamma_ratio", "gamma_gap", "GammaRatio"]
 
 
 @dataclass(frozen=True)
@@ -39,7 +28,7 @@ def gamma_ratio(d, p, q):
     """
     if d < 1 or p < 1 or q < 0:
         raise ValueError("gamma_ratio requires d >= 1, p >= 1, q >= 0")
-    log_value = log_gamma(1.0 + d / p) - log_gamma(1.0 + (d + q) / p)
+    log_value = math.lgamma(1.0 + d / p) - math.lgamma(1.0 + (d + q) / p)
     value = math.exp(log_value)
     approximant = ((d + p + q) / p) ** (-q / p)
     discrepancy = math.exp(log_value + (q / p) * math.log((d + p + q) / p))

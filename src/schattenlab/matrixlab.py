@@ -7,8 +7,7 @@ and entries, with any leading batch axes, into |a_ij|^2, the complex
 embedding, singular values, Schatten norms and entry sums.  Quaternion
 matrices are reduced to a 2n x 2n complex matrix for spectral work; the
 embedded singular values come in equal pairs and are returned once each.
-`singular_values` uses the library SVD; the one-sided Jacobi SVD behind `svd`
-is the single-matrix reference the tests check it against.
+Every singular value comes from one batched library SVD, `singular_values`.
 """
 
 import math
@@ -16,38 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Quaternion
-
 __all__ = [
     "MatrixSample",
-    "SvdResult",
     "EntryIdentityTerms",
     "EntrySums",
-    "JacobiConvergenceError",
     "abs_sq",
     "singular_values",
     "schatten_norms",
     "coords_to_entries",
     "frobenius_sq_batch",
     "batch_singular_values",
-    "svd",
-    "schatten_norm",
     "entry_sums",
     "entry_identity_batch",
     "entry_identity_terms",
-    "symmetry_transform",
     "random_matrix",
     "random_antisym_hermitian",
 ]
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the one-sided Jacobi iteration hits its sweep cap."""
-
-
 @dataclass(frozen=True)
 class MatrixSample:
-    """An n x n matrix over R, C or H (H as an (n, n, 4) component array)."""
+    """An n x n matrix over R, C or H (H as an (n, n, 4) component array): the
+    argument of entry_identity_terms, which perfbench/workloads.py calls."""
 
     field: str
     entries: np.ndarray
@@ -63,38 +52,12 @@ class MatrixSample:
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", e)
 
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
     def frobenius_sq(self):
         return float(np.sum(abs_sq(self.field, self.entries)))
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Non-increasing singular values of a MatrixSample."""
-
-    singular_values: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # quaternion component helpers
-
-def _qmul(p, q):
-    """Hamilton product of component arrays (..., 4), broadcasting."""
-    pw, px, py, pz = np.moveaxis(p, -1, 0)
-    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ],
-        axis=-1,
-    )
-
 
 def _qconj(p):
     out = p.copy()
@@ -199,64 +162,6 @@ def frobenius_sq_batch(spec, coords):
 def batch_singular_values(spec, coords):
     """singular_values for each coordinate row."""
     return singular_values(spec.field, coords_to_entries(spec, coords))
-
-
-# ---------------------------------------------------------------------------
-# one-sided Jacobi SVD
-
-def _jacobi_singular_values(mat, tol=1e-13, max_sweeps=64):
-    """Singular values via one-sided Jacobi column orthogonalization."""
-    a = np.array(mat, dtype=complex if np.iscomplexobj(mat) else float)
-    n = a.shape[1]
-    for _ in range(max_sweeps):
-        converged = True
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci = a[:, i]
-                cj = a[:, j]
-                alpha = float(np.real(np.vdot(ci, ci)))
-                beta = float(np.real(np.vdot(cj, cj)))
-                gamma = np.vdot(ci, cj)
-                if abs(gamma) ** 2 <= tol * tol * alpha * beta:
-                    continue
-                converged = False
-                g = abs(gamma)
-                cj = cj * (np.conjugate(gamma) / g)  # make the pair inner product real positive
-                tau = (beta - alpha) / (2.0 * g)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                new_i = c * ci - s * cj
-                new_j = s * ci + c * cj
-                a[:, i] = new_i
-                a[:, j] = new_j
-        if converged:
-            break
-    else:
-        raise JacobiConvergenceError(f"no convergence in {max_sweeps} sweeps")
-    sv = np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
-    sv.sort()
-    return sv[::-1]
-
-
-def svd(sample):
-    """Singular values of a MatrixSample, non-increasing, by the one-sided
-    Jacobi iteration: the single-matrix reference for `singular_values`.
-
-    Quaternion matrices go through the complex adjoint embedding; the doubled
-    spectrum is de-duplicated by averaging adjacent pairs.
-    """
-    if sample.field == "H":
-        sv = _jacobi_singular_values(_embed(sample.entries))
-        sv = 0.5 * (sv[0::2] + sv[1::2])
-    else:
-        sv = _jacobi_singular_values(sample.entries)
-    return SvdResult(singular_values=sv)
-
-
-def schatten_norm(sample, p):
-    """Schatten p-norm of a MatrixSample: schatten_norms on a batch of one."""
-    return float(schatten_norms(sample.field, sample.entries[None], p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,106 +295,22 @@ def entry_identity_terms(sample):
 
 
 # ---------------------------------------------------------------------------
-# norm-preserving transforms
-
-def _rotation_matrix(n, i, j, theta):
-    u = np.eye(n)
-    c, s = math.cos(theta), math.sin(theta)
-    u[i, i] = c
-    u[i, j] = s
-    u[j, i] = -s
-    u[j, j] = c
-    return u
-
-
-def _left_real(sample, u):
-    if sample.field == "H":
-        return MatrixSample("H", np.einsum("ik,kjc->ijc", u, sample.entries))
-    return MatrixSample(sample.field, u @ sample.entries)
-
-
-def _right_real(sample, u):
-    if sample.field == "H":
-        return MatrixSample("H", np.einsum("ikc,kj->ijc", sample.entries, u))
-    return MatrixSample(sample.field, sample.entries @ u)
-
-
-def _unit_scalar_array(sample, unit):
-    if sample.field == "H":
-        if isinstance(unit, Quaternion):
-            arr = np.array([unit.w, unit.x, unit.y, unit.z])
-        else:
-            arr = np.array([float(unit), 0.0, 0.0, 0.0])
-        if abs(np.sum(arr**2) - 1.0) > 1e-12:
-            raise ValueError("scaling needs a unit scalar")
-        return arr
-    u = complex(unit) if sample.field == "C" else float(unit)
-    if abs(abs(u) - 1.0) > 1e-12:
-        raise ValueError("scaling needs a unit scalar")
-    return u
-
-
-def symmetry_transform(sample, kind, **kw):
-    """Apply a Schatten-norm-preserving transform.
-
-    kinds: permute_rows/permute_cols (perm), rotate_left/rotate_right
-    (i, j, theta), conj_transpose, transpose (R and C only), scale_row/
-    scale_col (index, unit scalar; rows scale from the left, columns from
-    the right).
-    """
-    n = sample.n
-    if kind == "permute_rows":
-        return MatrixSample(sample.field, sample.entries[np.asarray(kw["perm"])])
-    if kind == "permute_cols":
-        return MatrixSample(sample.field, sample.entries[:, np.asarray(kw["perm"])])
-    if kind == "rotate_left":
-        return _left_real(sample, _rotation_matrix(n, kw["i"], kw["j"], kw["theta"]))
-    if kind == "rotate_right":
-        return _right_real(sample, _rotation_matrix(n, kw["i"], kw["j"], kw["theta"]))
-    if kind == "conj_transpose":
-        if sample.field == "H":
-            return MatrixSample("H", _qconj(sample.entries).transpose(1, 0, 2))
-        return MatrixSample(sample.field, sample.entries.conj().T)
-    if kind == "transpose":
-        if sample.field == "H":
-            # The plain transpose changes singular values over the quaternions
-            # (unlike over R and C), so it is not admitted here.
-            raise ValueError("transpose is not norm-preserving over H")
-        return MatrixSample(sample.field, sample.entries.T)
-    if kind in ("scale_row", "scale_col"):
-        unit = _unit_scalar_array(sample, kw["unit"])
-        out = sample.entries.copy()
-        idx = kw["index"]
-        if sample.field == "H":
-            if kind == "scale_row":
-                out[idx] = _qmul(np.broadcast_to(unit, out[idx].shape), out[idx])
-            else:
-                out[:, idx] = _qmul(out[:, idx], np.broadcast_to(unit, out[:, idx].shape))
-        else:
-            if kind == "scale_row":
-                out[idx] *= unit
-            else:
-                out[:, idx] *= unit
-        return MatrixSample(sample.field, out)
-    raise ValueError(f"unknown transform {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # random matrices for tests and checks
 
 def random_matrix(field, n, rng):
-    """Matrix with independent standard normal real components per entry."""
+    """Entries (n, n), or (n, n, 4) over H, with independent standard normal
+    real components."""
     if field == "R":
-        return MatrixSample("R", rng.standard_normal((n, n)))
+        return rng.standard_normal((n, n))
     if field == "C":
-        return MatrixSample("C", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if field == "H":
-        return MatrixSample("H", rng.standard_normal((n, n, 4)))
+        return rng.standard_normal((n, n, 4))
     raise ValueError(f"unknown field {field!r}")
 
 
 def random_antisym_hermitian(n, rng):
-    """Random i * (real antisymmetric) matrix with Gaussian entries."""
+    """Entries of a random i * (real antisymmetric) matrix with Gaussian entries."""
     a = rng.standard_normal((n, n))
     a = a - a.T
-    return MatrixSample("C", 1j * a)
+    return 1j * a

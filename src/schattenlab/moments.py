@@ -10,14 +10,14 @@ Every functional must be homogeneous of its declared degree.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import density
 from . import matrixlab as ml
 from . import samplers
-from .ensembles import ensemble_of
-from .gammafn import log_gamma
+from .ensembles import BETA, ensemble_of
 from .util import batch_means, batch_means_cov, delta_se
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "quadrature_moment",
     "quadrature_moments",
     "closed_form_moment",
+    "opnorm_ball_sigma_sq",
     "sigma_pipeline",
     "var_mp_pipeline",
 ]
@@ -223,11 +224,39 @@ def estimate_moment(batch, functional):
 
 def closed_form_moment(d, s, l, p):
     """Gamma((d+l+s)/p) / Gamma((d+s)/p), the homogeneous moment transfer factor."""
-    if math.isinf(p):
-        raise ValueError("closed_form_moment needs finite p")
+    if not 0 < p < math.inf:
+        raise ValueError("closed_form_moment needs finite p > 0")
     if not (s > -d and l + s > -d):
         raise ValueError("closed_form_moment needs s > -d and l + s > -d")
-    return math.exp(log_gamma((d + l + s) / p) - log_gamma((d + s) / p))
+    return math.exp(math.lgamma((d + l + s) / p) - math.lgamma((d + s) / p))
+
+
+def opnorm_ball_sigma_sq(field, n):
+    """Exact sigma^2 = D (E||T||_2^4 / (E||T||_2^2)^2 - 1) of the uniform law on
+    the Full n x n operator-norm ball over `field`, D = beta n^2, as a Fraction.
+
+    y = s^2 of the singular values has the Selberg density
+    prod |y_i - y_j|^beta prod y_i^(beta/2 - 1) on [0, 1]^n.  Aomoto's formula,
+    with alpha = gamma = beta/2, gives E y_1 and E y_1 y_2; Kadell's Selberg
+    average of the Jack polynomial P_(2) = sum y^2 + w e_2 gives E sum y^2.
+    """
+    beta = BETA[field]
+    alpha = gamma = Fraction(beta, 2)
+
+    def aomoto(m):
+        """E y_1 ... y_m."""
+        out = Fraction(1)
+        for i in range(1, m + 1):
+            out *= (alpha + (n - i) * gamma) / (alpha + 1 + (2 * n - i - 1) * gamma)
+        return out
+
+    w = 2 / (1 + 1 / gamma)
+    a1, b1 = alpha + (n - 1) * gamma, alpha + 1 + (2 * n - 2) * gamma
+    jack = (n + Fraction(n * (n - 1), 2) * w) * a1 * (a1 + 1) / (b1 * (b1 + 1))
+    e2 = Fraction(n * (n - 1), 2) * aomoto(2)  # E e_2
+    sum_sq = jack - w * e2  # E sum y^2
+    m1, m2 = n * aomoto(1), sum_sq + 2 * e2  # E ||T||_2^2 and E ||T||_2^4
+    return beta * n * n * (m2 / (m1 * m1) - 1)
 
 
 # ---------------------------------------------------------------------------

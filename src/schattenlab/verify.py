@@ -53,7 +53,9 @@ class CheckReport:
     provenance: str
     details: dict = field(default_factory=dict)
 
-    def to_record(self):
+    def to_record(self, nested=False):
+        """The record as written: details spread into it, or with nested=True
+        kept whole under one "details" key."""
         rec = {
             "record": "check",
             "claim_id": self.claim_id,
@@ -64,7 +66,10 @@ class CheckReport:
             "method": self.method,
             "provenance": self.provenance,
         }
-        rec.update({k: _jsonable(v) for k, v in self.details.items()})
+        if nested:
+            rec["details"] = _jsonable(self.details)
+        else:
+            rec.update({k: _jsonable(v) for k, v in self.details.items()})
         return rec
 
 
@@ -387,7 +392,7 @@ def check_entry_identities(per_field=1000, n_range=(2, 8), tol=1e-9, seed=0):
         groups = {}
         for m in range(per_field):
             n = ns[m % len(ns)]
-            groups.setdefault(n, []).append(ml.random_matrix(fld, n, rng).entries)
+            groups.setdefault(n, []).append(ml.random_matrix(fld, n, rng))
         for mats in groups.values():
             t = ml.entry_identity_batch(fld, np.stack(mats))
             scale4 = np.maximum(1.0, np.abs(t.lhs4))
@@ -575,21 +580,25 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
 
 
 def check_sigma_band_hit_and_run(field="R", n=4, budget=30_000, seed=0):
-    """Thin-shell statistic of the operator-norm ball stays in the dimension-free
-    band [0.01, 10]."""
+    """Thin-shell statistic of the operator-norm ball by the matrix walk: in
+    the dimension-free band [0.01, 10] and within 3 standard errors of its
+    exact value, moments.opnorm_ball_sigma_sq."""
     band = (0.01, 10.0)
     spec = SchattenSpec(field, "Full", n, math.inf)
+    reference = float(mo.opnorm_ball_sigma_sq(field, n))
     est = mo.sigma_pipeline(spec, sampler="hit_and_run", budget=budget, seed=seed)
-    ok = band[0] <= est.sigma_sq <= band[1]
+    z = _z(est.sigma_sq - reference, est.std_err)
+    ok = band[0] <= est.sigma_sq <= band[1] and abs(z) <= 3.0
     return CheckReport(
         claim_id=f"sigma-band-opnorm[{field},n={n}]",
         passed=ok,
         lhs=est.sigma_sq,
-        rhs=1.0,
-        tolerance=0.0,
+        rhs=reference,
+        tolerance=3.0 * est.std_err,
         method="hit_and_run",
         provenance="matrix-walk",
-        details={"band": band, "se": est.std_err, "mean_over_dim": est.mean_over_dim},
+        details={"band": band, "se": est.std_err, "mean_over_dim": est.mean_over_dim,
+                 "reference": reference, "z": z},
     )
 
 
@@ -618,7 +627,7 @@ def check_antisym_normalization(n, p, budget=40_000, seed=0):
     the matrix walk and the gas with its power-of-two and Gamma factors."""
     k = 2
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mats = np.stack([ml.random_antisym_hermitian(n, rng).entries for _ in range(50)])
+    mats = np.stack([ml.random_antisym_hermitian(n, rng) for _ in range(50)])
     sv = ml.singular_values("C", mats)
     s = n // 2
     theta = sv[:, 0 : 2 * s : 2]

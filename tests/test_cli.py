@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -100,6 +101,32 @@ def test_sample_csv_format(tmp_path):
     lines = data_lines(out)
     assert lines[0] == "x0,x1,x2"
     assert len(lines) == 51
+
+
+def test_verify_csv_keeps_every_detail(tmp_path):
+    jl, cs = tmp_path / "v.jsonl", tmp_path / "v.csv"
+    assert run_cli("verify", "--suite", "gamma", "--out", str(jl)).returncode == cli.EXIT_OK
+    proc = run_cli("verify", "--suite", "gamma", "--format", "csv", "--out", str(cs))
+    assert proc.returncode == cli.EXIT_OK
+    recs = [json.loads(ln) for ln in data_lines(jl)]
+    rows = list(csv.DictReader(data_lines(cs)))
+    assert [r["claim_id"] for r in rows] == [r["claim_id"] for r in recs]
+    for rec, row in zip(recs, rows):
+        details = json.loads(row["details"])
+        assert details == {k: v for k, v in rec.items() if k not in row}
+    assert json.loads(rows[1]["details"]) == {"lo_const": 0.02, "hi_const": 50.0}
+
+
+@pytest.mark.parametrize("second", [{"d": 2.0, "extra": 3.0}, {"record": "gamma"}])
+def test_csv_rejects_a_record_with_other_fields(tmp_path, monkeypatch, second):
+    def drifting(args, writer):
+        writer.record({"record": "gamma", "d": 1.0})
+        writer.record({"record": "gamma", **second})
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "_cmd_gamma", drifting)
+    code = cli.main(["gamma", "--format", "csv", "--out", str(tmp_path / "g.csv")])
+    assert code == cli.EXIT_USAGE
 
 
 def test_sweep_emits_grid(tmp_path):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from matrix_reference import Quaternion
 from schattenlab.ensembles import (
     BETA,
     EnsembleParams,
-    Quaternion,
     SchattenSpec,
     ensemble_of,
 )

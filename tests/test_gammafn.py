@@ -4,32 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schattenlab.gammafn import GammaRatio, gamma_gap, gamma_ratio, log_gamma
-
-
-def test_log_gamma_trivial_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-
-def test_log_gamma_against_stdlib():
-    # independent oracle: math.lgamma
-    xs = np.concatenate([
-        np.geomspace(1e-3, 1e8, 300),
-        np.linspace(0.1, 30.0, 200),
-    ])
-    for x in xs:
-        ref = math.lgamma(x)
-        err = abs(log_gamma(x) - ref) / max(1.0, abs(ref))
-        assert err < 1e-13, (x, err)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
+from schattenlab.gammafn import GammaRatio, gamma_gap, gamma_ratio
 
 
 def test_gamma_ratio_trivial():

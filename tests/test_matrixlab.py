@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.ensembles import Quaternion, SchattenSpec
+import matrix_reference as ref
+from matrix_reference import Quaternion
+from schattenlab.ensembles import SchattenSpec
 from schattenlab import matrixlab as ml
 
 
+def _norm(field, entries, p):
+    """The package's Schatten p-norm of one matrix: schatten_norms on a batch of one."""
+    return float(ml.schatten_norms(field, entries[None], p)[0])
+
+
 def test_svd_trivial_cases():
-    assert np.allclose(ml.svd(ml.MatrixSample("R", np.diag([1.0, 2.0]))).singular_values, [2, 1])
-    assert np.allclose(
-        ml.svd(ml.MatrixSample("R", np.array([[0.0, 1.0], [1.0, 0.0]]))).singular_values, [1, 1]
-    )
+    assert np.allclose(ref.svd("R", np.diag([1.0, 2.0])), [2, 1])
+    assert np.allclose(ref.svd("R", np.array([[0.0, 1.0], [1.0, 0.0]])), [1, 1])
     q = np.zeros((1, 1, 4))
     q[0, 0, 1] = 1.0
-    assert np.allclose(ml.svd(ml.MatrixSample("H", q)).singular_values, [1.0])
+    assert np.allclose(ref.svd("H", q), [1.0])
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
@@ -23,18 +28,18 @@ def test_svd_matches_library(field):
     for n in (2, 3, 5, 8):
         for _ in range(10):
             t = ml.random_matrix(field, n, rng)
-            ours = ml.svd(t).singular_values
-            ref = np.linalg.svd(t.entries, compute_uv=False)
-            assert np.max(np.abs(ours - ref)) < 1e-10 * max(1.0, ref[0])
+            ours = ref.svd(field, t)
+            lib = np.linalg.svd(t, compute_uv=False)
+            assert np.max(np.abs(ours - lib)) < 1e-10 * max(1.0, lib[0])
 
 
 def test_svd_quaternion_embedding_pairs():
     rng = np.random.default_rng(11)
     for n in (2, 4, 6):
         t = ml.random_matrix("H", n, rng)
-        emb = np.linalg.svd(ml._embed(t.entries), compute_uv=False)
+        emb = np.linalg.svd(ml._embed(t), compute_uv=False)
         assert np.max(np.abs(emb[0::2] - emb[1::2])) < 1e-10 * emb[0]
-        ours = ml.svd(t).singular_values
+        ours = ref.svd("H", t)
         assert np.max(np.abs(ours - emb[0::2])) < 1e-10 * emb[0]
     # a (B, n, n, 4) batch embeds and decomposes matrix by matrix
     batch = rng.standard_normal((5, 3, 3, 4))
@@ -43,36 +48,37 @@ def test_svd_quaternion_embedding_pairs():
     assert emb.shape == (5, 6, 6) and sv.shape == (5, 3)
     for k in range(5):
         assert np.array_equal(emb[k], ml._embed(batch[k]))
-        ref = ml.svd(ml.MatrixSample("H", batch[k])).singular_values
-        assert np.max(np.abs(sv[k] - ref)) < 1e-10 * ref[0]
+        assert np.array_equal(emb[k], ref.complex_embedding(batch[k]))
+        jac = ref.svd("H", batch[k])
+        assert np.max(np.abs(sv[k] - jac)) < 1e-10 * jac[0]
 
 
 def test_frobenius_consistency():
     rng = np.random.default_rng(12)
     for field in ("R", "C", "H"):
         t = ml.random_matrix(field, 6, rng)
-        s = ml.svd(t).singular_values
-        assert np.sum(s**2) == pytest.approx(t.frobenius_sq(), rel=1e-10)
+        s = ref.svd(field, t)
+        assert np.sum(s**2) == pytest.approx(ml.MatrixSample(field, t).frobenius_sq(), rel=1e-10)
         assert np.all(np.diff(s) <= 1e-12)
         assert np.all(s >= 0)
 
 
 def test_schatten_norm_values():
-    eye3 = ml.MatrixSample("R", np.eye(3))
-    assert ml.schatten_norm(eye3, 1.0) == pytest.approx(3.0)
-    assert ml.schatten_norm(eye3, math.inf) == pytest.approx(1.0)
-    assert ml.schatten_norm(ml.MatrixSample("R", np.diag([3.0, 4.0])), 2.0) == pytest.approx(5.0)
-    empty = ml.MatrixSample("R", np.zeros((0, 0)))
-    assert ml.schatten_norm(empty, math.inf) == 0.0 and ml.schatten_norm(empty, 2.0) == 0.0
+    eye3 = np.eye(3)
+    assert _norm("R", eye3, 1.0) == pytest.approx(3.0)
+    assert _norm("R", eye3, math.inf) == pytest.approx(1.0)
+    assert _norm("R", np.diag([3.0, 4.0]), 2.0) == pytest.approx(5.0)
+    empty = np.zeros((0, 0))
+    assert _norm("R", empty, math.inf) == 0.0 and _norm("R", empty, 2.0) == 0.0
     # the library-SVD norms against the one-sided Jacobi reference
     rng = np.random.default_rng(16)
     for field in ("R", "C", "H"):
         for n in (1, 2, 3, 5):
             t = ml.random_matrix(field, n, rng)
-            sv = ml.svd(t).singular_values
+            sv = ref.svd(field, t)
             for p in (1.0, 2.0, 3.0, math.inf):
-                ref = sv[0] if math.isinf(p) else np.sum(sv**p) ** (1.0 / p)
-                assert ml.schatten_norm(t, p) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                want = sv[0] if math.isinf(p) else np.sum(sv**p) ** (1.0 / p)
+                assert _norm(field, t, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _layout_reference(spec, row):
@@ -161,10 +167,10 @@ def test_entry_identities_random(field):
     for n in range(2, 6):
         for _ in range(25):
             mat = ml.random_matrix(field, n, rng)
-            t = ml.entry_identity_terms(mat)
+            t = ml.entry_identity_terms(ml.MatrixSample(field, mat))
             scale4 = max(1.0, t.lhs4)
             # lhs4 comes from the library SVD; the Jacobi SVD is the reference
-            assert abs(t.lhs4 - np.sum(ml.svd(mat).singular_values ** 4)) < 1e-10 * scale4
+            assert abs(t.lhs4 - np.sum(ref.svd(field, mat) ** 4)) < 1e-10 * scale4
             assert abs(t.lhs4 - t.rhs4()) < 1e-9 * scale4
             assert abs(t.lhs22 - t.rhs22()) < 1e-9 * max(1.0, abs(t.lhs22))
             assert t.quartic_cross_vector < 1e-9 * scale4
@@ -175,10 +181,10 @@ def test_entry_identities_random(field):
 
 
 def test_rotation_swaps_rows_with_sign():
-    t = ml.MatrixSample("R", np.diag([1.0, 2.0]))
-    rotated = ml.symmetry_transform(t, "rotate_left", i=0, j=1, theta=math.pi / 2)
-    assert np.allclose(rotated.entries, [[0.0, 2.0], [-1.0, 0.0]], atol=1e-12)
-    assert np.allclose(ml.svd(rotated).singular_values, [2.0, 1.0])
+    rotated = ref.symmetry_transform("R", np.diag([1.0, 2.0]), "rotate_left",
+                                     i=0, j=1, theta=math.pi / 2)
+    assert np.allclose(rotated, [[0.0, 2.0], [-1.0, 0.0]], atol=1e-12)
+    assert np.allclose(ref.svd("R", rotated), [2.0, 1.0])
 
 
 def test_transforms_preserve_schatten_norms():
@@ -198,9 +204,9 @@ def test_transforms_preserve_schatten_norms():
     for field in ("R", "C", "H"):
         t = ml.random_matrix(field, 3, rng)
         for p in (1.0, 2.5, math.inf):
-            base = ml.schatten_norm(t, p)
+            base = _norm(field, t, p)
             for kind, kw in common + cases[field]:
-                out = ml.schatten_norm(ml.symmetry_transform(t, kind, **kw), p)
+                out = _norm(field, ref.symmetry_transform(field, t, kind, **kw), p)
                 assert out == pytest.approx(base, rel=1e-12)
 
 
@@ -212,22 +218,20 @@ def test_quaternion_transpose_rejected():
     e[0, 1, 0] = 1.0
     e[1, 0, 2] = 1.0
     e[1, 1, 3] = 1.0
-    t = ml.MatrixSample("H", e)
-    assert np.allclose(ml.svd(t).singular_values, [2.0, 0.0], atol=1e-12)
-    tt = ml.MatrixSample("H", e.transpose(1, 0, 2))
-    assert np.allclose(ml.svd(tt).singular_values, [math.sqrt(2)] * 2, atol=1e-12)
+    assert np.allclose(ref.svd("H", e), [2.0, 0.0], atol=1e-12)
+    assert np.allclose(ref.svd("H", e.transpose(1, 0, 2)), [math.sqrt(2)] * 2, atol=1e-12)
     with pytest.raises(ValueError):
-        ml.symmetry_transform(t, "transpose")
+        ref.symmetry_transform("H", e, "transpose")
 
 
 def test_antisym_hermitian_structure():
     rng = np.random.default_rng(15)
     t4 = ml.random_antisym_hermitian(4, rng)
-    s = ml.svd(t4).singular_values
+    s = ref.svd("C", t4)
     assert abs(s[0] - s[1]) < 1e-10 * max(1.0, s[0])
     assert abs(s[2] - s[3]) < 1e-10 * max(1.0, s[0])
     t5 = ml.random_antisym_hermitian(5, rng)
-    s = ml.svd(t5).singular_values
+    s = ref.svd("C", t5)
     assert abs(s[-1]) < 1e-10 * max(1.0, s[0])
 
 

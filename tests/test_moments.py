@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from schattenlab.ensembles import EnsembleParams, SchattenSpec, ensemble_of
+from schattenlab.ensembles import BETA, EnsembleParams, SchattenSpec, ensemble_of
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
 
@@ -123,6 +124,23 @@ def test_closed_form_moment_values():
         mo.closed_form_moment(4, -5, 2, 2)
     with pytest.raises(ValueError):
         mo.closed_form_moment(4, 0, 2, math.inf)
+    for p in (0.0, -2.0):
+        with pytest.raises(ValueError):
+            mo.closed_form_moment(4, 0, 2, p)
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_opnorm_ball_sigma_sq_matches_oracle(field):
+    beta = BETA[field]
+    for n in (1, 2, 3):
+        params = EnsembleParams(2, beta, beta - 1, n)
+        est = mo.quadrature_moments(params, math.inf, ["norm2_sq", "norm2_4"])
+        m2, m4 = est["norm2_sq"].value, est["norm2_4"].value
+        oracle = beta * n * n * (m4 / m2**2 - 1.0)
+        assert float(mo.opnorm_ball_sigma_sq(field, n)) == pytest.approx(oracle, rel=1e-12)
+    exact = {"R": (4, Fraction(25, 44)), "C": (3, Fraction(18, 35)), "H": (2, Fraction(9, 20))}
+    n, value = exact[field]
+    assert mo.opnorm_ball_sigma_sq(field, n) == value
 
 
 def test_homogeneous_transfer_on_grid():

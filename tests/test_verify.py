@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from schattenlab.ensembles import EnsembleParams, SchattenSpec
 from schattenlab import matrixlab as ml
+from schattenlab import samplers as sp
 from schattenlab import verify as vf
 
 
@@ -172,6 +174,28 @@ def test_k2_isotropy_report_runs():
     rep = vf.report_k2_isotropy("ComplexSymmetric", n=2, budget=3000, seed=11)
     assert rep.passed
     assert rep.provenance == "report-only"
+
+
+def test_sigma_band_hit_and_run_meets_the_exact_value():
+    # the thinshell suite's call at seed 0
+    rep = vf.check_sigma_band_hit_and_run("R", 4, budget=20_000, seed=2)
+    assert rep.passed
+    assert rep.rhs == rep.details["reference"] == pytest.approx(25.0 / 44.0, rel=1e-15)
+    assert abs(rep.details["z"]) <= 3.0
+
+
+def test_sigma_band_hit_and_run_catches_a_wrong_law(monkeypatch):
+    # Frobenius-ball draws in place of the operator-norm walk: sigma^2 near
+    # 4/(D+4) = 0.2 lies inside the band [0.01, 10] but far from 25/44
+    def frobenius_walk(spec, n_samples, seed=0, **_):
+        return sp.exact_p2_matrix_sample(dataclasses.replace(spec, p=2.0), n_samples, seed=seed)
+
+    monkeypatch.setattr(sp, "matrix_hit_and_run", frobenius_walk)
+    rep = vf.check_sigma_band_hit_and_run("R", 4, budget=20_000, seed=2)
+    lo, hi = rep.details["band"]
+    assert lo <= rep.lhs <= hi
+    assert rep.details["z"] < -3.0
+    assert not rep.passed
 
 
 def test_reports_are_reproducible():
