@@ -5,10 +5,14 @@ tridiagonal ensemble samplers for the Gaussian (p=2) weight, and a radial
 pushforward converting weighted gas draws into the singular-value law of a
 uniform ball sample.  A hit-and-run walk on the matrix subspace itself gives
 an independent route to the same uniform measure.  Metropolis and hit-and-run
-share one lockstep chain loop, _run_chains.
+share one lockstep chain loop, _run_chains.  The exact p=2 samplers draw
+their variates on the calling thread and solve the tridiagonal eigenproblems
+on the process's cores; the draws do not depend on the core count, the
+wall-time gain needs a second free core, and one core runs serially.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,7 +201,16 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
 # ---------------------------------------------------------------------------
 # exact samplers at the Gaussian weight
 
-_EIG_CHUNK = 4096
+_EIG_CHUNK = 4096  # draws per chunk; it fixes the stream order, so it fixes every draw
+_EIG_SLICE = 512  # matrices per eigvalsh call; the slices of a chunk run in parallel
+
+
+def _cores():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def exact_p2_sample(params, n_samples, seed=0):
@@ -207,23 +220,34 @@ def exact_p2_sample(params, n_samples, seed=0):
     a=2 (any c): signed square roots of rescaled tridiagonal Laguerre
     eigenvalues; the Laguerre shape is chosen so the substitution y = x^2
     reproduces the gas exactly.  Anything else raises SamplerUnavailable.
+
+    The variates are drawn on the calling thread, chunk by chunk, from the
+    one seeded stream; each chunk's eigenproblems are then solved in slices
+    of _EIG_SLICE matrices on a thread pool with one worker per core the
+    process may use (eigvalsh releases the interpreter lock).  Each matrix is
+    solved on its own, so the draws are byte-identical whatever the core
+    count.  The wall-time gain needs a second free core; with one core, or
+    one slice, no pool starts and the solve runs serially.
     """
     _check_budget(n_samples)
     n, a, b, c = params.n, params.a, params.b, params.c
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if a == 1 and c == 0:
-        sampler = _hermite_chunk
+        draw = _hermite_draws
     elif a == 2:
-        sampler = _laguerre_chunk
+        draw = _laguerre_draws
     else:
         raise SamplerUnavailable(f"no exact p=2 sampler for (a,b,c)=({a},{b},{c})")
-    chunks = []
-    remaining = n_samples
-    while remaining > 0:
-        m = min(_EIG_CHUNK, remaining)
-        chunks.append(sampler(params, m, rng))
-        remaining -= m
-    points = np.concatenate(chunks, axis=0)
+    workers = min(_cores(), -(-min(n_samples, _EIG_CHUNK) // _EIG_SLICE))
+    if workers > 1:
+        # imported here: concurrent.futures imports logging, which would
+        # add to every `import schattenlab`
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            points = _draw_chunks(draw, params, n_samples, rng, pool.map)
+    else:
+        points = _draw_chunks(draw, params, n_samples, rng, map)
     v = np.sum(points**2, axis=1)
     return SampleBatch(
         points=points,
@@ -235,41 +259,77 @@ def exact_p2_sample(params, n_samples, seed=0):
     )
 
 
-def _hermite_chunk(params, m, rng):
+def _draw_chunks(draw, params, n_samples, rng, mapper):
+    """The (n_samples, n) points, chunk by chunk: each chunk's matrices are
+    built in one buffer, and their eigenvalues are written into the chunk's
+    rows of the points and mapped there in place."""
+    n = params.n
+    points = np.empty((n_samples, n))
+    mats = np.zeros((min(n_samples, _EIG_CHUNK), n, n))
+    for start in range(0, n_samples, _EIG_CHUNK):
+        lam = points[start : start + _EIG_CHUNK]
+        diag, sub, finish = draw(params, len(lam), rng)
+        chunk = mats[: len(lam)]
+        _set_tridiagonal(chunk, diag, sub)
+        _eigvalsh_into(chunk, lam, mapper)
+        finish(lam)
+    return points
+
+
+def _set_tridiagonal(mats, diag, sub):
+    """Write the (m, n) diag on the diagonals and the (m, n-1) sub on the
+    sub-diagonals of the contiguous (m, n, n) mats, through strides.  Nothing
+    else is written: the rest of the lower triangle must be zero, and the
+    upper triangle is never read, as eigvalsh reads the lower one only."""
+    m, n = diag.shape
+    flat = mats.reshape(m, n * n)
+    flat[:, :: n + 1] = diag
+    flat[:, n :: n + 1] = sub
+
+
+def _eigvalsh_into(mats, out, mapper):
+    """Write the eigenvalues of the stacked mats into out, one eigvalsh call
+    per slice of _EIG_SLICE matrices.  mapper is map or a pool's map; both
+    arrays are allocated by the caller, so the workers only read views of
+    mats and write disjoint rows of out."""
+
+    def solve(i):
+        out[i : i + _EIG_SLICE] = np.linalg.eigvalsh(mats[i : i + _EIG_SLICE])
+
+    for _ in mapper(solve, range(0, len(mats), _EIG_SLICE)):
+        pass  # reading every result re-raises a worker's exception
+
+
+def _hermite_draws(params, m, rng):
+    """Diagonal, sub-diagonal and in-place eigenvalue map of m tridiagonal
+    Gaussian beta models."""
     n, b = params.n, params.b
-    mats = np.zeros((m, n, n))
-    idx = np.arange(n)
-    mats[:, idx, idx] = rng.standard_normal((m, n))
-    if n > 1:
-        df = b * (n - np.arange(1, n))
-        off = np.sqrt(rng.chisquare(df, size=(m, n - 1))) / math.sqrt(2.0)
-        j = np.arange(n - 1)
-        mats[:, j + 1, j] = off  # eigvalsh reads the lower triangle only
-    lam = np.linalg.eigvalsh(mats)
-    return lam / math.sqrt(2.0)
+    diag = rng.standard_normal((m, n))
+    sub = np.sqrt(rng.chisquare(b * (n - np.arange(1, n)), size=(m, n - 1))) / math.sqrt(2.0)
+    return diag, sub, lambda lam: np.divide(lam, math.sqrt(2.0), out=lam)
 
 
-def _laguerre_chunk(params, m, rng):
-    """Rescaled eigenvalues of B B^T for the lower bidiagonal Laguerre model B
-    (diagonal a_i, sub-diagonal s_i), built as the tridiagonal matrix with
-    diagonal a_i^2 + s_(i-1)^2 and sub-diagonal a_i s_i (lower triangle only,
-    which is all eigvalsh reads)."""
+def _laguerre_draws(params, m, rng):
+    """Diagonal, sub-diagonal and in-place eigenvalue map of m Laguerre
+    models B B^T, B lower bidiagonal (diagonal a_i, sub-diagonal s_i): the
+    tridiagonal B B^T has diagonal a_i^2 + s_(i-1)^2 and sub-diagonal a_i s_i.
+    The signs do not depend on the eigenvalues, so they are drawn here; the
+    stream order is diagonal chi-squares, sub-diagonal chi-squares, signs."""
     n, b, c = params.n, params.b, params.c
     two_shape = b * (n - 1) + c + 1  # = 2 * Laguerre shape parameter
-    idx = np.arange(n)
-    diag_df = two_shape - b * idx
-    a_sq = rng.chisquare(diag_df, size=(m, n))
-    lag = np.zeros((m, n, n))
-    lag[:, idx, idx] = a_sq
-    if n > 1:
-        j = np.arange(n - 1)
-        sub_df = b * (n - 1 - j)
-        s_sq = rng.chisquare(sub_df, size=(m, n - 1))
-        lag[:, j + 1, j + 1] += s_sq
-        lag[:, j + 1, j] = np.sqrt(a_sq[:, :-1] * s_sq)
-    y = np.linalg.eigvalsh(lag) / 2.0
-    signs = rng.integers(0, 2, size=y.shape) * 2.0 - 1.0
-    return signs * np.sqrt(np.maximum(y, 0.0))
+    a_sq = rng.chisquare(two_shape - b * np.arange(n), size=(m, n))
+    s_sq = rng.chisquare(b * (n - 1 - np.arange(n - 1)), size=(m, n - 1))
+    sub = np.sqrt(a_sq[:, :-1] * s_sq)
+    a_sq[:, 1:] += s_sq  # now the diagonal
+    signs = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
+
+    def finish(y):
+        y /= 2.0
+        np.maximum(y, 0.0, out=y)
+        np.sqrt(y, out=y)
+        y *= signs
+
+    return a_sq, sub, finish
 
 
 def gas_sample(params, p, budget, seed, mcmc_kwargs=None):

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,7 +178,7 @@ def test_laguerre_chunk_matches_dense_bidiagonal_product(abc, n):
     # bidiagonal Laguerre model, must give the chunk's eigenvalues
     params = EnsembleParams(*abc, n)
     m = 200
-    x = sp._laguerre_chunk(params, m, np.random.default_rng(51))
+    x = sp._draw_chunks(sp._laguerre_draws, params, m, np.random.default_rng(51), map)
     rng = np.random.default_rng(51)
     a, b, c = abc
     bid = np.zeros((m, n, n))
@@ -186,6 +189,67 @@ def test_laguerre_chunk_matches_dense_bidiagonal_product(abc, n):
         bid[:, j + 1, j] = np.sqrt(rng.chisquare(b * (n - 1 - j), size=(m, n - 1)))
     y = np.linalg.eigvalsh(bid @ bid.transpose(0, 2, 1)) / 2.0
     assert np.max(np.abs(x**2 - y)) <= 1e-12 * np.max(y)
+
+
+@pytest.mark.parametrize("b", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_hermite_chunk_matches_dense_tridiagonal(b, n):
+    # the same normal and chi draws, in the dense symmetric tridiagonal
+    # Gaussian beta model, must give the chunk's eigenvalues
+    params = EnsembleParams(1, b, 0, n)
+    m = 200
+    x = sp._draw_chunks(sp._hermite_draws, params, m, np.random.default_rng(51), map)
+    rng = np.random.default_rng(51)
+    tri = np.zeros((m, n, n))
+    idx = np.arange(n)
+    tri[:, idx, idx] = rng.standard_normal((m, n))
+    if n > 1:
+        j = np.arange(n - 1)
+        off = np.sqrt(rng.chisquare(b * (n - 1 - j), size=(m, n - 1))) / math.sqrt(2.0)
+        tri[:, j + 1, j] = off
+        tri[:, j, j + 1] = off
+    y = np.linalg.eigvalsh(tri) / math.sqrt(2.0)
+    assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 4, 3)])
+def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
+    s, chunk = sp._EIG_SLICE, sp._EIG_CHUNK
+    budgets = (1, s - 1, s, s + 1, chunk, chunk + 1, 10_000)
+    pools = []
+    pool_cls = concurrent.futures.ThreadPoolExecutor
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started at one core")
+
+    def counted_pool(workers):
+        pools.append(workers)
+        return pool_cls(workers)
+
+    for n in (1, 2, 16):
+        params = EnsembleParams(*abc, n)
+        for budget in budgets:
+            monkeypatch.setattr(sp, "_cores", lambda: 1)
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+            serial = sp.exact_p2_sample(params, budget, seed=budget).points
+            monkeypatch.setattr(sp, "_cores", lambda: 3)
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
+            pools.clear()
+            threaded = sp.exact_p2_sample(params, budget, seed=budget).points
+            assert serial.shape == (budget, n)
+            assert np.array_equal(serial, threaded)
+            slices = -(-min(budget, chunk) // s)
+            assert pools == ([min(3, slices)] if slices > 1 else [])
+
+
+def test_import_starts_no_pool_machinery():
+    # concurrent.futures imports logging; the exact sampler imports it only
+    # when it starts a pool, so it never adds to the import time
+    code = ("import sys, schattenlab, schattenlab.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_mcmc_reports_burn_in_share():
