@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -146,36 +146,27 @@ def _cmd_verify(args, writer):
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+def _estimate_record(kind, context, est):
+    """An estimate record: its kind, the run context, then every field of the
+    estimate dataclass in declaration order (a field named in context keeps
+    the context's place)."""
+    return {"record": kind, **context, **asdict(est)}
+
+
 def _estimate_sigma(args, writer):
     spec = SchattenSpec(args.field, args.subspace, args.n, args.p)
     est = mo.sigma_pipeline(spec, sampler=args.sampler, budget=args.samples, seed=args.seed,
                             mcmc_kwargs=_mcmc_kwargs(args))
-    writer.record(
-        {
-            "record": "sigma",
-            "field": args.field,
-            "subspace": args.subspace,
-            "n": args.n,
-            "p": args.p,
-            "sigma_sq": est.sigma_sq,
-            "std_err": est.std_err,
-            "var_norm_sq": est.var_norm_sq,
-            "mean_norm_sq": est.mean_norm_sq,
-            "dim": est.d,
-            "mean_over_dim": est.mean_over_dim,
-            "ess": est.ess,
-            "method": est.method,
-        }
-    )
+    context = {"field": args.field, "subspace": args.subspace, "n": args.n, "p": args.p}
+    writer.record(_estimate_record("sigma", context, est))
 
 
 def _estimate_var(args, writer):
     params = EnsembleParams(*args.ensemble, args.n)
     est = mo.var_mp_pipeline(params, args.p, budget=args.samples, seed=args.seed,
                              mcmc_kwargs=_mcmc_kwargs(args))
-    rec = {"record": "var_mp", "ensemble": list(args.ensemble), "n": args.n, "p": args.p}
-    rec.update(est.as_dict())
-    writer.record(rec)
+    context = {"ensemble": list(args.ensemble), "n": args.n, "p": args.p}
+    writer.record(_estimate_record("var_mp", context, est))
 
 
 def _estimate_moment(args, writer):
@@ -186,21 +177,9 @@ def _estimate_moment(args, writer):
         batch = sp.gas_sample(params, args.p, args.samples, args.seed,
                               mcmc_kwargs=_mcmc_kwargs(args))
         est = mo.estimate_moment(batch, args.functional)
-    writer.record(
-        {
-            "record": "moment",
-            "ensemble": list(args.ensemble),
-            "n": args.n,
-            "p": args.p,
-            "functional": args.functional,
-            "value": est.value,
-            "std_err": est.std_err,
-            "n_samples": est.n_samples,
-            "ess": est.ess,
-            "method": est.method,
-            "low_confidence": est.low_confidence,
-        }
-    )
+    context = {"ensemble": list(args.ensemble), "n": args.n, "p": args.p,
+               "functional": args.functional}
+    writer.record(_estimate_record("moment", context, est))
 
 
 def _cmd_estimate(args, writer):
@@ -236,9 +215,8 @@ def _cmd_sweep(args, writer):
                 est = mo.var_mp_pipeline(params, p, budget=args.samples,
                                          seed=args.seed + idx)
                 idx += 1
-                rec = {"record": "sweep", "ensemble": list(abc), "n": n, "p": p}
-                rec.update(est.as_dict())
-                writer.record(rec)
+                context = {"ensemble": list(abc), "n": n, "p": p}
+                writer.record(_estimate_record("sweep", context, est))
     return EXIT_OK
 
 

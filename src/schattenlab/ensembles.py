@@ -101,7 +101,6 @@ class GasMapping:
     multiplicity: int
     signed: bool
     forced_zero: bool
-    note: str
 
 
 def ensemble_of(spec):
@@ -114,22 +113,16 @@ def ensemble_of(spec):
     n, beta = spec.n, spec.beta
     if spec.subspace == "Full":
         params = EnsembleParams(a=2, b=beta, c=beta - 1, n=n)
-        return GasMapping(params, 1, signed=False, forced_zero=False,
-                          note="singular values, one gas coordinate each")
+        return GasMapping(params, 1, signed=False, forced_zero=False)
     if spec.subspace == "SelfAdjoint":
         params = EnsembleParams(a=1, b=beta, c=0, n=n)
-        return GasMapping(params, 1, signed=True, forced_zero=False,
-                          note="signed eigenvalue coordinates; take |x_i| for singular values")
+        return GasMapping(params, 1, signed=True, forced_zero=False)
     if spec.subspace == "ComplexSymmetric":
         params = EnsembleParams(a=2, b=1, c=1, n=n)
-        return GasMapping(params, 1, signed=False, forced_zero=False,
-                          note="singular values, one gas coordinate each")
+        return GasMapping(params, 1, signed=False, forced_zero=False)
     # AntiSymHermitian: i * (real antisymmetric); singular values pair up.
     s, r = divmod(n, 2)
     if s < 1:
         raise ValueError("AntiSymHermitian needs n >= 2")
     params = EnsembleParams(a=2, b=2, c=2 * r, n=s)
-    note = "gas on floor(n/2) coordinates, each a doubled singular value"
-    if r:
-        note += "; one additional zero singular value"
-    return GasMapping(params, 2, signed=False, forced_zero=bool(r), note=note)
+    return GasMapping(params, 2, signed=False, forced_zero=bool(r))

@@ -401,14 +401,20 @@ def quadrature_moment(params, p, functional):
 
 @dataclass(frozen=True)
 class SigmaEstimate:
-    """Thin-shell statistic of a Schatten ball: sigma^2 = d Var(v)/E(v)^2 for
-    v = ||T||_2^2 under the uniform measure."""
+    """Thin-shell statistic of a Schatten ball: sigma^2 = dim Var(v)/E(v)^2
+    for v = ||T||_2^2 under the uniform measure, dim the real dimension of
+    the matrix subspace.
+
+    std_err is the delta-method error of sigma_sq from the joint batch means
+    of (v, v^2), inf below 4 draws; ess is the smaller of their effective
+    sample sizes.  The fields are in the order of the CLI's sigma record.
+    """
 
     sigma_sq: float
+    std_err: float
     var_norm_sq: float
     mean_norm_sq: float
-    d: int
-    std_err: float
+    dim: int
     mean_over_dim: float
     ess: float
     method: str
@@ -424,10 +430,10 @@ def _sigma_from_values(v, d, method):
     se = delta_se([-2.0 * d * m2 / m**3, d / m**2], cov)
     return SigmaEstimate(
         sigma_sq=float(sigma_sq),
+        std_err=se,
         var_norm_sq=float(var),
         mean_norm_sq=float(m),
-        d=int(d),
-        std_err=se,
+        dim=int(d),
         mean_over_dim=float(m / d),
         ess=eff,
         method=method,
@@ -493,9 +499,6 @@ class VarMpEstimate:
     ess: float
     n: int
 
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=None):
     """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws."""
@@ -527,7 +530,7 @@ def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=Non
         cross_gap=float(ec - e2**2),
         cross_gap_se=delta_se([0.0, 1.0, -2.0 * e2], cov),
         coord_sq_mean=float(e2),
-        coord_sq_se=float(np.sqrt(max(0.0, cov[2, 2]))),
+        coord_sq_se=delta_se([0.0, 0.0, 1.0], cov),
         quart_ratio=float(e4 / e2**2),
         quart_ratio_se=delta_se([1.0 / e2**2, 0.0, -2.0 * e4 / e2**3], cov),
         ess=eff,

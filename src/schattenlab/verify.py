@@ -133,8 +133,10 @@ def _closeness(claim_id, lhs, rhs, tol, details):
 
 
 def _z(num, se):
-    """num / se, or 0 when the standard error vanishes."""
-    return num / se if se > 0 else 0.0
+    """num / se; a vanishing standard error gives +-inf, or 0 when num is 0 too."""
+    if se > 0:
+        return num / se
+    return math.copysign(math.inf, num) if num != 0 else 0.0
 
 
 def _mean_z(values):

@@ -215,3 +215,38 @@ def test_chain_flags_reach_the_sampler(tmp_path):
                                   seed=5, n_chains=4, thinning=3, burn_in=0)
     rows = [json.loads(ln) for ln in data_lines(out)]
     assert [[r[f"x{i}"] for i in range(4)] for r in rows] == batch.points.tolist()
+
+
+_VAR_COLUMNS = ("record,ensemble,n,p,term_quartic,term_cross,term_square,combination,std_err,"
+                "cross_gap,cross_gap_se,coord_sq_mean,coord_sq_se,quart_ratio,quart_ratio_se,ess")
+_ESTIMATES = {
+    "sigma": (("estimate", "sigma", "--n", "2", "--p", "2"),
+              "record,field,subspace,n,p,sigma_sq,std_err,var_norm_sq,mean_norm_sq,dim,"
+              "mean_over_dim,ess,method"),
+    "var": (("estimate", "var", "--n", "2", "--p", "2"), _VAR_COLUMNS),
+    "sweep": (("sweep", "--ensembles", "2,1,0", "--n-list", "2", "--p-list", "2"), _VAR_COLUMNS),
+    "moment": (("estimate", "moment", "--n", "2", "--p", "2"),
+               "record,ensemble,n,p,functional,value,std_err,n_samples,ess,method,"
+               "low_confidence"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ESTIMATES))
+def test_estimate_records_keep_their_columns(tmp_path, kind):
+    args, columns = _ESTIMATES[kind]
+    jl, cs = tmp_path / "e.jsonl", tmp_path / "e.csv"
+    assert cli.main([*args, "--samples", "100", "--out", str(jl)]) == cli.EXIT_OK
+    assert cli.main([*args, "--samples", "100", "--format", "csv", "--out", str(cs)]) == cli.EXIT_OK
+    assert data_lines(cs)[0] == columns
+    assert list(json.loads(data_lines(jl)[0])) == sorted(columns.split(","))
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("kind", sorted(_ESTIMATES))
+def test_too_few_draws_write_an_infinite_error_bar(tmp_path, kind, samples):
+    out = tmp_path / "e.jsonl"
+    args = [*_ESTIMATES[kind][0], "--samples", str(samples), "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_OK
+    rec = json.loads(data_lines(out)[0])
+    errors = {k: v for k, v in rec.items() if k == "std_err" or k.endswith("_se")}
+    assert errors and all(v == "inf" for v in errors.values()), errors

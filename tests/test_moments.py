@@ -184,7 +184,7 @@ def test_sigma_pipeline_euclidean_ball():
 def test_sigma_pipeline_invariant():
     est = mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 2.0), budget=20_000, seed=37)
     assert est.sigma_sq == pytest.approx(
-        est.d * est.var_norm_sq / est.mean_norm_sq**2, rel=1e-12
+        est.dim * est.var_norm_sq / est.mean_norm_sq**2, rel=1e-12
     )
 
 

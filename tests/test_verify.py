@@ -7,6 +7,7 @@ import pytest
 
 from schattenlab.ensembles import EnsembleParams, SchattenSpec
 from schattenlab import matrixlab as ml
+from schattenlab import moments as mo
 from schattenlab import samplers as sp
 from schattenlab import verify as vf
 
@@ -51,6 +52,17 @@ def test_identity_mc_route():
     for rep in reports:
         assert rep.method == "mc"
         assert rep.passed, rep
+
+
+def test_mc_relation_with_a_zero_error_bar_fails():
+    # lhs - rhs is 1 on every draw: the batch means do not vary, so the error
+    # bar is 0 and the difference must read as infinitely many of them
+    rep = vf._mc_relation_report("x", [(1.0, mo.one())], [], np.zeros((1000, 2)))
+    assert rep.lhs == 1.0 and rep.tolerance == 0.0
+    assert rep.details["z"] == math.inf
+    assert not rep.passed
+    assert vf._z(-2.0, 0.0) == -math.inf
+    assert vf._z(0.0, 0.0) == 0.0
 
 
 def test_int_by_parts_cases():
