@@ -78,6 +78,11 @@ class RunConfig:
     fmt: str
 
 
+def _dumps(v):
+    """Strict JSON: _jsonable has already spelled every non-finite float."""
+    return json.dumps(v, sort_keys=True, allow_nan=False)
+
+
 class _Writer:
     def __init__(self, config, stream):
         self.config = config
@@ -100,15 +105,12 @@ class _Writer:
             },
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        if self.fmt == "jsonl":
-            self.stream.write(json.dumps(head, sort_keys=True) + "\n")
-        else:
-            self.stream.write("# " + json.dumps(head, sort_keys=True) + "\n")
+        self.stream.write(("" if self.fmt == "jsonl" else "# ") + _dumps(head) + "\n")
 
     def record(self, rec):
         rec = vf._jsonable(rec)
         if self.fmt == "jsonl":
-            self.stream.write(json.dumps(rec, sort_keys=True) + "\n")
+            self.stream.write(_dumps(rec) + "\n")
             return
         if self._csv is None:
             self._fields = list(rec.keys())
@@ -117,8 +119,7 @@ class _Writer:
         elif set(rec) != set(self._fields):
             raise ValueError(f"csv record fields {sorted(rec)} differ from the header's "
                              f"{sorted(self._fields)}")
-        self._csv.writerow({k: json.dumps(v, sort_keys=True) if isinstance(v, dict) else v
-                            for k, v in rec.items()})
+        self._csv.writerow({k: _dumps(v) if isinstance(v, dict) else v for k, v in rec.items()})
 
 
 def _open_out(path):

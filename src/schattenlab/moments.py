@@ -42,6 +42,7 @@ __all__ = [
     "quadrature_moments",
     "closed_form_moment",
     "opnorm_ball_sigma_sq",
+    "sigma_from_values",
     "sigma_pipeline",
     "var_mp_pipeline",
 ]
@@ -420,7 +421,10 @@ class SigmaEstimate:
     method: str
 
 
-def _sigma_from_values(v, d, method):
+def sigma_from_values(v, d, method):
+    """The one sigma^2 estimator: SigmaEstimate of the draws v = ||T||_2^2
+    of a ball of real dimension d, with the delta-method error of the joint
+    batch means of (v, v^2); method names the route that drew v."""
     joint = np.stack([v, v**2], axis=1)
     means, cov, eff = batch_means_cov(joint)
     m, m2 = means
@@ -453,12 +457,15 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
     last factor is 1 and v reads only the radius: "auto" then draws u on the
     pushforward's stream (seed + 1), samples no gas and reports method
     "radial".  Its numbers equal the gas + pushforward route's to rounding.
+    Any other sampler raises ValueError.
     """
+    if sampler not in ("auto", "hit_and_run"):
+        raise ValueError(f"sampler must be 'auto' or 'hit_and_run', got {sampler!r}")
     if sampler == "hit_and_run":
         mats = samplers.matrix_hit_and_run(spec, n_samples=budget, seed=seed,
                                            **(mcmc_kwargs or {}))
         v = ml.frobenius_sq_batch(spec, mats.points)
-        return _sigma_from_values(v, spec.dim, "hit_and_run")
+        return sigma_from_values(v, spec.dim, "hit_and_run")
 
     mapping = ensemble_of(spec)
     params = mapping.params
@@ -470,11 +477,11 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
         samplers._check_budget(budget)
         u = np.random.default_rng(np.random.SeedSequence(seed + 1)).random(budget)
         v = mapping.multiplicity * scale**2 * u ** (2.0 / params.d)
-        return _sigma_from_values(v, spec.dim, "radial")
+        return sigma_from_values(v, spec.dim, "radial")
     gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     ball = samplers.ball_pushforward(gas, params, spec.p, seed=seed + 1, norm_scale=scale)
     v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
-    return _sigma_from_values(v, spec.dim, gas.diagnostics.get("method", "mc"))
+    return sigma_from_values(v, spec.dim, gas.diagnostics.get("method", "mc"))
 
 
 @dataclass(frozen=True)

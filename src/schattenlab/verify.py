@@ -74,10 +74,12 @@ class CheckReport:
 
 
 def _jsonable(v):
+    """v with numpy scalars and arrays made plain, and every non-finite float
+    spelled "inf", "-inf" or "nan", so a record is strict JSON."""
     if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v]
     if isinstance(v, (list, tuple)):
@@ -133,10 +135,33 @@ def _closeness(claim_id, lhs, rhs, tol, details):
 
 
 def _z(num, se):
-    """num / se; a vanishing standard error gives +-inf, or 0 when num is 0 too."""
+    """num / se, the one z behind every 3-sigma verdict.  NaN when se is not
+    finite, so no 3-sigma comparison can pass without an error bar; a
+    vanishing se gives +-inf, or 0 when num is 0 too."""
+    if not math.isfinite(se):
+        return math.nan
     if se > 0:
         return num / se
     return math.copysign(math.inf, num) if num != 0 else 0.0
+
+
+def _mc_report(claim, value, reference, se, ess, side, provenance, details=None, method="mc",
+               ok=True):
+    """Monte Carlo verdict on z = (value - reference) / se: side 0 needs
+    |z| <= 3, side -1 needs z <= -3 and side +1 needs z >= 3 (a NaN z fails
+    all three), and ok any further condition.  The tolerance is 3 se; the
+    details end with z and ess."""
+    z = _z(value - reference, se)
+    return CheckReport(
+        claim_id=claim,
+        passed=bool(ok) and (abs(z) <= 3.0 if side == 0 else side * z >= 3.0),
+        lhs=value,
+        rhs=reference,
+        tolerance=3.0 * se,
+        method=method,
+        provenance=provenance,
+        details={**(details or {}), "z": z, "ess": ess},
+    )
 
 
 def _mean_z(values):
@@ -169,17 +194,7 @@ def _mc_relation_report(claim, lhs_terms, rhs_terms, x):
     for coef, f in rhs_terms:
         diff -= coef * f.fn(x)
     mean, se, eff = batch_means(diff)
-    z = _z(mean, se)
-    return CheckReport(
-        claim_id=claim,
-        passed=abs(z) <= 3.0,
-        lhs=mean,
-        rhs=0.0,
-        tolerance=3.0 * se,
-        method="mc",
-        provenance="shared-draw-difference",
-        details={"z": z, "ess": eff},
-    )
+    return _mc_report(claim, mean, 0.0, se, eff, 0, "shared-draw-difference")
 
 
 def identity_suite_for(params, p, tol=1e-5, method="auto", budget=200_000, seed=0):
@@ -440,11 +455,11 @@ def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, 
         r, se = est.quart_ratio, est.quart_ratio_se
         if p == 2:
             ref = 2.0
-            good = abs(r - ref) <= 0.10 * ref + 3.0 * se
+            good = _z(abs(r - ref) - 0.10 * ref, se) <= 3.0
         else:
             ref = 1.5 if math.isinf(p) else 17.0 / 8.0
             lo = 1.4 if math.isinf(p) else 0.8 * ref
-            good = r - lo >= 3.0 * se
+            good = _z(r - lo, se) >= 3.0
         row = {"n": n, "ratio": r, "se": se, "reference": ref, "passed": good}
         if p == 1:
             row["within_two_sided_20pct"] = bool(abs(r - ref) <= 0.20 * ref)
@@ -464,19 +479,9 @@ def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, 
 
 def check_cross_term_negative(b, c, n, budget=200_000, seed=0):
     """Negative correlation of coordinate squares at p=inf, with 3 sigma."""
-    params = EnsembleParams(2, b, c, n)
-    est = mo.var_mp_pipeline(params, math.inf, budget=budget, seed=seed)
-    z = _z(est.cross_gap, est.cross_gap_se)
-    return CheckReport(
-        claim_id=f"cross-term-negative[(2,{b},{c}),n={n},p=inf]",
-        passed=z <= -3.0,
-        lhs=est.cross_gap,
-        rhs=0.0,
-        tolerance=3.0 * est.cross_gap_se,
-        method="mc",
-        provenance="gas-sampler",
-        details={"z": z, "ess": est.ess},
-    )
+    est = mo.var_mp_pipeline(EnsembleParams(2, b, c, n), math.inf, budget=budget, seed=seed)
+    return _mc_report(f"cross-term-negative[(2,{b},{c}),n={n},p=inf]", est.cross_gap, 0.0,
+                      est.cross_gap_se, est.ess, -1, "gas-sampler")
 
 
 def check_thinshell_large_p(b, n_grid=(8, 16), budget=200_000, seed=0):
@@ -494,7 +499,7 @@ def check_thinshell_large_p(b, n_grid=(8, 16), budget=200_000, seed=0):
     gap_small = abs(rows[0].combination - target)
     gap_large = abs(rows[-1].combination - target)
     se = math.hypot(rows[0].std_err, rows[-1].std_err)
-    trend = gap_large <= gap_small + 3.0 * se
+    trend = _z(gap_large - gap_small, se) <= 3.0
     return CheckReport(
         claim_id=f"thinshell-var-band[b={b}]",
         passed=in_band and trend,
@@ -539,14 +544,11 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
                 r2 = est.coord_sq_mean / npow2
                 r4 = (est.term_quartic / n) / npow2**2
                 ball = sp.ball_pushforward(gas, params, p, seed=seed + 7919 + idx)
-                v = np.sum(ball.points**2, axis=1)
-                mean_v = float(np.mean(v))
-                var_v = float(np.var(v))
-                sigma_sq = d * var_v / mean_v**2
+                sig = mo.sigma_from_values(np.sum(ball.points**2, axis=1), d,
+                                           gas.diagnostics.get("method", "mc"))
                 inv_p = 0.0 if math.isinf(p) else 1.0 / p
-                r_var = est.combination / (max(sigma_sq, inv_p) * npow2**2)
-                vol_factor = d ** (0.5 + inv_p)
-                r_eq1 = mean_v * vol_factor / d
+                r_var = est.combination / (max(sig.sigma_sq, inv_p) * npow2**2)
+                r_eq1 = sig.mean_norm_sq * d ** (0.5 + inv_p) / d
                 good = (
                     band[0] <= r2 <= band[1]
                     and band[0] <= r4 <= band[1]
@@ -563,7 +565,7 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
                         "quartic_order": r4,
                         "var_order": r_var,
                         "eq1_order": r_eq1,
-                        "sigma_sq": sigma_sq,
+                        "sigma_sq": sig.sigma_sq,
                         "passed": good,
                     }
                 )
@@ -589,19 +591,11 @@ def check_sigma_band_hit_and_run(field="R", n=4, budget=30_000, seed=0):
     spec = SchattenSpec(field, "Full", n, math.inf)
     reference = float(mo.opnorm_ball_sigma_sq(field, n))
     est = mo.sigma_pipeline(spec, sampler="hit_and_run", budget=budget, seed=seed)
-    z = _z(est.sigma_sq - reference, est.std_err)
-    ok = band[0] <= est.sigma_sq <= band[1] and abs(z) <= 3.0
-    return CheckReport(
-        claim_id=f"sigma-band-opnorm[{field},n={n}]",
-        passed=ok,
-        lhs=est.sigma_sq,
-        rhs=reference,
-        tolerance=3.0 * est.std_err,
-        method="hit_and_run",
-        provenance="matrix-walk",
-        details={"band": band, "se": est.std_err, "mean_over_dim": est.mean_over_dim,
-                 "reference": reference, "z": z},
-    )
+    return _mc_report(f"sigma-band-opnorm[{field},n={n}]", est.sigma_sq, reference,
+                      est.std_err, est.ess, 0, "matrix-walk",
+                      {"band": band, "se": est.std_err, "mean_over_dim": est.mean_over_dim,
+                       "reference": reference},
+                      method="hit_and_run", ok=band[0] <= est.sigma_sq <= band[1])
 
 
 # ---------------------------------------------------------------------------
@@ -651,35 +645,22 @@ def check_antisym_normalization(n, p, budget=40_000, seed=0):
     sv = ml.batch_singular_values(spec, hr.points)
     theta = sv[:, 0 : 2 * (n // 2) : 2]
     f_hr = np.sum(theta**k, axis=1)
-    m_hr, se_hr, _ = batch_means(f_hr)
+    m_hr, se_hr, ess_hr = batch_means(f_hr)
 
     gas = sp.gas_sample(params, p, budget, seed + 1)
     f_gas = np.sum(np.abs(gas.points) ** k, axis=1)
-    m_gas, se_gas, _ = batch_means(f_gas)
+    m_gas, se_gas, ess_gas = batch_means(f_gas)
     d = params.d
     if math.isinf(p):
         factor = 1.0
     else:
         factor = 2.0 ** (-k / p) * gamma_ratio(d, p, k).value
-    rhs = factor * m_gas
-    se = math.hypot(se_hr, factor * se_gas)
-    z = _z(m_hr - rhs, se)
-    return CheckReport(
-        claim_id=f"antisym-normalization[n={n},p={_p_tag(p)},k={k}]",
-        passed=structure_ok and abs(z) <= 3.0,
-        lhs=m_hr,
-        rhs=rhs,
-        tolerance=3.0 * se,
-        method="mc",
-        provenance="two-estimator",
-        details={
-            "pair_worst": pair_worst,
-            "norm_worst": norm_worst,
-            "z": z,
-            "gamma_factor": factor,
-            "gas_dim": d,
-        },
-    )
+    return _mc_report(f"antisym-normalization[n={n},p={_p_tag(p)},k={k}]", m_hr,
+                      factor * m_gas, math.hypot(se_hr, factor * se_gas), min(ess_hr, ess_gas),
+                      0, "two-estimator",
+                      {"pair_worst": pair_worst, "norm_worst": norm_worst,
+                       "gamma_factor": factor, "gas_dim": d},
+                      ok=structure_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -746,17 +727,13 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
         # isotropy: mean product of distinct diagonal entries
         "diag_product_z": _mean_z(diag_prod),
     }
-
-    ok = abs(sub["rotation_identity_z"]) <= 3.0 and abs(sub["row_col_z"]) <= 3.0
-    ok = ok and abs(sub["diag_product_z"]) <= 3.0
-
     if math.isinf(p):
         # premises of the strict entry-level inequality
         gas = mo.var_mp_pipeline(EnsembleParams(2, beta, beta - 1, n), p,
                                  budget=budget, seed=seed + 5)
         c4, c4_se = gas.quart_ratio, gas.quart_ratio_se
         sub["premise_c4"] = c4
-        sub["premise_c4_below_2"] = 2.0 - c4 >= 3.0 * c4_se
+        sub["premise_c4_below_2"] = _z(2.0 - c4, c4_se) >= 3.0
         sig = mo.sigma_pipeline(spec, budget=min(budget, 50_000), seed=seed + 6)
         sub["premise_sigma_sq"] = sig.sigma_sq
         sub["premise_sigma_small"] = sig.sigma_sq < n
@@ -765,13 +742,14 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
         gap = means[0] - means[1] ** 2
         sub["neg_corr_gap"] = gap
         sub["neg_corr_z"] = _z(gap, delta_se([1.0, -2.0 * means[1]], cov))
-        ok = ok and sub["premise_c4_below_2"] and sub["premise_sigma_small"]
-        ok = ok and sub["neg_corr_z"] <= -3.0
     if p == 2:
         sub["quartic_z"] = _mean_z(quart)
         sub["cross_equal_z"] = _mean_z(adj - diag_cross)
-        ok = ok and abs(sub["quartic_z"]) <= 3.0 and abs(sub["cross_equal_z"]) <= 3.0
 
+    # every z is two-sided but neg_corr_z, which must be significantly negative
+    ok = all([z <= -3.0 if key == "neg_corr_z" else abs(z) <= 3.0
+              for key, z in sub.items() if key.endswith("_z")]
+             + [sub.get("premise_c4_below_2", True), sub.get("premise_sigma_small", True)])
     return CheckReport(
         claim_id=f"entry-correlations[{field},n={n},p={_p_tag(p)}]",
         passed=ok,

@@ -1,14 +1,17 @@
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from schattenlab import cli
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
+from schattenlab import verify as vf
 from schattenlab.ensembles import SchattenSpec
 
 
@@ -250,3 +253,23 @@ def test_too_few_draws_write_an_infinite_error_bar(tmp_path, kind, samples):
     rec = json.loads(data_lines(out)[0])
     errors = {k: v for k, v in rec.items() if k == "std_err" or k.endswith("_se")}
     assert errors and all(v == "inf" for v in errors.values()), errors
+
+
+def _strict_json(line):
+    """json.loads that refuses the non-standard NaN and Infinity constants."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_records_are_strict_json():
+    # a check without an error bar has z NaN; numpy infinities must be spelled too
+    check = vf.check_cross_term_negative(1, 0, 4, budget=3)
+    stream = io.StringIO()
+    writer = cli._Writer(cli.RunConfig("verify", {}, 0, "jsonl"), stream)
+    writer.record(check.to_record())
+    writer.record({"record": "x", "hi": np.float64(np.inf), "lo": np.float32(-np.inf),
+                   "nan": math.nan})
+    first, second = (_strict_json(line) for line in stream.getvalue().splitlines())
+    assert first["z"] == "nan" and first["tolerance"] == "inf"
+    assert second == {"record": "x", "hi": "inf", "lo": "-inf", "nan": "nan"}

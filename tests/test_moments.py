@@ -205,7 +205,7 @@ def test_sigma_pipeline_p2_reads_only_the_radius(spec):
     gas = sp.gas_sample(mapping.params, 2.0, budget, seed)
     ball = sp.ball_pushforward(gas, mapping.params, 2.0, seed=seed + 1, norm_scale=scale)
     v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
-    ref = mo._sigma_from_values(v, spec.dim, "explicit")
+    ref = mo.sigma_from_values(v, spec.dim, "explicit")
     assert est.method == "radial"
     for key in ("sigma_sq", "mean_norm_sq", "std_err"):
         assert getattr(est, key) == pytest.approx(getattr(ref, key), rel=1e-10, abs=0.0)
@@ -214,6 +214,12 @@ def test_sigma_pipeline_p2_reads_only_the_radius(spec):
 def test_sigma_pipeline_p2_needs_a_budget():
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 2.0), budget=0)
+
+
+def test_sigma_pipeline_rejects_an_unknown_sampler():
+    # a hyphen for the underscore must not fall through to the radial route
+    with pytest.raises(ValueError, match="sampler must be 'auto' or 'hit_and_run'"):
+        mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 2.0), sampler="hit-and-run", budget=10)
 
 
 def test_var_mp_pipeline_terms():

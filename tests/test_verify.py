@@ -65,6 +65,30 @@ def test_mc_relation_with_a_zero_error_bar_fails():
     assert vf._z(0.0, 0.0) == 0.0
 
 
+# Three draws are too few for a batch-means error bar (it is inf below 4), so
+# each Monte Carlo verdict must fail whatever its estimate reads.
+_THREE_DRAW_CHECKS = {
+    "mc-relation": lambda: vf.identity_suite_for(EnsembleParams(2, 1, 0, 2), 2.0, method="mc",
+                                                 budget=3),
+    "cross-term-negative": lambda: [vf.check_cross_term_negative(1, 0, 4, budget=3)],
+    "sigma-band": lambda: [vf.check_sigma_band_hit_and_run("R", 4, budget=3)],
+    "antisym-normalization": lambda: [vf.check_antisym_normalization(4, 3.0, budget=3)],
+    "entry-correlations-p2": lambda: [vf.check_entry_correlations("R", 2.0, n=4, budget=3)],
+    "quartic-ratio-p2": lambda: [vf.check_neg_correlation_threshold(1, 0, 2.0, n_grid=(16,),
+                                                                    budget=3)],
+    "thinshell-trend": lambda: [vf.check_thinshell_large_p(1, budget=3)],
+}
+
+
+@pytest.mark.parametrize("name", list(_THREE_DRAW_CHECKS))
+def test_mc_checks_without_an_error_bar_fail(name):
+    assert math.isnan(vf._z(1.0, math.inf))
+    for rep in _THREE_DRAW_CHECKS[name]():
+        assert not rep.passed, rep
+        if "trend_ok" in rep.details:
+            assert rep.details["trend_ok"] is False
+
+
 def test_int_by_parts_cases():
     assert vf.check_int_by_parts(EnsembleParams(2, 1, 0, 2), 2.0, xi=2, f_id="one").passed
     assert vf.check_int_by_parts(EnsembleParams(1, 2, 0, 2), 2.0, xi=2, f_id="one").passed
