@@ -232,17 +232,14 @@ def closed_form_moment(d, s, l, p):
     return math.exp(math.lgamma((d + l + s) / p) - math.lgamma((d + s) / p))
 
 
-def opnorm_ball_sigma_sq(field, n):
-    """Exact sigma^2 = D (E||T||_2^4 / (E||T||_2^2)^2 - 1) of the uniform law on
-    the Full n x n operator-norm ball over `field`, D = beta n^2, as a Fraction.
-
-    y = s^2 of the singular values has the Selberg density
-    prod |y_i - y_j|^beta prod y_i^(beta/2 - 1) on [0, 1]^n.  Aomoto's formula,
-    with alpha = gamma = beta/2, gives E y_1 and E y_1 y_2; Kadell's Selberg
-    average of the Jack polynomial P_(2) = sum y^2 + w e_2 gives E sum y^2.
-    """
-    beta = BETA[field]
-    alpha = gamma = Fraction(beta, 2)
+def _opnorm_ball_moments(field, n):
+    """(E y_1, E y_1 y_2, E sum y^2) as Fractions, y = s^2 of the singular values
+    of the uniform law on the Full n x n operator-norm ball over field.  y has
+    the Selberg density prod |y_i - y_j|^beta prod y_i^(beta/2 - 1) on [0, 1]^n:
+    Aomoto's formula (alpha = gamma = beta/2) gives E y_1 ... y_m, and Kadell's
+    Selberg average of the Jack polynomial P_(2) = sum y^2 + w e_2 gives
+    E sum y^2."""
+    alpha = gamma = Fraction(BETA[field], 2)
 
     def aomoto(m):
         """E y_1 ... y_m."""
@@ -254,10 +251,17 @@ def opnorm_ball_sigma_sq(field, n):
     w = 2 / (1 + 1 / gamma)
     a1, b1 = alpha + (n - 1) * gamma, alpha + 1 + (2 * n - 2) * gamma
     jack = (n + Fraction(n * (n - 1), 2) * w) * a1 * (a1 + 1) / (b1 * (b1 + 1))
-    e2 = Fraction(n * (n - 1), 2) * aomoto(2)  # E e_2
-    sum_sq = jack - w * e2  # E sum y^2
-    m1, m2 = n * aomoto(1), sum_sq + 2 * e2  # E ||T||_2^2 and E ||T||_2^4
-    return beta * n * n * (m2 / (m1 * m1) - 1)
+    y1y2 = aomoto(2)
+    return aomoto(1), y1y2, jack - w * Fraction(n * (n - 1), 2) * y1y2
+
+
+def opnorm_ball_sigma_sq(field, n):
+    """Exact sigma^2 = D (E||T||_2^4 / (E||T||_2^2)^2 - 1) of the uniform law on
+    the Full n x n operator-norm ball over `field`, D = beta n^2, as a Fraction,
+    from the Selberg averages of _opnorm_ball_moments."""
+    y1, y1y2, sum_sq = _opnorm_ball_moments(field, n)
+    m1, m2 = n * y1, sum_sq + n * (n - 1) * y1y2  # E ||T||_2^2 and E ||T||_2^4
+    return BETA[field] * n * n * (m2 / (m1 * m1) - 1)
 
 
 # ---------------------------------------------------------------------------

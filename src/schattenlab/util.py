@@ -17,25 +17,26 @@ def batch_means(values):
 def batch_means_cov(values):
     """Joint batch-means estimate for a (N, k) sample path.
 
-    Returns (means, cov_of_mean, ess): cov_of_mean is the k x k covariance
-    matrix of the vector of sample means, from batches of floor(sqrt(N))
-    draws with the tail trimmed, and ess is the smallest per-column effective
-    sample size, capped at N.  Below 4 draws there are too few batches for
-    an error bar, so the covariance is inf and ess is N.
+    Returns (means, cov_of_mean, ess): means are over all N draws,
+    cov_of_mean is the k x k covariance matrix of the vector of sample means,
+    from batches of floor(sqrt(N)) draws with the tail trimmed, and ess is
+    the smallest per-column effective sample size, capped at N.  Below 4
+    draws there are too few batches for an error bar, so the covariance is
+    inf and ess is N.  Each column is reduced as one contiguous row.
     """
-    values = np.asarray(values, dtype=float)
-    n, k = values.shape
+    cols = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    k, n = cols.shape
     if n < 4:
-        return values.mean(axis=0), np.full((k, k), math.inf), float(n)
+        return cols.mean(axis=1), np.full((k, k), math.inf), float(n)
     b = math.isqrt(n)
     nb = n // b
-    trimmed = values[: nb * b]
-    bm = trimmed.reshape(nb, b, k).mean(axis=1)
-    cov = np.atleast_2d(np.cov(bm.T, ddof=1)) / nb
-    var_bm = np.var(bm, axis=0, ddof=1)
-    var_all = np.var(trimmed, axis=0, ddof=1)
+    trimmed = cols[:, : nb * b]
+    bm = trimmed.reshape(k, nb, b).mean(axis=2)
+    cov = np.atleast_2d(np.cov(bm, ddof=1)) / nb
+    var_bm = np.var(bm, axis=1, ddof=1)
+    var_all = np.var(trimmed, axis=1, ddof=1)
     ess = min([n] + [nb * va / vb for va, vb in zip(var_all, var_bm) if vb > 0])
-    return trimmed.mean(axis=0), cov, float(ess)
+    return cols.mean(axis=1), cov, float(ess)
 
 
 def delta_se(grad, cov):

@@ -708,7 +708,9 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
     Verifies the rotation identity linking adjacent and disjoint cross terms
     through the quartic term, the position symmetries, vanishing mean products,
     and the regime facts: strict negative correlation of same-row squares at
-    p = inf (premises checked first), and vanishing quartic term at p = 2.
+    p = inf, and vanishing quartic term at p = 2.  The p = inf premises, the
+    gas quartic ratio c4 = E x1^4 / (E x1^2)^2 below 2 and sigma^2 below n,
+    are exact Selberg averages of the ball (moments._opnorm_ball_moments).
     """
     spec = SchattenSpec(field, "Full", n, p)
     beta = BETA[field]
@@ -728,15 +730,12 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
         "diag_product_z": _mean_z(diag_prod),
     }
     if math.isinf(p):
-        # premises of the strict entry-level inequality
-        gas = mo.var_mp_pipeline(EnsembleParams(2, beta, beta - 1, n), p,
-                                 budget=budget, seed=seed + 5)
-        c4, c4_se = gas.quart_ratio, gas.quart_ratio_se
-        sub["premise_c4"] = c4
-        sub["premise_c4_below_2"] = _z(2.0 - c4, c4_se) >= 3.0
-        sig = mo.sigma_pipeline(spec, budget=min(budget, 50_000), seed=seed + 6)
-        sub["premise_sigma_sq"] = sig.sigma_sq
-        sub["premise_sigma_small"] = sig.sigma_sq < n
+        # premises of the strict entry-level inequality, exact Selberg averages
+        y1, _, sum_sq = mo._opnorm_ball_moments(field, n)
+        sub["premise_c4"] = c4 = float(sum_sq / (n * y1 * y1))
+        sub["premise_c4_below_2"] = c4 < 2.0
+        sub["premise_sigma_sq"] = sigma_sq = float(mo.opnorm_ball_sigma_sq(field, n))
+        sub["premise_sigma_small"] = sigma_sq < n
         joint = np.stack([adj, m2], axis=1)
         means, cov, _ = batch_means_cov(joint)
         gap = means[0] - means[1] ** 2
@@ -766,39 +765,30 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
 # isotropic constant of the operator-norm ball
 
 def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0):
-    """Isotropic constant of the operator-norm ball against its dimension-free
-    limit 1/sqrt(pi e^{3/2}), within 15%.
-
-    The volume radius of the ball enters as a quoted asymptotic input; the
-    Euclidean second moment comes from the cube-restricted gas.
+    """Isotropic constant L_n = sqrt(E||T||_2^2 / D) |K|^(-1/D) of the Full
+    n x n operator-norm ball K over field, D = beta n^2, exact at every n: it
+    must lie within 15% of its limit 1/sqrt(pi e^{3/2}), and the mean ||T||_2^2
+    of Metropolis draws must meet the exact E||T||_2^2 (Aomoto's) with |z| <= 3.
+    |K| = pi^(D/2) Z_inf / Z_2, Z_q the integral of the singular-value density
+    against exp(-||x||_q^q) (the SVD Jacobian cancels against the Frobenius
+    ball's): Selberg's integral over Mehta's, a product of Gammas.
     """
     beta = BETA[field]
-    if field == "R":
-        vol_radius = 0.5 * math.sqrt(2.0 * math.pi * math.exp(1.5) / n)
-    elif field == "C":
-        vol_radius = 0.5 * math.sqrt(math.pi * math.exp(1.5) / n)
-    else:
-        raise ValueError("volume asymptotics quoted for R and C only")
     params = EnsembleParams(2, beta, beta - 1, n)
-    gas = sp.gas_sample(params, math.inf, budget, seed)
-    v = np.sum(gas.points**2, axis=1)
-    e2, se, _ = batch_means(v)
     d = params.d
-    rel_tol = 0.15
-    l_est = math.sqrt(e2 / d) / vol_radius
-    target = 1.0 / math.sqrt(math.pi * math.exp(1.5))
-    # definitional consistency: E||T||_2^2 = d L^2 |K|^{2/d}
-    recon = d * l_est**2 * vol_radius**2
-    return CheckReport(
-        claim_id=f"isotropic-constant[{field},n={n}]",
-        passed=abs(l_est / target - 1.0) <= rel_tol and abs(recon - e2) <= 1e-9 * e2,
-        lhs=l_est,
-        rhs=target,
-        tolerance=rel_tol * target,
-        method="mc",
-        provenance="quoted-volume-asymptotics",
-        details={"mean_norm_sq": e2, "se": se, "reconstructed": recon},
-    )
+    norm_sq = float(n * mo._opnorm_ball_moments(field, n)[0])
+    log_vol = 0.5 * d * math.log(math.pi) + math.fsum(
+        math.lgamma(1 + j * beta / 2) - math.lgamma(1 + beta / 2 + (n + j - 1) * beta / 2)
+        for j in range(n))
+    vol_radius = math.exp(log_vol / d)
+    l_n = math.sqrt(norm_sq / d) / vol_radius
+    l_inf = 1.0 / math.sqrt(math.pi * math.exp(1.5))
+    gas = sp.gas_sample(params, math.inf, budget, seed)
+    mean, se, ess = batch_means(np.sum(gas.points**2, axis=1))
+    details = {"vol_radius": vol_radius, "l_n": l_n, "l_inf": l_inf, "l_ratio": l_n / l_inf,
+               "rel_tol": 0.15}
+    return _mc_report(f"isotropic-constant[{field},n={n}]", mean, norm_sq, se, ess, 0,
+                      "exact-selberg-volume", details, ok=abs(l_n / l_inf - 1.0) <= 0.15)
 
 
 def report_k2_isotropy(subspace, n=3, budget=20_000, seed=0):

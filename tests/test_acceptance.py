@@ -231,7 +231,9 @@ def test_a11_isotropic_constant():
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 300.0
     _line("A11", ok, elapsed,
-          f"L = {rep.lhs:.4f} vs formula value {rep.rhs:.4f} (tolerance 15%)")
+          f"exact L_n/L_inf = {rep.details['l_ratio']:.5f} (tolerance 15%); "
+          f"draws' mean ||T||^2 = {rep.lhs:.4f} vs exact {rep.rhs:.4f}, "
+          f"z = {rep.details['z']:.2f}")
     assert rep.passed, rep
     assert elapsed < 300.0
 

@@ -134,10 +134,15 @@ def test_opnorm_ball_sigma_sq_matches_oracle(field):
     beta = BETA[field]
     for n in (1, 2, 3):
         params = EnsembleParams(2, beta, beta - 1, n)
-        est = mo.quadrature_moments(params, math.inf, ["norm2_sq", "norm2_4"])
+        est = mo.quadrature_moments(params, math.inf,
+                                    ["norm2_sq", "norm2_4", mo.coord_pow(2), mo.coord_pow(4)])
         m2, m4 = est["norm2_sq"].value, est["norm2_4"].value
         oracle = beta * n * n * (m4 / m2**2 - 1.0)
         assert float(mo.opnorm_ball_sigma_sq(field, n)) == pytest.approx(oracle, rel=1e-12)
+        # the gas quartic ratio c4 = E x1^4 / (E x1^2)^2 from the same Selberg averages
+        y1, _, sum_sq = mo._opnorm_ball_moments(field, n)
+        c4 = est["x1_pow4"].value / est["x1_pow2"].value ** 2
+        assert float(sum_sq / (n * y1 * y1)) == pytest.approx(c4, rel=1e-12)
     exact = {"R": (4, Fraction(25, 44)), "C": (3, Fraction(18, 35)), "H": (2, Fraction(9, 20))}
     n, value = exact[field]
     assert mo.opnorm_ball_sigma_sq(field, n) == value

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schattenlab.ensembles import EnsembleParams, SchattenSpec
+from schattenlab.ensembles import BETA, EnsembleParams, SchattenSpec
 from schattenlab import matrixlab as ml
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
@@ -77,6 +77,7 @@ _THREE_DRAW_CHECKS = {
     "quartic-ratio-p2": lambda: [vf.check_neg_correlation_threshold(1, 0, 2.0, n_grid=(16,),
                                                                     budget=3)],
     "thinshell-trend": lambda: [vf.check_thinshell_large_p(1, budget=3)],
+    "isotropic-constant": lambda: [vf.check_isotropic_constant_limit("R", 16, budget=3)],
 }
 
 
@@ -201,9 +202,48 @@ def test_entry_correlations_memory_does_not_grow_with_budget():
 
 
 def test_isotropic_constant():
-    rep = vf.check_isotropic_constant_limit("R", 16, budget=30_000, seed=10)
-    assert rep.passed
-    assert rep.rhs == pytest.approx(1.0 / math.sqrt(math.pi * math.exp(1.5)), rel=1e-12)
+    for field in ("R", "C", "H"):
+        rep = vf.check_isotropic_constant_limit(field, 16, budget=30_000, seed=10)
+        assert rep.passed, rep
+        assert rep.details["l_inf"] == pytest.approx(1.0 / math.sqrt(math.pi * math.exp(1.5)),
+                                                     rel=1e-12)
+
+
+def test_isotropic_constant_is_exact(monkeypatch):
+    # the exact part of A11 needs no draws: stub them out with 4 zero points
+    monkeypatch.setattr(vf.sp, "gas_sample", lambda params, p, budget, seed, **kwargs:
+                        sp.SampleBatch(np.zeros((4, params.n))))
+
+    def exact(field, n):
+        return vf.check_isotropic_constant_limit(field, n, budget=4)
+
+    # n = 1: the interval [-1, 1] and the unit disc
+    assert exact("R", 1).details["l_n"] == pytest.approx(1 / math.sqrt(12), abs=1e-15)
+    assert exact("C", 1).details["l_n"] == pytest.approx(1 / math.sqrt(4 * math.pi), abs=1e-15)
+    ratios = {("R", 16): 1.00629, ("R", 64): 1.00154, ("R", 1024): 1.00009,
+              ("C", 16): 1.00066,
+              ("H", 4): 0.99375, ("H", 16): 0.99741, ("H", 1024): 0.99995}
+    for (field, n), ratio in ratios.items():
+        rep = exact(field, n)
+        assert rep.details["l_ratio"] == pytest.approx(ratio, abs=1e-5)
+        beta = BETA[field]
+        assert rep.rhs == pytest.approx(n * n * beta / (2 + (2 * n - 1) * beta), rel=1e-15)
+    # (the n -> inf radius 0.5 sqrt(2 pi e^{3/2} / n) reads 0.663317 there, 2.2% above)
+    assert exact("R", 16).details["vol_radius"] == pytest.approx(0.649103, abs=1e-6)
+
+
+def test_isotropic_constant_fails_for_the_wrong_family(monkeypatch):
+    # planted fault: R's check fed the complex Full family's singular values
+    orig = sp.gas_sample
+
+    def complex_draws(params, p, budget, seed, **kwargs):
+        return orig(EnsembleParams(2, 2, 1, params.n), p, budget, seed, **kwargs)
+
+    monkeypatch.setattr(vf.sp, "gas_sample", complex_draws)
+    rep = vf.check_isotropic_constant_limit("R", 16, budget=10_000, seed=10)
+    assert not rep.passed
+    assert abs(rep.details["z"]) > 3.0
+    assert abs(rep.details["l_ratio"] - 1.0) <= rep.details["rel_tol"]
 
 
 def test_k2_isotropy_report_runs():
