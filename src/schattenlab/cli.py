@@ -40,7 +40,7 @@ def _parse_p(text):
     if text.strip().lower() == "inf":
         return math.inf
     p = float(text)
-    if p < 1:
+    if not (p >= 1):
         raise argparse.ArgumentTypeError("p must be >= 1 or 'inf'")
     return p
 

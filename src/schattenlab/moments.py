@@ -17,7 +17,7 @@ import numpy as np
 from . import density
 from . import matrixlab as ml
 from . import samplers
-from .ensembles import BETA, ensemble_of
+from .ensembles import BETA, EnsembleParams, ensemble_of
 from .util import batch_means, batch_means_cov, delta_se
 
 __all__ = [
@@ -232,14 +232,14 @@ def closed_form_moment(d, s, l, p):
     return math.exp(math.lgamma((d + l + s) / p) - math.lgamma((d + s) / p))
 
 
-def _opnorm_ball_moments(field, n):
-    """(E y_1, E y_1 y_2, E sum y^2) as Fractions, y = s^2 of the singular values
-    of the uniform law on the Full n x n operator-norm ball over field.  y has
-    the Selberg density prod |y_i - y_j|^beta prod y_i^(beta/2 - 1) on [0, 1]^n:
-    Aomoto's formula (alpha = gamma = beta/2) gives E y_1 ... y_m, and Kadell's
-    Selberg average of the Jack polynomial P_(2) = sum y^2 + w e_2 gives
-    E sum y^2."""
-    alpha = gamma = Fraction(BETA[field], 2)
+def _selberg_moments(params):
+    """(E y_1, E y_1 y_2, E sum y^2) as Fractions, y = x^2 of the (2, b, c) gas at
+    p = inf (0 for E y_1 y_2 at n = 1).  y has the Selberg density
+    prod |y_i - y_j|^b prod y_i^((c-1)/2) on [0, 1]^n: Aomoto's formula
+    (alpha = (c+1)/2, gamma = b/2) gives E y_1 ... y_m, and Kadell's Selberg
+    average of the Jack polynomial P_(2) = sum y^2 + w e_2 gives E sum y^2."""
+    n = params.n
+    alpha, gamma = Fraction(params.c + 1, 2), Fraction(params.b, 2)
 
     def aomoto(m):
         """E y_1 ... y_m."""
@@ -251,15 +251,15 @@ def _opnorm_ball_moments(field, n):
     w = 2 / (1 + 1 / gamma)
     a1, b1 = alpha + (n - 1) * gamma, alpha + 1 + (2 * n - 2) * gamma
     jack = (n + Fraction(n * (n - 1), 2) * w) * a1 * (a1 + 1) / (b1 * (b1 + 1))
-    y1y2 = aomoto(2)
+    y1y2 = aomoto(2) if n > 1 else Fraction(0)
     return aomoto(1), y1y2, jack - w * Fraction(n * (n - 1), 2) * y1y2
 
 
 def opnorm_ball_sigma_sq(field, n):
     """Exact sigma^2 = D (E||T||_2^4 / (E||T||_2^2)^2 - 1) of the uniform law on
     the Full n x n operator-norm ball over `field`, D = beta n^2, as a Fraction,
-    from the Selberg averages of _opnorm_ball_moments."""
-    y1, y1y2, sum_sq = _opnorm_ball_moments(field, n)
+    from the Selberg averages of _selberg_moments."""
+    y1, y1y2, sum_sq = _selberg_moments(EnsembleParams(2, BETA[field], BETA[field] - 1, n))
     m1, m2 = n * y1, sum_sq + n * (n - 1) * y1y2  # E ||T||_2^2 and E ||T||_2^4
     return BETA[field] * n * n * (m2 / (m1 * m1) - 1)
 
@@ -493,7 +493,8 @@ class VarMpEstimate:
     """Var_{M_p}(||x||_2^2) split into its symmetrized moment terms.
 
     combination = term_quartic + term_cross - term_square, estimated jointly
-    on shared draws with a covariance-aware standard error.
+    on shared draws with a covariance-aware standard error.  method names the
+    route: the gas batch's method, or "exact-selberg" with every error bar 0.
     """
 
     term_quartic: float
@@ -509,14 +510,21 @@ class VarMpEstimate:
     quart_ratio_se: float
     ess: float
     n: int
+    method: str
 
 
 def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=None):
-    """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws."""
+    """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws; with
+    no gas, an a=2 family at p=inf reads the exact _selberg_moments instead."""
+    n = params.n
+    if gas is None and params.a == 2 and math.isinf(p):
+        samplers._check_budget(budget)
+        y1, y1y2, sum_sq = _selberg_moments(params)
+        return _var_mp_estimate(n, (sum_sq / n, y1y2, y1), np.zeros((3, 3)), math.inf,
+                                "exact-selberg")
     if gas is None:
         gas = samplers.gas_sample(params, p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     x = gas.points
-    n = params.n
     t4 = np.mean(x**4, axis=1)
     m2 = np.mean(x**2, axis=1)
     if n > 1:
@@ -526,8 +534,12 @@ def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=Non
         cross = np.zeros(len(x))
     joint = np.stack([t4, cross, m2], axis=1)
     means, cov, eff = batch_means_cov(joint)
-    e4, ec, e2 = means
+    return _var_mp_estimate(n, means, cov, eff, gas.diagnostics.get("method", "mc"))
 
+
+def _var_mp_estimate(n, means, cov, eff, method):
+    """VarMpEstimate from the means of (x1^4, x1^2 x2^2, x1^2) and their covariance."""
+    e4, ec, e2 = means
     term_quartic = n * e4
     term_cross = n * (n - 1) * ec
     term_square = n**2 * e2**2
@@ -546,4 +558,5 @@ def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=Non
         quart_ratio_se=delta_se([1.0 / e2**2, 0.0, -2.0 * e4 / e2**3], cov),
         ess=eff,
         n=n,
+        method=method,
     )

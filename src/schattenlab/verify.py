@@ -438,12 +438,13 @@ def check_entry_identities(per_field=1000, n_range=(2, 8), tol=1e-9, seed=0):
 def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, seed=0):
     """Ratio r = M(x1^4) M(1) / M(x1^2)^2 against its regime reference.
 
-    p=inf: r >= 1.4 at 3 sigma (strict-inequality threshold with slack for the
-    vanishing finite-size correction); p=2: within 10% of 2; p=1: at least
-    (1 - 20%) * 17/8 at 3 sigma.  The 17/8 reference is a lower bound, not a
-    limit value: the measured ratio settles near 2.70 for both b = 1 and
-    b = 2, so only the one-sided comparison is asserted; the report still
-    carries the two-sided band position.  Any other p raises ValueError.
+    p=inf: r >= 1.4, exact from the Selberg averages (strict-inequality
+    threshold with slack for the vanishing finite-size correction); p=2:
+    within 10% of 2 at 3 sigma; p=1: at least (1 - 20%) * 17/8 at 3 sigma.
+    The 17/8 reference is a lower bound, not a limit value: the measured
+    ratio settles near 2.70 for both b = 1 and b = 2, so only the one-sided
+    comparison is asserted; the report still carries the two-sided band
+    position.  Any other p raises ValueError.
     """
     if p not in (1, 2) and not math.isinf(p):
         raise ValueError(f"quartic-ratio references exist for p in {{1, 2, inf}}, got {p!r}")
@@ -471,30 +472,27 @@ def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, 
         lhs=rows[-1]["ratio"],
         rhs=rows[-1]["reference"],
         tolerance=3.0 * rows[-1]["se"],
-        method="mc",
-        provenance="gas-sampler",
+        method="exact" if math.isinf(p) else "mc",
+        provenance="selberg-averages" if math.isinf(p) else "gas-sampler",
         details={"grid": rows},
     )
 
 
-def check_cross_term_negative(b, c, n, budget=200_000, seed=0):
-    """Negative correlation of coordinate squares at p=inf, with 3 sigma."""
-    est = mo.var_mp_pipeline(EnsembleParams(2, b, c, n), math.inf, budget=budget, seed=seed)
+def check_cross_term_negative(b, c, n):
+    """Negative correlation of coordinate squares at p=inf, from the exact
+    Selberg averages (an error bar of 0)."""
+    est = mo.var_mp_pipeline(EnsembleParams(2, b, c, n), math.inf)
     return _mc_report(f"cross-term-negative[(2,{b},{c}),n={n},p=inf]", est.cross_gap, 0.0,
-                      est.cross_gap_se, est.ess, -1, "gas-sampler")
+                      est.cross_gap_se, est.ess, -1, "selberg-averages", method="exact")
 
 
-def check_thinshell_large_p(b, n_grid=(8, 16), budget=200_000, seed=0):
-    """Var at p=inf: band [1/(32b), 1/(2b)] around the 1/(8b) limit plus a
-    closer-with-n trend for the larger size."""
+def check_thinshell_large_p(b, n_grid=(8, 16)):
+    """Var at p=inf, exact from the Selberg averages: band [1/(32b), 1/(2b)]
+    around the 1/(8b) limit plus a closer-with-n trend for the larger size."""
     c = b - 1
     target = 1.0 / (8.0 * b)
     band = (target / 4.0, target * 4.0)
-    rows = []
-    for i, n in enumerate(n_grid):
-        params = EnsembleParams(2, b, c, n)
-        est = mo.var_mp_pipeline(params, math.inf, budget=budget, seed=seed + 31 * i)
-        rows.append(est)
+    rows = [mo.var_mp_pipeline(EnsembleParams(2, b, c, n), math.inf) for n in n_grid]
     in_band = all(band[0] <= est.combination <= band[1] for est in rows)
     gap_small = abs(rows[0].combination - target)
     gap_large = abs(rows[-1].combination - target)
@@ -506,8 +504,8 @@ def check_thinshell_large_p(b, n_grid=(8, 16), budget=200_000, seed=0):
         lhs=rows[-1].combination,
         rhs=target,
         tolerance=3.0 * se,
-        method="mc",
-        provenance="gas-sampler",
+        method="exact",
+        provenance="selberg-averages",
         details={
             "band": band,
             "estimates": [{"n": n, "var": est.combination, "se": est.std_err}
@@ -710,7 +708,7 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
     and the regime facts: strict negative correlation of same-row squares at
     p = inf, and vanishing quartic term at p = 2.  The p = inf premises, the
     gas quartic ratio c4 = E x1^4 / (E x1^2)^2 below 2 and sigma^2 below n,
-    are exact Selberg averages of the ball (moments._opnorm_ball_moments).
+    are exact Selberg averages of the ball (moments._selberg_moments).
     """
     spec = SchattenSpec(field, "Full", n, p)
     beta = BETA[field]
@@ -731,7 +729,7 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
     }
     if math.isinf(p):
         # premises of the strict entry-level inequality, exact Selberg averages
-        y1, _, sum_sq = mo._opnorm_ball_moments(field, n)
+        y1, _, sum_sq = mo._selberg_moments(EnsembleParams(2, beta, beta - 1, n))
         sub["premise_c4"] = c4 = float(sum_sq / (n * y1 * y1))
         sub["premise_c4_below_2"] = c4 < 2.0
         sub["premise_sigma_sq"] = sigma_sq = float(mo.opnorm_ball_sigma_sq(field, n))
@@ -776,7 +774,7 @@ def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0):
     beta = BETA[field]
     params = EnsembleParams(2, beta, beta - 1, n)
     d = params.d
-    norm_sq = float(n * mo._opnorm_ball_moments(field, n)[0])
+    norm_sq = float(n * mo._selberg_moments(params)[0])
     log_vol = 0.5 * d * math.log(math.pi) + math.fsum(
         math.lgamma(1 + j * beta / 2) - math.lgamma(1 + beta / 2 + (n + j - 1) * beta / 2)
         for j in range(n))
@@ -874,10 +872,10 @@ def _suite_entries(budget_scale=1.0, seed=0):
 def _suite_negcorr(budget_scale=1.0, seed=0):
     b = max(10_000, int(150_000 * budget_scale))
     out = [
-        check_cross_term_negative(1, 0, 4, budget=b, seed=seed),
-        check_cross_term_negative(1, 0, 8, budget=b, seed=seed + 1),
-        check_cross_term_negative(2, 1, 4, budget=b, seed=seed + 2),
-        check_cross_term_negative(2, 1, 8, budget=b, seed=seed + 3),
+        check_cross_term_negative(1, 0, 4),
+        check_cross_term_negative(1, 0, 8),
+        check_cross_term_negative(2, 1, 4),
+        check_cross_term_negative(2, 1, 8),
         check_neg_correlation_threshold(1, 0, math.inf, n_grid=(4, 8, 16),
                                         budget=b, seed=seed + 4),
         check_neg_correlation_threshold(1, 0, 2.0, n_grid=(16,), budget=b, seed=seed + 5),
@@ -890,10 +888,9 @@ def _suite_negcorr(budget_scale=1.0, seed=0):
 
 
 def _suite_thinshell(budget_scale=1.0, seed=0):
-    b = max(20_000, int(200_000 * budget_scale))
     return [
-        check_thinshell_large_p(1, budget=b, seed=seed),
-        check_thinshell_large_p(2, budget=b, seed=seed + 1),
+        check_thinshell_large_p(1),
+        check_thinshell_large_p(2),
         check_sigma_band_hit_and_run("R", 4, budget=max(4000, int(20_000 * budget_scale)),
                                      seed=seed + 2),
         check_isotropic_constant_limit("R", 16, budget=max(10_000, int(60_000 * budget_scale)),

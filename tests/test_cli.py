@@ -16,10 +16,12 @@ from schattenlab.ensembles import SchattenSpec
 
 
 def run_cli(*args):
+    # a hung run fails its test rather than stalling the suite
     proc = subprocess.run(
         [sys.executable, "-m", "schattenlab.cli", *args],
         capture_output=True,
         text=True,
+        timeout=60,
     )
     return proc
 
@@ -162,6 +164,14 @@ def test_usage_errors():
     assert run_cli("sample", "matrix", "--samples", "0").returncode == cli.EXIT_USAGE
     assert run_cli("estimate", "sigma", "--sampler", "hit_and_run",
                    "--samples", "0").returncode == cli.EXIT_USAGE
+    # the exact p=inf route draws nothing, yet still refuses an empty budget
+    assert run_cli("estimate", "var", "--p", "inf", "--samples", "0").returncode == cli.EXIT_USAGE
+    # NaN must fail every bound, never reach a sampler's start loop
+    for args in (("estimate", "var"), ("estimate", "moment"), ("sample", "gas"),
+                 ("gamma",)):
+        assert run_cli(*args, "--p", "nan").returncode == cli.EXIT_USAGE, args
+    assert run_cli("gamma", "--d", "nan").returncode == cli.EXIT_USAGE
+    assert run_cli("gamma", "--q", "nan").returncode == cli.EXIT_USAGE
     # the narrowing flags act on the identities suite alone
     assert run_cli("verify", "--suite", "gamma", "--ensemble", "9,9,9", "--n", "7",
                    "--p", "5", "--tol", "1e-30").returncode == cli.EXIT_USAGE
@@ -221,7 +231,8 @@ def test_chain_flags_reach_the_sampler(tmp_path):
 
 
 _VAR_COLUMNS = ("record,ensemble,n,p,term_quartic,term_cross,term_square,combination,std_err,"
-                "cross_gap,cross_gap_se,coord_sq_mean,coord_sq_se,quart_ratio,quart_ratio_se,ess")
+                "cross_gap,cross_gap_se,coord_sq_mean,coord_sq_se,quart_ratio,quart_ratio_se,ess,"
+                "method")
 _ESTIMATES = {
     "sigma": (("estimate", "sigma", "--n", "2", "--p", "2"),
               "record,field,subspace,n,p,sigma_sq,std_err,var_norm_sq,mean_norm_sq,dim,"
@@ -264,7 +275,7 @@ def _strict_json(line):
 
 def test_records_are_strict_json():
     # a check without an error bar has z NaN; numpy infinities must be spelled too
-    check = vf.check_cross_term_negative(1, 0, 4, budget=3)
+    check = vf.check_isotropic_constant_limit("R", 4, budget=3)
     stream = io.StringIO()
     writer = cli._Writer(cli.RunConfig("verify", {}, 0, "jsonl"), stream)
     writer.record(check.to_record())

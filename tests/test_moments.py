@@ -91,13 +91,25 @@ def _aomoto_product_mean(b, c, n, k):
                      for i in range(1, k + 1))
 
 
-@pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1)])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3), (2, 1, 1), (2, 2, 0), (2, 2, 2),
+                                 (2, 3, 0)])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_quadrature_aomoto_at_p_infinity(abc, n):
-    ests = mo.quadrature_moments(EnsembleParams(*abc, n), math.inf, ["x1_sq", "x1sq_x2sq"])
+    params = EnsembleParams(*abc, n)
+    pair = ["x1sq_x2sq"] if n > 1 else []
+    ests = mo.quadrature_moments(params, math.inf, ["x1_sq", "x1_pow4", *pair])
     _, b, c = abc
+    # the exact Selberg averages: E y1, E y1 y2 and E sum y^2 / n with y = x^2
+    y1, y1y2, sum_sq = mo._selberg_moments(params)
     assert ests["x1_pow2"].value == pytest.approx(_aomoto_product_mean(b, c, n, 1), rel=1e-10)
+    assert float(y1) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
+    assert float(sum_sq / n) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
+    if n == 1:
+        # no pair: for (2,3,0) Aomoto's E y1 y2 would divide by alpha + 1 - gamma = 0
+        assert y1y2 == 0
+        return
     assert ests["x1sq_x2sq"].value == pytest.approx(_aomoto_product_mean(b, c, n, 2), rel=1e-10)
+    assert float(y1y2) == pytest.approx(ests["x1sq_x2sq"].value, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -140,7 +152,7 @@ def test_opnorm_ball_sigma_sq_matches_oracle(field):
         oracle = beta * n * n * (m4 / m2**2 - 1.0)
         assert float(mo.opnorm_ball_sigma_sq(field, n)) == pytest.approx(oracle, rel=1e-12)
         # the gas quartic ratio c4 = E x1^4 / (E x1^2)^2 from the same Selberg averages
-        y1, _, sum_sq = mo._opnorm_ball_moments(field, n)
+        y1, _, sum_sq = mo._selberg_moments(params)
         c4 = est["x1_pow4"].value / est["x1_pow2"].value ** 2
         assert float(sum_sq / (n * y1 * y1)) == pytest.approx(c4, rel=1e-12)
     exact = {"R": (4, Fraction(25, 44)), "C": (3, Fraction(18, 35)), "H": (2, Fraction(9, 20))}

@@ -45,6 +45,35 @@ def test_mcmc_infinite_p_stays_in_cube():
     assert np.max(np.abs(batch.points)) <= 1.0
 
 
+# each statistic of var_mp_pipeline with the field holding its error bar
+_SE_OF = {"coord_sq_mean": "coord_sq_se", "cross_gap": "cross_gap_se",
+          "quart_ratio": "quart_ratio_se", "combination": "std_err"}
+
+
+def _z_against_exact(drawn, exact):
+    return {k: (getattr(drawn, k) - getattr(exact, k)) / getattr(drawn, se)
+            for k, se in _SE_OF.items()}
+
+
+def test_metropolis_meets_selberg_averages_at_p_inf():
+    # Metropolis draws at p=inf against the exact Selberg averages that
+    # var_mp_pipeline reads when it is given no draws
+    drawn = {}
+    for abc, n in (((2, 1, 0), 8), ((2, 2, 1), 8), ((2, 4, 3), 4), ((2, 1, 1), 4),
+                   ((2, 2, 0), 4)):
+        params = EnsembleParams(*abc, n)
+        gas = sp.mcmc_sample(params, math.inf, n_samples=40_000, seed=123)
+        drawn[abc] = mo.var_mp_pipeline(params, math.inf, gas=gas)
+        exact = mo.var_mp_pipeline(params, math.inf)
+        assert (drawn[abc].method, exact.method) == ("mcmc", "exact-selberg")
+        z = _z_against_exact(drawn[abc], exact)
+        assert all(abs(v) <= 3.0 for v in z.values()), (abc, n, z)
+    # planted fault: (2,2,1) draws against the (2,1,0) averages at n=8
+    wrong = _z_against_exact(drawn[(2, 2, 1)],
+                             mo.var_mp_pipeline(EnsembleParams(2, 1, 0, 8), math.inf))
+    assert all(abs(v) > 3.0 for v in wrong.values()), wrong
+
+
 def test_exact_p2_moments():
     for params, expect in [
         (EnsembleParams(2, 1, 0, 2), 2.0),
