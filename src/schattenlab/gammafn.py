@@ -26,8 +26,8 @@ def gamma_ratio(d, p, q):
     Returns a GammaRatio carrying the exact value, the approximant and the
     multiplicative discrepancy value/approximant.
     """
-    if not (d >= 1 and p >= 1 and q >= 0):
-        raise ValueError("gamma_ratio requires d >= 1, p >= 1, q >= 0")
+    if not (1 <= d < math.inf and 1 <= p < math.inf and 0 <= q < math.inf):
+        raise ValueError("gamma_ratio requires finite d >= 1, p >= 1, q >= 0")
     log_value = math.lgamma(1.0 + d / p) - math.lgamma(1.0 + (d + q) / p)
     value = math.exp(log_value)
     approximant = ((d + p + q) / p) ** (-q / p)
@@ -72,8 +72,8 @@ def gamma_gap(d, p):
     in [1, 1e5]^2; at most 7.8e-15 against the exact rationals at p = 1, 2 and
     d = 1, 10, ..., 1e7.
     """
-    if not (d >= 1 and p >= 1):
-        raise ValueError("gamma_gap requires d >= 1, p >= 1")
+    if not (1 <= d < math.inf and 1 <= p < math.inf):
+        raise ValueError("gamma_gap requires finite d >= 1, p >= 1")
     x = 1.0 + d / p
     h = 2.0 / p
     second = 0.0

@@ -17,7 +17,7 @@ import numpy as np
 from . import density
 from . import matrixlab as ml
 from . import samplers
-from .ensembles import BETA, EnsembleParams, ensemble_of
+from .ensembles import ensemble_of
 from .util import batch_means, batch_means_cov, delta_se
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "quadrature_moment",
     "quadrature_moments",
     "closed_form_moment",
-    "opnorm_ball_sigma_sq",
     "sigma_from_values",
     "sigma_pipeline",
     "var_mp_pipeline",
@@ -255,15 +254,6 @@ def _selberg_moments(params):
     return aomoto(1), y1y2, jack - w * Fraction(n * (n - 1), 2) * y1y2
 
 
-def opnorm_ball_sigma_sq(field, n):
-    """Exact sigma^2 = D (E||T||_2^4 / (E||T||_2^2)^2 - 1) of the uniform law on
-    the Full n x n operator-norm ball over `field`, D = beta n^2, as a Fraction,
-    from the Selberg averages of _selberg_moments."""
-    y1, y1y2, sum_sq = _selberg_moments(EnsembleParams(2, BETA[field], BETA[field] - 1, n))
-    m1, m2 = n * y1, sum_sq + n * (n - 1) * y1y2  # E ||T||_2^2 and E ||T||_2^4
-    return BETA[field] * n * n * (m2 / (m1 * m1) - 1)
-
-
 # ---------------------------------------------------------------------------
 # deterministic quadrature oracle (n <= 3)
 #
@@ -412,7 +402,8 @@ class SigmaEstimate:
 
     std_err is the delta-method error of sigma_sq from the joint batch means
     of (v, v^2), inf below 4 draws; ess is the smaller of their effective
-    sample sizes.  The fields are in the order of the CLI's sigma record.
+    sample sizes.  On the exact route (method "exact-selberg") std_err is 0
+    and ess inf.  The fields are in the order of the CLI's sigma record.
     """
 
     sigma_sq: float
@@ -429,16 +420,18 @@ def sigma_from_values(v, d, method):
     """The one sigma^2 estimator: SigmaEstimate of the draws v = ||T||_2^2
     of a ball of real dimension d, with the delta-method error of the joint
     batch means of (v, v^2); method names the route that drew v."""
-    joint = np.stack([v, v**2], axis=1)
-    means, cov, eff = batch_means_cov(joint)
-    m, m2 = means
+    means, cov, eff = batch_means_cov(np.stack([v, v**2], axis=1))
+    return _sigma_estimate(d, *means, cov, eff, method)
+
+
+def _sigma_estimate(d, m, m2, cov, eff, method):
+    """SigmaEstimate from the means m, m2 of (v, v^2) and their covariance;
+    the exact route passes Fractions and a zero covariance."""
     var = m2 - m * m
-    sigma_sq = d * var / m**2
     # delta method on (m, m2) -> d*(m2/m^2 - 1)
-    se = delta_se([-2.0 * d * m2 / m**3, d / m**2], cov)
     return SigmaEstimate(
-        sigma_sq=float(sigma_sq),
-        std_err=se,
+        sigma_sq=float(d * var / m**2),
+        std_err=delta_se([-2.0 * d * m2 / m**3, d / m**2], cov),
         var_norm_sq=float(var),
         mean_norm_sq=float(m),
         dim=int(d),
@@ -461,7 +454,9 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
     last factor is 1 and v reads only the radius: "auto" then draws u on the
     pushforward's stream (seed + 1), samples no gas and reports method
     "radial".  Its numbers equal the gas + pushforward route's to rounding.
-    Any other sampler raises ValueError.
+    At p=inf the pushforward is the identity: an a=2 ball (Full, ComplexSymmetric,
+    AntiSymHermitian) reads the exact _selberg_moments, method "exact-selberg",
+    with no draws (budget must still be >= 1).  Other samplers raise ValueError.
     """
     if sampler not in ("auto", "hit_and_run"):
         raise ValueError(f"sampler must be 'auto' or 'hit_and_run', got {sampler!r}")
@@ -473,9 +468,14 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
 
     mapping = ensemble_of(spec)
     params = mapping.params
-    scale = 1.0 if math.isinf(spec.p) else 2.0 ** (-1.0 / spec.p)
-    if mapping.multiplicity == 1:
-        scale = 1.0
+    if params.a == 2 and math.isinf(spec.p):
+        samplers._check_budget(budget)
+        n, k = params.n, mapping.multiplicity
+        y1, y1y2, sum_sq = _selberg_moments(params)
+        m, m2 = k * n * y1, k * k * (sum_sq + n * (n - 1) * y1y2)  # E v and E v^2
+        return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, "exact-selberg")
+    # a doubled coordinate set carries the ball's p-norm as 2 ||x||_p^p
+    scale = 1.0 if mapping.multiplicity == 1 else 2.0 ** (-1.0 / spec.p)
     if spec.p == 2:
         # ||x||_2 / ||x||_p = 1 here, so the gas would cancel out of v
         samplers._check_budget(budget)

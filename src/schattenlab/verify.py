@@ -584,10 +584,10 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
 def check_sigma_band_hit_and_run(field="R", n=4, budget=30_000, seed=0):
     """Thin-shell statistic of the operator-norm ball by the matrix walk: in
     the dimension-free band [0.01, 10] and within 3 standard errors of its
-    exact value, moments.opnorm_ball_sigma_sq."""
+    exact value, read by sigma_pipeline's exact Selberg route."""
     band = (0.01, 10.0)
     spec = SchattenSpec(field, "Full", n, math.inf)
-    reference = float(mo.opnorm_ball_sigma_sq(field, n))
+    reference = mo.sigma_pipeline(spec).sigma_sq
     est = mo.sigma_pipeline(spec, sampler="hit_and_run", budget=budget, seed=seed)
     return _mc_report(f"sigma-band-opnorm[{field},n={n}]", est.sigma_sq, reference,
                       est.std_err, est.ess, 0, "matrix-walk",
@@ -708,7 +708,7 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
     and the regime facts: strict negative correlation of same-row squares at
     p = inf, and vanishing quartic term at p = 2.  The p = inf premises, the
     gas quartic ratio c4 = E x1^4 / (E x1^2)^2 below 2 and sigma^2 below n,
-    are exact Selberg averages of the ball (moments._selberg_moments).
+    are exact Selberg averages, read by var_mp_pipeline and sigma_pipeline.
     """
     spec = SchattenSpec(field, "Full", n, p)
     beta = BETA[field]
@@ -729,10 +729,9 @@ def check_entry_correlations(field, p, n=4, budget=60_000, seed=0):
     }
     if math.isinf(p):
         # premises of the strict entry-level inequality, exact Selberg averages
-        y1, _, sum_sq = mo._selberg_moments(EnsembleParams(2, beta, beta - 1, n))
-        sub["premise_c4"] = c4 = float(sum_sq / (n * y1 * y1))
+        sub["premise_c4"] = c4 = mo.var_mp_pipeline(ensemble_of(spec).params, p).quart_ratio
         sub["premise_c4_below_2"] = c4 < 2.0
-        sub["premise_sigma_sq"] = sigma_sq = float(mo.opnorm_ball_sigma_sq(field, n))
+        sub["premise_sigma_sq"] = sigma_sq = mo.sigma_pipeline(spec).sigma_sq
         sub["premise_sigma_small"] = sigma_sq < n
         joint = np.stack([adj, m2], axis=1)
         means, cov, _ = batch_means_cov(joint)
@@ -772,16 +771,16 @@ def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0):
     ball's): Selberg's integral over Mehta's, a product of Gammas.
     """
     beta = BETA[field]
-    params = EnsembleParams(2, beta, beta - 1, n)
-    d = params.d
-    norm_sq = float(n * mo._selberg_moments(params)[0])
+    spec = SchattenSpec(field, "Full", n, math.inf)
+    d = spec.dim
+    norm_sq = mo.sigma_pipeline(spec).mean_norm_sq
     log_vol = 0.5 * d * math.log(math.pi) + math.fsum(
         math.lgamma(1 + j * beta / 2) - math.lgamma(1 + beta / 2 + (n + j - 1) * beta / 2)
         for j in range(n))
     vol_radius = math.exp(log_vol / d)
     l_n = math.sqrt(norm_sq / d) / vol_radius
     l_inf = 1.0 / math.sqrt(math.pi * math.exp(1.5))
-    gas = sp.gas_sample(params, math.inf, budget, seed)
+    gas = sp.gas_sample(ensemble_of(spec).params, math.inf, budget, seed)
     mean, se, ess = batch_means(np.sum(gas.points**2, axis=1))
     details = {"vol_radius": vol_radius, "l_n": l_n, "l_inf": l_inf, "l_ratio": l_n / l_inf,
                "rel_tol": 0.15}

@@ -217,7 +217,8 @@ def test_a10_orders_of_magnitude():
     if bad:
         print(
             "  note: the fourth-moment and variance constants at p=1 for the "
-            "(2,2,1) family sit near 95-120; the deterministic quadrature "
+            "(2,2,1) family tend to x1^2 6.580, x1^4 6 pi^4/5 = 116.89 and "
+            "var pi^4 = 97.41 as n -> inf; the deterministic quadrature "
             "oracle confirms M_1(x1^4)/M_1(1) / n^4 = 117.86 at n=2 and "
             "117.32 at n=3, so the [1/20, 20] band cannot hold there."
         )

@@ -68,6 +68,18 @@ def test_estimate_sigma_record(tmp_path):
     assert abs(rec["sigma_sq"] - 0.5) < 0.05
 
 
+def test_estimate_sigma_exact_opnorm_record(tmp_path):
+    jl, cs = tmp_path / "s.jsonl", tmp_path / "s.csv"
+    args = ("estimate", "sigma", "--p", "inf", "--field", "C", "--subspace", "antisymhermitian",
+            "--n", "4")
+    assert cli.main([*args, "--out", str(jl)]) == cli.EXIT_OK
+    assert cli.main([*args, "--format", "csv", "--out", str(cs)]) == cli.EXIT_OK
+    rec = json.loads(data_lines(jl)[0])
+    assert (rec["sigma_sq"], rec["std_err"], rec["ess"], rec["method"]) == (
+        0.5333333333333333, 0.0, "inf", "exact-selberg")
+    assert data_lines(cs)[0] == _ESTIMATES["sigma"][1]
+
+
 def test_estimate_moment_quadrature(tmp_path):
     out = tmp_path / "m.jsonl"
     proc = run_cli(
@@ -164,14 +176,19 @@ def test_usage_errors():
     assert run_cli("sample", "matrix", "--samples", "0").returncode == cli.EXIT_USAGE
     assert run_cli("estimate", "sigma", "--sampler", "hit_and_run",
                    "--samples", "0").returncode == cli.EXIT_USAGE
-    # the exact p=inf route draws nothing, yet still refuses an empty budget
+    # the exact p=inf routes draw nothing, yet still refuse an empty budget
     assert run_cli("estimate", "var", "--p", "inf", "--samples", "0").returncode == cli.EXIT_USAGE
+    assert run_cli("estimate", "sigma", "--p", "inf",
+                   "--samples", "0").returncode == cli.EXIT_USAGE
     # NaN must fail every bound, never reach a sampler's start loop
     for args in (("estimate", "var"), ("estimate", "moment"), ("sample", "gas"),
                  ("gamma",)):
         assert run_cli(*args, "--p", "nan").returncode == cli.EXIT_USAGE, args
     assert run_cli("gamma", "--d", "nan").returncode == cli.EXIT_USAGE
     assert run_cli("gamma", "--q", "nan").returncode == cli.EXIT_USAGE
+    # an infinite argument has no Gamma ratio either, never a record of NaNs
+    for flag in ("--d", "--p", "--q"):
+        assert run_cli("gamma", flag, "inf").returncode == cli.EXIT_USAGE, flag
     # the narrowing flags act on the identities suite alone
     assert run_cli("verify", "--suite", "gamma", "--ensemble", "9,9,9", "--n", "7",
                    "--p", "5", "--tol", "1e-30").returncode == cli.EXIT_USAGE

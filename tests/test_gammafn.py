@@ -89,3 +89,13 @@ def test_gamma_gap_exact_rationals():
             exact = _exact_gap(d, p)
             err = abs(Fraction(gamma_gap(float(d), float(p))) - exact) / exact
             assert err <= 1e-13, (d, p, float(err))
+
+
+@pytest.mark.parametrize("d, p, q", [(math.inf, 2.0, 2.0), (4.0, math.inf, 2.0),
+                                     (4.0, 2.0, math.inf), (4.0, 2.0, math.nan)])
+def test_gamma_functions_reject_non_finite_arguments(d, p, q):
+    with pytest.raises(ValueError, match="finite"):
+        gamma_ratio(d, p, q)
+    if math.isfinite(q):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_gap(d, p)

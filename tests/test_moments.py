@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from schattenlab.ensembles import BETA, EnsembleParams, SchattenSpec, ensemble_of
+from schattenlab.ensembles import EnsembleParams, SchattenSpec, ensemble_of
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
 
@@ -141,23 +142,92 @@ def test_closed_form_moment_values():
             mo.closed_form_moment(4, 0, 2, p)
 
 
+def _no_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact p=inf route must draw nothing")
+
+    monkeypatch.setattr(sp, "gas_sample", refuse)
+
+
+def _exact_sigma_meets_oracle(spec):
+    """The exact route's sigma^2 against the oracle's D (E||x||^4 / (E||x||^2)^2 - 1)."""
+    params = ensemble_of(spec).params
+    est = mo.quadrature_moments(params, math.inf, ["norm2_sq", "norm2_4"])
+    m2, m4 = est["norm2_sq"].value, est["norm2_4"].value
+    exact = mo.sigma_pipeline(spec)
+    assert exact.sigma_sq == pytest.approx(spec.dim * (m4 / m2**2 - 1.0), rel=1e-12)
+    assert (exact.method, exact.std_err, exact.ess) == ("exact-selberg", 0.0, math.inf)
+    return exact
+
+
 @pytest.mark.parametrize("field", ["R", "C", "H"])
-def test_opnorm_ball_sigma_sq_matches_oracle(field):
-    beta = BETA[field]
+def test_sigma_pipeline_exact_opnorm_full_matches_oracle(field, monkeypatch):
+    _no_draws(monkeypatch)
     for n in (1, 2, 3):
-        params = EnsembleParams(2, beta, beta - 1, n)
-        est = mo.quadrature_moments(params, math.inf,
-                                    ["norm2_sq", "norm2_4", mo.coord_pow(2), mo.coord_pow(4)])
-        m2, m4 = est["norm2_sq"].value, est["norm2_4"].value
-        oracle = beta * n * n * (m4 / m2**2 - 1.0)
-        assert float(mo.opnorm_ball_sigma_sq(field, n)) == pytest.approx(oracle, rel=1e-12)
+        spec = SchattenSpec(field, "Full", n, math.inf)
+        _exact_sigma_meets_oracle(spec)
         # the gas quartic ratio c4 = E x1^4 / (E x1^2)^2 from the same Selberg averages
-        y1, _, sum_sq = mo._selberg_moments(params)
+        params = ensemble_of(spec).params
+        est = mo.quadrature_moments(params, math.inf, [mo.coord_pow(2), mo.coord_pow(4)])
         c4 = est["x1_pow4"].value / est["x1_pow2"].value ** 2
-        assert float(sum_sq / (n * y1 * y1)) == pytest.approx(c4, rel=1e-12)
+        assert mo.var_mp_pipeline(params, math.inf).quart_ratio == pytest.approx(c4, rel=1e-12)
     exact = {"R": (4, Fraction(25, 44)), "C": (3, Fraction(18, 35)), "H": (2, Fraction(9, 20))}
     n, value = exact[field]
-    assert mo.opnorm_ball_sigma_sq(field, n) == value
+    assert mo.sigma_pipeline(SchattenSpec(field, "Full", n, math.inf)).sigma_sq == float(value)
+
+
+@pytest.mark.parametrize("spec", [
+    *(SchattenSpec("C", "ComplexSymmetric", n, math.inf) for n in (1, 2, 3)),
+    *(SchattenSpec("C", "AntiSymHermitian", n, math.inf) for n in range(2, 8)),
+], ids=lambda s: f"{s.subspace}-{s.n}")
+def test_sigma_pipeline_exact_opnorm_subspaces_match_oracle(spec, monkeypatch):
+    # every a=2 ball at p=inf: (2,1,1) and (2,2,2r) on floor(n/2) <= 3 coordinates
+    _no_draws(monkeypatch)
+    exact = _exact_sigma_meets_oracle(spec)
+    assert exact.sigma_sq == pytest.approx(
+        exact.dim * exact.var_norm_sq / exact.mean_norm_sq**2, rel=1e-12)
+    assert exact.mean_over_dim == pytest.approx(exact.mean_norm_sq / spec.dim, rel=1e-15)
+
+
+_WALK_CASES = {
+    "cs3": (SchattenSpec("C", "ComplexSymmetric", 3, math.inf), Fraction(4, 7)),
+    "ash4": (SchattenSpec("C", "AntiSymHermitian", 4, math.inf), Fraction(8, 15)),
+    "ash5": (SchattenSpec("C", "AntiSymHermitian", 5, math.inf), Fraction(40, 77)),
+}
+
+
+def _walk_z(spec, seed):
+    """z of the matrix walk's sigma^2 against the exact route's, and both
+    routes' mean ||T||_2^2."""
+    walk = mo.sigma_pipeline(spec, sampler="hit_and_run", budget=20_000, seed=seed)
+    exact = mo.sigma_pipeline(spec)
+    return (walk.sigma_sq - exact.sigma_sq) / walk.std_err, walk.mean_norm_sq, exact.mean_norm_sq
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_sigma_pipeline_exact_opnorm_meets_the_matrix_walk(case, seed):
+    spec, value = _WALK_CASES[case]
+    assert mo.sigma_pipeline(spec).sigma_sq == float(value)
+    z, walk_mean, exact_mean = _walk_z(spec, seed)
+    assert abs(z) <= 3.0
+    # the means differ by under 1% at these seeds; a lost multiplicity is a factor 2
+    assert walk_mean == pytest.approx(exact_mean, rel=0.02)
+
+
+def test_sigma_pipeline_exact_opnorm_walk_catches_a_lost_forced_zero(monkeypatch):
+    # planted fault: n=5 mapped without its forced zero, (2,2,0) in place of (2,2,2)
+    spec = _WALK_CASES["ash5"][0]
+    true_map = mo.ensemble_of
+
+    def no_forced_zero(s):
+        m = true_map(s)
+        return dataclasses.replace(m, params=dataclasses.replace(m.params, c=0),
+                                   forced_zero=False)
+
+    monkeypatch.setattr(mo, "ensemble_of", no_forced_zero)
+    assert mo.sigma_pipeline(spec).sigma_sq == float(Fraction(8, 9))
+    assert abs(_walk_z(spec, 0)[0]) > 3.0
 
 
 def test_homogeneous_transfer_on_grid():
