@@ -45,6 +45,13 @@ def _parse_p(text):
     return p
 
 
+def _parse_positive(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
 def _parse_count(minimum):
     def parse(text):
         if not text.strip().lstrip("-").isdigit() or int(text) < minimum:
@@ -289,13 +296,13 @@ def build_parser():
     v = subs.add_parser("verify", help="run a named check suite")
     v.add_argument("--suite", default="all",
                    choices=("all",) + tuple(vf.SUITES.keys()))
-    v.add_argument("--budget-scale", type=float, default=1.0,
+    v.add_argument("--budget-scale", type=_parse_positive, default=1.0,
                    help="multiplier on the default sampling budgets")
     v.add_argument("--ensemble", type=_parse_ensemble, default=None,
                    help="narrow the identities suite to one (a,b,c)")
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--p", type=_parse_p, default=None)
-    v.add_argument("--tol", type=float, default=None,
+    v.add_argument("--tol", type=_parse_positive, default=None,
                    help="identity tolerance override")
     _add_common(v)
     v.set_defaults(func=_cmd_verify)

@@ -254,6 +254,24 @@ def _selberg_moments(params):
     return aomoto(1), y1y2, jack - w * Fraction(n * (n - 1), 2) * y1y2
 
 
+def _exact_gas_moments(params, p):
+    """(E x1^4, E x1^2 x2^2, E x1^2) as Fractions (the pair 0 at n = 1) where
+    (family, p) has closed forms, else None.  p = inf, a = 2: Selberg averages.
+    p = 2, the families exact_p2_sample draws: ||x||^2 is Gamma(d/2), and
+    E sum x^4 is identity 1 (a = 2) or the Gaussian beta ensemble's (a = 1)."""
+    n, a, b, c = params.n, params.a, params.b, params.c
+    if a == 2 and math.isinf(p):
+        y1, y1y2, sum_sq = _selberg_moments(params)
+        return sum_sq / n, y1y2, y1
+    if p != 2 or not (a == 2 or (a == 1 and c == 0)):
+        return None
+    s2 = Fraction(params.d, 2)
+    quartic = ((Fraction(2 * params.d, n) + 1 - c) * s2 / 2 if a == 2
+               else (3 * s2 + b * ((n - 1) * s2 + (Fraction(n, 2) - s2) / 2)) / 2)
+    cross = (s2 * (s2 + 1) - quartic) / (n * (n - 1)) if n > 1 else Fraction(0)
+    return quartic / n, cross, s2 / n
+
+
 # ---------------------------------------------------------------------------
 # deterministic quadrature oracle (n <= 3)
 #
@@ -402,8 +420,8 @@ class SigmaEstimate:
 
     std_err is the delta-method error of sigma_sq from the joint batch means
     of (v, v^2), inf below 4 draws; ess is the smaller of their effective
-    sample sizes.  On the exact route (method "exact-selberg") std_err is 0
-    and ess inf.  The fields are in the order of the CLI's sigma record.
+    sample sizes; on an "exact-" route std_err is 0 and ess inf.  The fields
+    are in the order of the CLI's sigma record.
     """
 
     sigma_sq: float
@@ -444,19 +462,16 @@ def _sigma_estimate(d, m, m2, cov, eff, method):
 def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=None):
     """Estimate the thin-shell statistic of K_{p,E} from the singular-value law.
 
-    sampler: "auto" (gas draws, then the radial pushforward; at p=2 the radius
-    alone, see below) or "hit_and_run" for the direct matrix walk.
-    mcmc_kwargs (n_chains, burn_in, thinning) go to whichever chain sampler
-    runs: Metropolis or hit-and-run.
+    sampler: "auto" (exact where _exact_gas_moments answers for the ball's
+    gas, else gas draws and the radial pushforward) or "hit_and_run" for the
+    direct matrix walk.  mcmc_kwargs (n_chains, burn_in, thinning) go to
+    whichever chain sampler runs: Metropolis or hit-and-run.
 
     The pushforward sends x to scale * u^(1/d) * x / ||x||_p, so
-    v = multiplicity * scale^2 * u^(2/d) * ||x||_2^2 / ||x||_p^2.  At p=2 the
-    last factor is 1 and v reads only the radius: "auto" then draws u on the
-    pushforward's stream (seed + 1), samples no gas and reports method
-    "radial".  Its numbers equal the gas + pushforward route's to rounding.
-    At p=inf the pushforward is the identity: an a=2 ball (Full, ComplexSymmetric,
-    AntiSymHermitian) reads the exact _selberg_moments, method "exact-selberg",
-    with no draws (budget must still be >= 1).  Other samplers raise ValueError.
+    v = multiplicity * scale^2 * u^(2/d) * ||x||_2^2 / ||x||_p^2: u^(2/dim) at
+    p=2 on every subspace ("exact-radial"), and multiplicity * ||x||_2^2 for
+    an a=2 ball at p=inf ("exact-selberg").  The exact routes draw nothing
+    (budget must still be >= 1).  Other samplers raise ValueError.
     """
     if sampler not in ("auto", "hit_and_run"):
         raise ValueError(f"sampler must be 'auto' or 'hit_and_run', got {sampler!r}")
@@ -467,24 +482,20 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
         return sigma_from_values(v, spec.dim, "hit_and_run")
 
     mapping = ensemble_of(spec)
-    params = mapping.params
-    if params.a == 2 and math.isinf(spec.p):
+    params, k, dim = mapping.params, mapping.multiplicity, Fraction(spec.dim)
+    if (gas_moments := _exact_gas_moments(params, spec.p)) is not None:
         samplers._check_budget(budget)
-        n, k = params.n, mapping.multiplicity
-        y1, y1y2, sum_sq = _selberg_moments(params)
-        m, m2 = k * n * y1, k * k * (sum_sq + n * (n - 1) * y1y2)  # E v and E v^2
-        return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, "exact-selberg")
+        if spec.p == 2:  # the gas cancels out of v = u^(2/dim)
+            m, m2, method = dim / (dim + 2), dim / (dim + 4), "exact-radial"
+        else:  # p = inf: v = k ||x||_2^2
+            (e4, ec, e2), n = gas_moments, params.n
+            m, m2, method = k * n * e2, k * k * n * (e4 + (n - 1) * ec), "exact-selberg"
+        return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, method)
     # a doubled coordinate set carries the ball's p-norm as 2 ||x||_p^p
-    scale = 1.0 if mapping.multiplicity == 1 else 2.0 ** (-1.0 / spec.p)
-    if spec.p == 2:
-        # ||x||_2 / ||x||_p = 1 here, so the gas would cancel out of v
-        samplers._check_budget(budget)
-        u = np.random.default_rng(np.random.SeedSequence(seed + 1)).random(budget)
-        v = mapping.multiplicity * scale**2 * u ** (2.0 / params.d)
-        return sigma_from_values(v, spec.dim, "radial")
+    scale = 1.0 if k == 1 else 2.0 ** (-1.0 / spec.p)
     gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     ball = samplers.ball_pushforward(gas, params, spec.p, seed=seed + 1, norm_scale=scale)
-    v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
+    v = k * np.sum(ball.points**2, axis=1)
     return sigma_from_values(v, spec.dim, gas.diagnostics.get("method", "mc"))
 
 
@@ -494,7 +505,7 @@ class VarMpEstimate:
 
     combination = term_quartic + term_cross - term_square, estimated jointly
     on shared draws with a covariance-aware standard error.  method names the
-    route: the gas batch's method, or "exact-selberg" with every error bar 0.
+    route: the gas batch's method, or an "exact-" one with every error bar 0.
     """
 
     term_quartic: float
@@ -515,13 +526,12 @@ class VarMpEstimate:
 
 def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=None):
     """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws; with
-    no gas, an a=2 family at p=inf reads the exact _selberg_moments instead."""
+    no gas, _exact_gas_moments's closed forms where it has them instead."""
     n = params.n
-    if gas is None and params.a == 2 and math.isinf(p):
+    if gas is None and (exact := _exact_gas_moments(params, p)) is not None:
         samplers._check_budget(budget)
-        y1, y1y2, sum_sq = _selberg_moments(params)
-        return _var_mp_estimate(n, (sum_sq / n, y1y2, y1), np.zeros((3, 3)), math.inf,
-                                "exact-selberg")
+        method = "exact-selberg" if math.isinf(p) else "exact-gaussian"
+        return _var_mp_estimate(n, exact, np.zeros((3, 3)), math.inf, method)
     if gas is None:
         gas = samplers.gas_sample(params, p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     x = gas.points

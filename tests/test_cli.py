@@ -176,10 +176,11 @@ def test_usage_errors():
     assert run_cli("sample", "matrix", "--samples", "0").returncode == cli.EXIT_USAGE
     assert run_cli("estimate", "sigma", "--sampler", "hit_and_run",
                    "--samples", "0").returncode == cli.EXIT_USAGE
-    # the exact p=inf routes draw nothing, yet still refuse an empty budget
-    assert run_cli("estimate", "var", "--p", "inf", "--samples", "0").returncode == cli.EXIT_USAGE
-    assert run_cli("estimate", "sigma", "--p", "inf",
-                   "--samples", "0").returncode == cli.EXIT_USAGE
+    # the exact routes draw nothing, yet still refuse an empty budget
+    for quantity in ("var", "sigma"):
+        for p in ("2", "inf"):
+            assert run_cli("estimate", quantity, "--p", p,
+                           "--samples", "0").returncode == cli.EXIT_USAGE, (quantity, p)
     # NaN must fail every bound, never reach a sampler's start loop
     for args in (("estimate", "var"), ("estimate", "moment"), ("sample", "gas"),
                  ("gamma",)):
@@ -193,6 +194,17 @@ def test_usage_errors():
     assert run_cli("verify", "--suite", "gamma", "--ensemble", "9,9,9", "--n", "7",
                    "--p", "5", "--tol", "1e-30").returncode == cli.EXIT_USAGE
     assert run_cli("verify", "--suite", "all", "--tol", "1e-3").returncode == cli.EXIT_USAGE
+    # a narrowing that selects no identity configuration is no pass
+    assert run_cli("verify", "--suite", "identities", "--n", "7").returncode == cli.EXIT_USAGE
+    assert run_cli("verify", "--suite", "identities", "--ensemble", "2,1,0", "--n", "2",
+                   "--p", "inf").returncode == cli.EXIT_USAGE
+    # budget scales and tolerances are finite and positive
+    for scale in ("inf", "1e400", "-1", "nan"):
+        assert run_cli("verify", "--suite", "entries",
+                       "--budget-scale", scale).returncode == cli.EXIT_USAGE, scale
+    for tol in ("inf", "nan", "0"):
+        assert run_cli("verify", "--suite", "identities",
+                       "--tol", tol).returncode == cli.EXIT_USAGE, tol
 
 
 def test_header_carries_config(tmp_path):
@@ -250,12 +262,13 @@ def test_chain_flags_reach_the_sampler(tmp_path):
 _VAR_COLUMNS = ("record,ensemble,n,p,term_quartic,term_cross,term_square,combination,std_err,"
                 "cross_gap,cross_gap_se,coord_sq_mean,coord_sq_se,quart_ratio,quart_ratio_se,ess,"
                 "method")
+# sigma, var and sweep run at p=4: at p=2 they read closed forms and draw nothing
 _ESTIMATES = {
-    "sigma": (("estimate", "sigma", "--n", "2", "--p", "2"),
+    "sigma": (("estimate", "sigma", "--n", "2", "--p", "4"),
               "record,field,subspace,n,p,sigma_sq,std_err,var_norm_sq,mean_norm_sq,dim,"
               "mean_over_dim,ess,method"),
-    "var": (("estimate", "var", "--n", "2", "--p", "2"), _VAR_COLUMNS),
-    "sweep": (("sweep", "--ensembles", "2,1,0", "--n-list", "2", "--p-list", "2"), _VAR_COLUMNS),
+    "var": (("estimate", "var", "--n", "2", "--p", "4"), _VAR_COLUMNS),
+    "sweep": (("sweep", "--ensembles", "2,1,0", "--n-list", "2", "--p-list", "4"), _VAR_COLUMNS),
     "moment": (("estimate", "moment", "--n", "2", "--p", "2"),
                "record,ensemble,n,p,functional,value,std_err,n_samples,ess,method,"
                "low_confidence"),

@@ -103,6 +103,7 @@ def test_quadrature_aomoto_at_p_infinity(abc, n):
     # the exact Selberg averages: E y1, E y1 y2 and E sum y^2 / n with y = x^2
     y1, y1y2, sum_sq = mo._selberg_moments(params)
     assert ests["x1_pow2"].value == pytest.approx(_aomoto_product_mean(b, c, n, 1), rel=1e-10)
+    assert mo._exact_gas_moments(params, math.inf) == (sum_sq / n, y1y2, y1)
     assert float(y1) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
     assert float(sum_sq / n) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
     if n == 1:
@@ -111,6 +112,33 @@ def test_quadrature_aomoto_at_p_infinity(abc, n):
         return
     assert ests["x1sq_x2sq"].value == pytest.approx(_aomoto_product_mean(b, c, n, 2), rel=1e-10)
     assert float(y1y2) == pytest.approx(ests["x1sq_x2sq"].value, rel=1e-12)
+
+
+@pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3), (2, 1, 1), (2, 2, 0), (2, 2, 2),
+                                 (2, 3, 0), (1, 1, 0), (1, 2, 0), (1, 4, 0)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadrature_gaussian_moments_at_p2(abc, n):
+    # the p=2 closed forms: Gamma(d/2) for ||x||_2^2, with identity 1 (a=2) or
+    # the Gaussian beta ensemble's fourth moment (a=1) for E sum x^4
+    params = EnsembleParams(*abc, n)
+    pair = ["x1sq_x2sq"] if n > 1 else []
+    ests = mo.quadrature_moments(params, 2.0, ["x1_pow4", "x1_sq", *pair])
+    x4, cross, x2 = mo._exact_gas_moments(params, 2.0)
+    assert float(x4) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
+    assert float(x2) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
+    if n == 1:
+        assert cross == 0
+    else:
+        assert float(cross) == pytest.approx(ests["x1sq_x2sq"].value, rel=1e-12)
+
+
+def test_exact_gas_moments_cover_only_the_closed_forms():
+    # p=inf needs a=2; p=2 needs a=2 or (a=1, c=0); no other p has a closed form
+    assert mo._exact_gas_moments(EnsembleParams(1, 2, 0, 3), math.inf) is None
+    assert mo._exact_gas_moments(EnsembleParams(1, 1, 2, 3), 2.0) is None
+    assert mo._exact_gas_moments(EnsembleParams(3, 1, 0, 3), 2.0) is None
+    for p in (1.0, 4.0):
+        assert mo._exact_gas_moments(EnsembleParams(2, 1, 0, 3), p) is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -144,7 +172,7 @@ def test_closed_form_moment_values():
 
 def _no_draws(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the exact p=inf route must draw nothing")
+        raise AssertionError("the exact routes must draw nothing")
 
     monkeypatch.setattr(sp, "gas_sample", refuse)
 
@@ -275,6 +303,23 @@ def test_sigma_pipeline_invariant():
     )
 
 
+def _explicit_p2_sigma(spec, lose_scale=False):
+    """sigma^2 of 20k exact gas draws pushed onto the p=2 ball; lose_scale
+    drops the doubled coordinate set's 2^(-1/2) (a planted fault)."""
+    mapping = ensemble_of(spec)
+    scale = 1.0 if mapping.multiplicity == 1 or lose_scale else 2.0**-0.5
+    gas = sp.gas_sample(mapping.params, 2.0, 20_000, 41)
+    ball = sp.ball_pushforward(gas, mapping.params, 2.0, seed=42, norm_scale=scale)
+    v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
+    return mo.sigma_from_values(v, spec.dim, "explicit")
+
+
+def _meets_exact(explicit, exact):
+    """|z| <= 3 on sigma^2 and the mean ||T||_2^2 within 2% of the exact one."""
+    z = (explicit.sigma_sq - exact.sigma_sq) / explicit.std_err
+    return abs(z) <= 3.0 and explicit.mean_norm_sq == pytest.approx(exact.mean_norm_sq, rel=0.02)
+
+
 @pytest.mark.parametrize("spec", [
     *(SchattenSpec(f, "Full", n, 2.0) for f in "RCH" for n in (1, 2, 3)),
     SchattenSpec("R", "Full", 16, 2.0),
@@ -282,20 +327,25 @@ def test_sigma_pipeline_invariant():
     SchattenSpec("C", "AntiSymHermitian", 5, 2.0),
     SchattenSpec("C", "ComplexSymmetric", 3, 2.0),
 ], ids=lambda s: f"{s.field}-{s.subspace}-{s.n}")
-def test_sigma_pipeline_p2_reads_only_the_radius(spec):
-    # the gas cancels out of ||T||_2^2 at p=2: the radial route must equal the
-    # explicit gas + pushforward route on the same seeds
-    budget, seed = 3000, 41
-    est = mo.sigma_pipeline(spec, budget=budget, seed=seed)
-    mapping = ensemble_of(spec)
-    scale = 1.0 if mapping.multiplicity == 1 else 2.0**-0.5
-    gas = sp.gas_sample(mapping.params, 2.0, budget, seed)
-    ball = sp.ball_pushforward(gas, mapping.params, 2.0, seed=seed + 1, norm_scale=scale)
-    v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
-    ref = mo.sigma_from_values(v, spec.dim, "explicit")
-    assert est.method == "radial"
-    for key in ("sigma_sq", "mean_norm_sq", "std_err"):
-        assert getattr(est, key) == pytest.approx(getattr(ref, key), rel=1e-10, abs=0.0)
+def test_sigma_pipeline_p2_reads_only_the_radius(spec, monkeypatch):
+    # v = u^(2/dim) at p=2 on every subspace: the exact route must meet the
+    # explicit gas + pushforward route, and must draw nothing
+    explicit = _explicit_p2_sigma(spec)
+    _no_draws(monkeypatch)
+    exact = mo.sigma_pipeline(spec, budget=1)
+    assert (exact.method, exact.std_err, exact.ess) == ("exact-radial", 0.0, math.inf)
+    assert exact.sigma_sq == float(Fraction(4, spec.dim + 4))
+    assert exact.mean_norm_sq == float(Fraction(spec.dim, spec.dim + 2))
+    assert _meets_exact(explicit, exact)
+
+
+def test_sigma_pipeline_p2_explicit_route_catches_a_lost_scale():
+    # planted fault: AntiSymHermitian n=5 pushed forward without its 2^(-1/2)
+    # doubles every ||T||_2^2; sigma^2 is scale-free, the mean is not
+    spec = SchattenSpec("C", "AntiSymHermitian", 5, 2.0)
+    wrong, exact = _explicit_p2_sigma(spec, lose_scale=True), mo.sigma_pipeline(spec)
+    assert wrong.mean_norm_sq == pytest.approx(2.0 * exact.mean_norm_sq, rel=0.02)
+    assert not _meets_exact(wrong, exact)
 
 
 def test_sigma_pipeline_p2_needs_a_budget():
@@ -304,7 +354,7 @@ def test_sigma_pipeline_p2_needs_a_budget():
 
 
 def test_sigma_pipeline_rejects_an_unknown_sampler():
-    # a hyphen for the underscore must not fall through to the radial route
+    # a hyphen for the underscore must not fall through to the exact route
     with pytest.raises(ValueError, match="sampler must be 'auto' or 'hit_and_run'"):
         mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 2.0), sampler="hit-and-run", budget=10)
 
@@ -313,11 +363,11 @@ def test_var_mp_pipeline_terms():
     # 40000 = 200^2 keeps the batch-means trim empty, so the decomposition
     # must reproduce the plug-in variance of ||x||_2^2 exactly
     params = EnsembleParams(2, 1, 0, 2)
-    est = mo.var_mp_pipeline(params, 2.0, budget=40_000, seed=38)
+    gas = sp.exact_p2_sample(params, 40_000, seed=38)
+    est = mo.var_mp_pipeline(params, 2.0, gas=gas)
     assert est.combination > 0.0
     for term in (est.term_quartic, est.term_cross, est.term_square):
         assert np.isfinite(term)
-    gas = sp.exact_p2_sample(params, 40_000, seed=38)
     v = np.sum(gas.points**2, axis=1)
     assert est.combination == pytest.approx(float(np.var(v)), rel=1e-9)
 

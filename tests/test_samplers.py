@@ -84,6 +84,25 @@ def test_exact_p2_moments():
         assert abs(est.value - expect) <= 3.0 * est.std_err
 
 
+def test_exact_p2_sample_meets_the_gaussian_closed_forms():
+    # exact p=2 draws against the closed forms var_mp_pipeline reads when it
+    # is given no draws
+    drawn = {}
+    for abc, n in (((2, 1, 0), 8), ((2, 2, 1), 8), ((1, 1, 0), 8), ((2, 4, 3), 4),
+                   ((2, 1, 1), 4), ((2, 2, 0), 4), ((1, 2, 0), 4), ((1, 4, 0), 4)):
+        params = EnsembleParams(*abc, n)
+        gas = sp.exact_p2_sample(params, 40_000, seed=123)
+        drawn[abc] = mo.var_mp_pipeline(params, 2.0, gas=gas)
+        exact = mo.var_mp_pipeline(params, 2.0)
+        assert (drawn[abc].method, exact.method) == ("exact-p2", "exact-gaussian")
+        z = _z_against_exact(drawn[abc], exact)
+        assert all(abs(v) <= 3.0 for v in z.values()), (abc, n, z)
+    # planted fault: (2,2,1) draws against the (2,1,0) closed forms at n=8
+    wrong = _z_against_exact(drawn[(2, 2, 1)],
+                             mo.var_mp_pipeline(EnsembleParams(2, 1, 0, 8), 2.0))
+    assert all(abs(v) > 3.0 for v in wrong.values()), wrong
+
+
 def test_exact_p2_replay_and_unavailable():
     params = EnsembleParams(2, 3, 2, 3)
     a = sp.exact_p2_sample(params, 500, seed=1)

@@ -73,7 +73,7 @@ _THREE_DRAW_CHECKS = {
     "sigma-band": lambda: [vf.check_sigma_band_hit_and_run("R", 4, budget=3)],
     "antisym-normalization": lambda: [vf.check_antisym_normalization(4, 3.0, budget=3)],
     "entry-correlations-p2": lambda: [vf.check_entry_correlations("R", 2.0, n=4, budget=3)],
-    "quartic-ratio-p2": lambda: [vf.check_neg_correlation_threshold(1, 0, 2.0, n_grid=(16,),
+    "quartic-ratio-p1": lambda: [vf.check_neg_correlation_threshold(1, 0, 1.0, n_grid=(16,),
                                                                     budget=3)],
     "isotropic-constant": lambda: [vf.check_isotropic_constant_limit("R", 16, budget=3)],
 }
@@ -141,6 +141,9 @@ def test_neg_correlation_p2():
     assert rep.passed
     r = rep.details["grid"][0]["ratio"]
     assert abs(r - 2.0) < 0.2
+    # (2,1,0) at p=2 reads the Gaussian closed forms: E x1^4 / (E x1^2)^2 = 33/16 at n=16
+    assert (r, rep.tolerance, rep.method, rep.provenance) == (
+        2.0625, 0.0, "exact", "gaussian-closed-form")
     # only p in {1, 2, inf} carry a reference; any other p must not pass silently
     with pytest.raises(ValueError):
         vf.check_neg_correlation_threshold(1, 0, 3.0)
