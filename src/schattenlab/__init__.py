@@ -34,7 +34,6 @@ from .moments import (  # noqa: F401
 from .samplers import (  # noqa: F401
     SampleBatch,
     SamplerUnavailable,
-    ball_pushforward,
     exact_p2_sample,
     gas_sample,
     matrix_hit_and_run,

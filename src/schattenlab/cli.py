@@ -45,13 +45,6 @@ def _parse_p(text):
     return p
 
 
-def _parse_positive(text):
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be a finite number > 0")
-    return value
-
-
 def _parse_count(minimum):
     def parse(text):
         if not text.strip().lstrip("-").isdigit() or int(text) < minimum:
@@ -275,7 +268,7 @@ def _run(args):
 
 def _mcmc_kwargs(args):
     """The chain flags given on the command line, named as the samplers name them."""
-    names = {"chains": "n_chains", "burn_in": "burn_in", "thinning": "thinning"}
+    names = {"chains": "n_chains", "burn_in": "burn_in"}
     return {kw: getattr(args, flag) for flag, kw in names.items()
             if getattr(args, flag, None) is not None}
 
@@ -296,13 +289,13 @@ def build_parser():
     v = subs.add_parser("verify", help="run a named check suite")
     v.add_argument("--suite", default="all",
                    choices=("all",) + tuple(vf.SUITES.keys()))
-    v.add_argument("--budget-scale", type=_parse_positive, default=1.0,
+    v.add_argument("--budget-scale", type=float, default=1.0,
                    help="multiplier on the default sampling budgets")
     v.add_argument("--ensemble", type=_parse_ensemble, default=None,
                    help="narrow the identities suite to one (a,b,c)")
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--p", type=_parse_p, default=None)
-    v.add_argument("--tol", type=_parse_positive, default=None,
+    v.add_argument("--tol", type=float, default=None,
                    help="identity tolerance override")
     _add_common(v)
     v.set_defaults(func=_cmd_verify)
@@ -320,7 +313,6 @@ def build_parser():
     e.add_argument("--samples", type=int, default=50_000)
     e.add_argument("--chains", type=_parse_count(1), default=None)
     e.add_argument("--burn-in", type=_parse_count(0), default=None)
-    e.add_argument("--thinning", type=_parse_count(1), default=None)
     _add_common(e)
     e.set_defaults(func=_cmd_estimate)
 
@@ -334,7 +326,6 @@ def build_parser():
     s.add_argument("--samples", type=int, default=1000)
     s.add_argument("--chains", type=_parse_count(1), default=None)
     s.add_argument("--burn-in", type=_parse_count(0), default=None)
-    s.add_argument("--thinning", type=_parse_count(1), default=None)
     _add_common(s)
     s.set_defaults(func=_cmd_sample)
 

@@ -41,6 +41,7 @@ __all__ = [
     "quadrature_moment",
     "quadrature_moments",
     "closed_form_moment",
+    "radial_columns",
     "sigma_from_values",
     "sigma_pipeline",
     "var_mp_pipeline",
@@ -419,9 +420,9 @@ class SigmaEstimate:
     the matrix subspace.
 
     std_err is the delta-method error of sigma_sq from the joint batch means
-    of (v, v^2), inf below 4 draws; ess is the smaller of their effective
-    sample sizes; on an "exact-" route std_err is 0 and ess inf.  The fields
-    are in the order of the CLI's sigma record.
+    of the two columns sigma_from_values reads, inf below 4 draws; ess is the
+    smaller of their effective sample sizes; on an "exact-" route std_err is
+    0 and ess inf.  The fields are in the order of the CLI's sigma record.
     """
 
     sigma_sq: float
@@ -434,11 +435,33 @@ class SigmaEstimate:
     method: str
 
 
-def sigma_from_values(v, d, method):
-    """The one sigma^2 estimator: SigmaEstimate of the draws v = ||T||_2^2
-    of a ball of real dimension d, with the delta-method error of the joint
-    batch means of (v, v^2); method names the route that drew v."""
-    means, cov, eff = batch_means_cov(np.stack([v, v**2], axis=1))
+def radial_columns(points, p, multiplicity, d):
+    """Per-draw columns (w d/(d+2), w^2 d/(d+4)) of gas points, whose means
+    are E v and E v^2 for v = ||T||_2^2 on the ball of real dimension d.
+
+    w = k ||x||_2^2 / N(x)^2 with k the multiplicity and N(x) the ball's norm
+    of x: (k sum |x_i|^p)^(1/p), or max |x_i| at p = inf.  The ball point is
+    T = R x / N(x) with R = N(T) independent of the direction and R^d
+    uniform, so v = R^2 w, and E R^2 = d/(d+2) and E R^4 = d/(d+4) are
+    integrated, never drawn (Rao-Blackwellisation).
+    """
+    x = np.asarray(points, dtype=float)
+    k = multiplicity
+    if math.isinf(p):
+        norm_sq = np.max(np.abs(x), axis=1) ** 2
+    else:
+        norm_sq = (k * np.sum(np.abs(x) ** p, axis=1)) ** (2.0 / p)
+    w = k * np.sum(x**2, axis=1) / norm_sq
+    return np.stack([w * (d / (d + 2)), w**2 * (d / (d + 4))], axis=1)
+
+
+def sigma_from_values(columns, d, method):
+    """The one sigma^2 estimator: SigmaEstimate of a ball of real dimension d
+    from (N, 2) per-draw columns whose means are E v and E v^2, v = ||T||_2^2:
+    (v, v^2) of the matrix walk's draws, or radial_columns of gas draws.  The
+    error is the delta-method one of their joint batch means; method names
+    the route that drew them."""
+    means, cov, eff = batch_means_cov(columns)
     return _sigma_estimate(d, *means, cov, eff, method)
 
 
@@ -463,15 +486,15 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
     """Estimate the thin-shell statistic of K_{p,E} from the singular-value law.
 
     sampler: "auto" (exact where _exact_gas_moments answers for the ball's
-    gas, else gas draws and the radial pushforward) or "hit_and_run" for the
-    direct matrix walk.  mcmc_kwargs (n_chains, burn_in, thinning) go to
-    whichever chain sampler runs: Metropolis or hit-and-run.
+    gas, else radial_columns of gas draws) or "hit_and_run" for the direct
+    matrix walk, whose raw (v, v^2) validate it.  mcmc_kwargs (n_chains,
+    burn_in) go to whichever chain sampler runs: Metropolis or hit-and-run.
 
-    The pushforward sends x to scale * u^(1/d) * x / ||x||_p, so
-    v = multiplicity * scale^2 * u^(2/d) * ||x||_2^2 / ||x||_p^2: u^(2/dim) at
-    p=2 on every subspace ("exact-radial"), and multiplicity * ||x||_2^2 for
-    an a=2 ball at p=inf ("exact-selberg").  The exact routes draw nothing
-    (budget must still be >= 1).  Other samplers raise ValueError.
+    The exact routes draw nothing (budget must still be >= 1): at p=2 the
+    radial rule at w = 1 on every subspace, E v = dim/(dim+2) and
+    E v^2 = dim/(dim+4) ("exact-radial"), and for an a=2 ball at p=inf the
+    Selberg averages of v = multiplicity * ||x||_2^2 ("exact-selberg").
+    Other samplers raise ValueError.
     """
     if sampler not in ("auto", "hit_and_run"):
         raise ValueError(f"sampler must be 'auto' or 'hit_and_run', got {sampler!r}")
@@ -479,24 +502,21 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
         mats = samplers.matrix_hit_and_run(spec, n_samples=budget, seed=seed,
                                            **(mcmc_kwargs or {}))
         v = ml.frobenius_sq_batch(spec, mats.points)
-        return sigma_from_values(v, spec.dim, "hit_and_run")
+        return sigma_from_values(np.stack([v, v**2], axis=1), spec.dim, "hit_and_run")
 
     mapping = ensemble_of(spec)
     params, k, dim = mapping.params, mapping.multiplicity, Fraction(spec.dim)
     if (gas_moments := _exact_gas_moments(params, spec.p)) is not None:
         samplers._check_budget(budget)
-        if spec.p == 2:  # the gas cancels out of v = u^(2/dim)
+        if spec.p == 2:  # w = 1: the gas cancels out of v = R^2
             m, m2, method = dim / (dim + 2), dim / (dim + 4), "exact-radial"
         else:  # p = inf: v = k ||x||_2^2
             (e4, ec, e2), n = gas_moments, params.n
             m, m2, method = k * n * e2, k * k * n * (e4 + (n - 1) * ec), "exact-selberg"
         return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, method)
-    # a doubled coordinate set carries the ball's p-norm as 2 ||x||_p^p
-    scale = 1.0 if k == 1 else 2.0 ** (-1.0 / spec.p)
     gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
-    ball = samplers.ball_pushforward(gas, params, spec.p, seed=seed + 1, norm_scale=scale)
-    v = k * np.sum(ball.points**2, axis=1)
-    return sigma_from_values(v, spec.dim, gas.diagnostics.get("method", "mc"))
+    return sigma_from_values(radial_columns(gas.points, spec.p, k, spec.dim), spec.dim,
+                             gas.diagnostics.get("method", "mc"))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
 """Random generation targeting the gas densities and the Schatten balls.
 
-Three routes: adaptive random-walk Metropolis for arbitrary parameters, exact
-tridiagonal ensemble samplers for the Gaussian (p=2) weight, and a radial
-pushforward converting weighted gas draws into the singular-value law of a
-uniform ball sample.  A hit-and-run walk on the matrix subspace itself gives
-an independent route to the same uniform measure.  Metropolis and hit-and-run
-share one lockstep chain loop, _run_chains.  The exact p=2 samplers draw
-their variates on the calling thread and solve the tridiagonal eigenproblems
-on the process's cores; the draws do not depend on the core count, the
-wall-time gain needs a second free core, and one core runs serially.
+Two gas routes: adaptive random-walk Metropolis for arbitrary parameters and
+exact tridiagonal ensemble samplers for the Gaussian (p=2) weight.  A
+hit-and-run walk on the matrix subspace itself gives an independent route to
+the uniform ball measure.  Metropolis and hit-and-run share one lockstep
+chain loop, _run_chains.  The exact p=2 samplers draw their variates on the
+calling thread and solve the tridiagonal eigenproblems on the process's
+cores; the draws do not depend on the core count, the wall-time gain needs a
+second free core, and one core runs serially.
 """
 
 import math
@@ -30,7 +29,6 @@ __all__ = [
     "mcmc_sample",
     "exact_p2_sample",
     "gas_sample",
-    "ball_pushforward",
     "matrix_hit_and_run",
     "exact_p2_matrix_sample",
 ]
@@ -59,39 +57,37 @@ def _check_budget(n_samples):
 # ---------------------------------------------------------------------------
 # the chain loop shared by Metropolis and hit-and-run
 
-def _run_chains(n_samples, n_chains, seed, burn_in, thinning, start, sweep):
+def _run_chains(n_samples, n_chains, seed, burn_in, start, sweep):
     """Run chains in lockstep, each on its own spawned seed stream, and
     return (points, diagnostics).
 
     start(rngs) returns the (chains, dim) start states; sweep(x, rngs, s)
     advances every row of x in place at sweep s.  Each chain keeps
-    keep_each = ceil(n_samples / min(n_chains, n_samples)) draws, every
-    thinning-th state after burn_in sweeps, and only the ceil(n_samples /
-    keep_each) chains whose draws are returned run: the last returned chain
-    may be cut short, but none runs idle.  The draws merge in chain order and
-    are cut to n_samples; chain k's stream depends only on (seed, k), so the
-    draws equal those of a run with n_chains = chains.  ess_norm2sq sums the
-    batch-means ESS of ||state||^2 over the chains' returned draws.
+    keep_each = ceil(n_samples / min(n_chains, n_samples)) draws, the states
+    after burn_in sweeps, and only the ceil(n_samples / keep_each) chains
+    whose draws are returned run: the last returned chain may be cut short,
+    but none runs idle.  The draws merge in chain order and are cut to
+    n_samples; chain k's stream depends only on (seed, k), so the draws equal
+    those of a run with n_chains = chains.  ess_norm2sq sums the batch-means
+    ESS of ||state||^2 over the chains' returned draws.
     """
     _check_budget(n_samples)
-    if n_chains < 1 or thinning < 1 or burn_in < 0:
-        raise ValueError("need n_chains >= 1, thinning >= 1 and burn_in >= 0")
+    if n_chains < 1 or burn_in < 0:
+        raise ValueError("need n_chains >= 1 and burn_in >= 0")
     keep_each = -(-n_samples // min(n_chains, n_samples))
     chains = -(-n_samples // keep_each)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
     x = start(rngs)
     out = np.empty((chains, keep_each, x.shape[1]))
-    for s in range(burn_in + keep_each * thinning):
+    for s in range(burn_in + keep_each):
         sweep(x, rngs, s)
-        kept, skip = divmod(s - burn_in, thinning)
-        if kept >= 0 and skip == 0:
-            out[:, kept] = x
+        if s >= burn_in:
+            out[:, s - burn_in] = x
     points = out.reshape(chains * keep_each, -1)[:n_samples]
     norm2sq = np.sum(points**2, axis=1)
     ess = sum(batch_means(norm2sq[k : k + keep_each])[2] for k in range(0, n_samples, keep_each))
-    sweeps = chains * (burn_in + keep_each * thinning)
-    return points, {"chains": chains, "burn_in": burn_in, "thinning": thinning,
-                    "burn_in_share": chains * burn_in / sweeps, "ess_norm2sq": ess}
+    return points, {"chains": chains, "burn_in": burn_in,
+                    "burn_in_share": burn_in / (burn_in + keep_each), "ess_norm2sq": ess}
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,7 @@ class _Metropolis:
 
 
 def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
-                thinning=1, validate=False):
+                validate=False):
     """Per-coordinate random-walk Metropolis draws from the weighted gas density.
 
     Step sizes adapt per chain toward 0.44 acceptance during burn-in only and
@@ -186,8 +182,7 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
     if burn_in is None:
         burn_in = 1000 + 60 * params.n
     walk = _Metropolis(params, p, burn_in, validate)
-    points, diag = _run_chains(n_samples, n_chains, seed, burn_in, thinning,
-                               walk.start, walk.sweep)
+    points, diag = _run_chains(n_samples, n_chains, seed, burn_in, walk.start, walk.sweep)
     if validate:
         fresh = log_f_p(params, p, walk.x)
         for cached, new in zip(walk.logf, fresh):
@@ -344,39 +339,9 @@ def gas_sample(params, p, budget, seed, mcmc_kwargs=None):
 
 
 # ---------------------------------------------------------------------------
-# radial pushforward onto the ball
-
-def ball_pushforward(gas, params, p, seed=0, norm_scale=1.0):
-    """Map weighted gas draws onto the unnormalized-density law on the p-ball.
-
-    Each x goes to norm_scale * u^(1/d) * x / ||x||_p with u uniform, which
-    replaces the gas radial law by the ball one while keeping the angular
-    (and sign) structure.  At p = inf the gas is already ball-restricted and
-    the map is the identity.
-    """
-    if math.isinf(p):
-        if np.max(np.abs(gas.points)) > 1.0 + 1e-12:
-            raise ValueError("p=inf gas contains points outside the unit cube")
-        diag = dict(gas.diagnostics)
-        diag["pushforward"] = "identity (p=inf)"
-        return SampleBatch(points=gas.points, diagnostics=diag)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = gas.points
-    norms = np.sum(np.abs(x) ** p, axis=1) ** (1.0 / p)
-    u = rng.random(len(x))
-    ok = norms > 0.0
-    radius = u[ok] ** (1.0 / params.d)
-    pts = norm_scale * x[ok] * (radius / norms[ok])[:, None]
-    diag = dict(gas.diagnostics)
-    diag["pushforward"] = "radial"
-    diag["skipped_zero_points"] = int(np.sum(~ok))
-    return SampleBatch(points=pts, diagnostics=diag)
-
-
-# ---------------------------------------------------------------------------
 # hit-and-run on the Schatten ball
 
-def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinning=1):
+def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32):
     """Hit-and-run walk over the uniform measure on K_{p,E}.
 
     Chains start at the origin and move to a uniform point of the chord
@@ -420,7 +385,7 @@ def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32, thinni
             lo[pending] = np.where(tp < 0.0, tp, lo[pending])
         x += t[:, None] * dirs
 
-    points, diag = _run_chains(n_samples, n_chains, seed, burn_in, thinning, start, sweep)
+    points, diag = _run_chains(n_samples, n_chains, seed, burn_in, start, sweep)
     return SampleBatch(points=points, diagnostics={"method": "hit_and_run", **diag})
 
 

@@ -522,11 +522,11 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
     """Normalized orders across the (ensemble, n, p) grid.
 
     Checks that M(x1^2)/M(1) and M(x1^4)/M(1) track n^{2/p} and n^{4/p}, that
-    Var(||x||_2^2) tracks max(sigma^2, 1/p) n^{4/p} with sigma^2 from the ball
-    law of the same draws, all three within [1/20, 20], and that the Euclidean
-    second moment of the volume-normalized ball has the dimension order
-    (unit-ball moment rescaled by the d^{-1/4-1/(2p)} volume radius) within
-    [0.1, 10]."""
+    Var(||x||_2^2) tracks max(sigma^2, 1/p) n^{4/p} with sigma^2 read from the
+    same draws by radial_columns, all three within [1/20, 20], and that the
+    Euclidean second moment of the volume-normalized ball has the dimension
+    order (unit-ball moment rescaled by the d^{-1/4-1/(2p)} volume radius)
+    within [0.1, 10]."""
     band, eq1_band = (1.0 / 20.0, 20.0), (0.1, 10.0)
     rows = []
     ok = True
@@ -542,8 +542,7 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
                 npow2 = 1.0 if math.isinf(p) else n ** (2.0 / p)
                 r2 = est.coord_sq_mean / npow2
                 r4 = (est.term_quartic / n) / npow2**2
-                ball = sp.ball_pushforward(gas, params, p, seed=seed + 7919 + idx)
-                sig = mo.sigma_from_values(np.sum(ball.points**2, axis=1), d,
+                sig = mo.sigma_from_values(mo.radial_columns(gas.points, p, 1, d), d,
                                            gas.diagnostics.get("method", "mc"))
                 inv_p = 0.0 if math.isinf(p) else 1.0 / p
                 r_var = est.combination / (max(sig.sigma_sq, inv_p) * npow2**2)
@@ -932,9 +931,12 @@ def run_suite(name, budget_scale=1.0, seed=0, only=None, tol=None):
     only = (ensemble, n, p) narrows the identities suite to matching
     configurations; tol overrides the identity tolerance.  Both are for the
     identities suite alone: any other suite, 'all' included, raises ValueError.
+    budget_scale and a given tol must be finite and > 0, else ValueError.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    if not all(0 < v < math.inf for v in (budget_scale, 1.0 if tol is None else tol)):
+        raise ValueError("budget_scale and tol must be finite numbers > 0")
     if name != "identities" and (only is not None or tol is not None):
         raise ValueError(f"ensemble, n, p and tol narrow only the identities suite, not {name!r}")
     if name == "all":

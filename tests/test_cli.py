@@ -173,6 +173,9 @@ def test_usage_errors():
     assert run_cli().returncode == cli.EXIT_USAGE
     assert run_cli("sample", "gas", "--chains", "0").returncode == cli.EXIT_USAGE
     assert run_cli("sample", "gas", "--burn-in", "-1").returncode == cli.EXIT_USAGE
+    # every chain keeps each state after burn-in: there is no thinning flag
+    for args in (("sample", "gas"), ("estimate", "var"), ("estimate", "sigma")):
+        assert run_cli(*args, "--thinning", "2").returncode == cli.EXIT_USAGE, args
     assert run_cli("sample", "matrix", "--samples", "0").returncode == cli.EXIT_USAGE
     assert run_cli("estimate", "sigma", "--sampler", "hit_and_run",
                    "--samples", "0").returncode == cli.EXIT_USAGE
@@ -233,10 +236,10 @@ def test_chain_flags_reach_the_sampler(tmp_path):
     # direct library call with the same chain settings.
     out = tmp_path / "s.jsonl"
     assert cli.main(["estimate", "sigma", "--n", "2", "--p", "4", "--samples", "2000",
-                     "--chains", "1", "--burn-in", "200", "--thinning", "2", "--seed", "3",
+                     "--chains", "1", "--burn-in", "200", "--seed", "3",
                      "--out", str(out)]) == cli.EXIT_OK
     est = mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 4.0), budget=2000, seed=3,
-                            mcmc_kwargs={"n_chains": 1, "burn_in": 200, "thinning": 2})
+                            mcmc_kwargs={"n_chains": 1, "burn_in": 200})
     rec = json.loads(data_lines(out)[0])
     assert (rec["sigma_sq"], rec["std_err"], rec["ess"]) == (est.sigma_sq, est.std_err, est.ess)
 
@@ -251,10 +254,10 @@ def test_chain_flags_reach_the_sampler(tmp_path):
 
     out = tmp_path / "m.jsonl"
     assert cli.main(["sample", "matrix", "--n", "2", "--p", "inf", "--samples", "120",
-                     "--chains", "4", "--thinning", "3", "--burn-in", "0", "--seed", "5",
+                     "--chains", "4", "--burn-in", "0", "--seed", "5",
                      "--out", str(out)]) == cli.EXIT_OK
     batch = sp.matrix_hit_and_run(SchattenSpec("R", "Full", 2, math.inf), n_samples=120,
-                                  seed=5, n_chains=4, thinning=3, burn_in=0)
+                                  seed=5, n_chains=4, burn_in=0)
     rows = [json.loads(ln) for ln in data_lines(out)]
     assert [[r[f"x{i}"] for i in range(4)] for r in rows] == batch.points.tolist()
 

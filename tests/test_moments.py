@@ -287,37 +287,30 @@ def test_estimate_moment_low_confidence_flag():
     assert est.low_confidence
 
 
-def test_sigma_pipeline_euclidean_ball():
-    est = mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 2.0), budget=100_000, seed=34)
-    assert est.sigma_sq == pytest.approx(0.5, rel=0.1)
-    est = mo.sigma_pipeline(SchattenSpec("C", "Full", 2, 2.0), budget=100_000, seed=35)
-    assert est.sigma_sq == pytest.approx(1.0 / 3.0, rel=0.1)
-    est = mo.sigma_pipeline(SchattenSpec("R", "Full", 1, 2.0), budget=100_000, seed=36)
-    assert est.sigma_sq == pytest.approx(0.8, rel=0.1)
-
-
 def test_sigma_pipeline_invariant():
-    est = mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 2.0), budget=20_000, seed=37)
+    est = mo.sigma_pipeline(SchattenSpec("R", "Full", 2, 3.0), budget=20_000, seed=37)
+    assert est.method == "mcmc"
     assert est.sigma_sq == pytest.approx(
         est.dim * est.var_norm_sq / est.mean_norm_sq**2, rel=1e-12
     )
 
 
-def _explicit_p2_sigma(spec, lose_scale=False):
-    """sigma^2 of 20k exact gas draws pushed onto the p=2 ball; lose_scale
-    drops the doubled coordinate set's 2^(-1/2) (a planted fault)."""
+def _p2_columns(spec, lose_scale=False):
+    """radial_columns of 20k exact gas draws at p=2; lose_scale keeps the
+    multiplicity in ||T||_2^2 but drops it from N(x) (a planted fault)."""
     mapping = ensemble_of(spec)
-    scale = 1.0 if mapping.multiplicity == 1 or lose_scale else 2.0**-0.5
+    k = mapping.multiplicity
     gas = sp.gas_sample(mapping.params, 2.0, 20_000, 41)
-    ball = sp.ball_pushforward(gas, mapping.params, 2.0, seed=42, norm_scale=scale)
-    v = mapping.multiplicity * np.sum(ball.points**2, axis=1)
-    return mo.sigma_from_values(v, spec.dim, "explicit")
+    if lose_scale:
+        return mo.radial_columns(gas.points, 2.0, 1, spec.dim) * [k, k * k]
+    return mo.radial_columns(gas.points, 2.0, k, spec.dim)
 
 
-def _meets_exact(explicit, exact):
-    """|z| <= 3 on sigma^2 and the mean ||T||_2^2 within 2% of the exact one."""
-    z = (explicit.sigma_sq - exact.sigma_sq) / explicit.std_err
-    return abs(z) <= 3.0 and explicit.mean_norm_sq == pytest.approx(exact.mean_norm_sq, rel=0.02)
+def _meets_exact(columns, exact):
+    """Every row of the columns is the exact route's (E v, E v^2) to 1e-12:
+    at p=2, w = 1, so the columns are constant and no z is needed."""
+    m = exact.mean_norm_sq
+    return bool(np.allclose(columns, [m, exact.var_norm_sq + m * m], rtol=1e-12, atol=0.0))
 
 
 @pytest.mark.parametrize("spec", [
@@ -328,24 +321,99 @@ def _meets_exact(explicit, exact):
     SchattenSpec("C", "ComplexSymmetric", 3, 2.0),
 ], ids=lambda s: f"{s.field}-{s.subspace}-{s.n}")
 def test_sigma_pipeline_p2_reads_only_the_radius(spec, monkeypatch):
-    # v = u^(2/dim) at p=2 on every subspace: the exact route must meet the
-    # explicit gas + pushforward route, and must draw nothing
-    explicit = _explicit_p2_sigma(spec)
+    # v = R^2 at p=2 on every subspace: the exact route must meet the radial
+    # columns of gas draws, and must draw nothing
+    columns = _p2_columns(spec)
     _no_draws(monkeypatch)
     exact = mo.sigma_pipeline(spec, budget=1)
     assert (exact.method, exact.std_err, exact.ess) == ("exact-radial", 0.0, math.inf)
     assert exact.sigma_sq == float(Fraction(4, spec.dim + 4))
     assert exact.mean_norm_sq == float(Fraction(spec.dim, spec.dim + 2))
-    assert _meets_exact(explicit, exact)
+    assert _meets_exact(columns, exact)
 
 
 def test_sigma_pipeline_p2_explicit_route_catches_a_lost_scale():
-    # planted fault: AntiSymHermitian n=5 pushed forward without its 2^(-1/2)
-    # doubles every ||T||_2^2; sigma^2 is scale-free, the mean is not
+    # planted fault: AntiSymHermitian n=5 with the multiplicity dropped from
+    # N(x) doubles every ||T||_2^2; sigma^2 is scale-free, the mean is not
     spec = SchattenSpec("C", "AntiSymHermitian", 5, 2.0)
-    wrong, exact = _explicit_p2_sigma(spec, lose_scale=True), mo.sigma_pipeline(spec)
-    assert wrong.mean_norm_sq == pytest.approx(2.0 * exact.mean_norm_sq, rel=0.02)
+    wrong, exact = _p2_columns(spec, lose_scale=True), mo.sigma_pipeline(spec)
+    assert np.mean(wrong[:, 0]) == pytest.approx(2.0 * exact.mean_norm_sq, rel=1e-12)
     assert not _meets_exact(wrong, exact)
+
+
+def _oracle_sigma(spec):
+    """Exact (sigma^2, E ||T||_2^2) of the ball from the oracle's averages of
+    the degree-0 functionals w and w^2 of its gas, w = k ||x||_2^2 / N(x)^2:
+    sigma^2 = d [(d+2)^2 / (d (d+4)) E w^2 / (E w)^2 - 1], E ||T||_2^2 =
+    d/(d+2) E w."""
+    mapping = ensemble_of(spec)
+    k, p, d = mapping.multiplicity, spec.p, spec.dim
+
+    def w(x):
+        if math.isinf(p):
+            norm = np.max(np.abs(x), axis=1)
+        else:
+            norm = (k * np.sum(np.abs(x) ** p, axis=1)) ** (1.0 / p)
+        return k * np.sum(x**2, axis=1) / norm**2
+
+    est = mo.quadrature_moments(mapping.params, p, [mo.Functional("w", 0.0, w),
+                                                    mo.Functional("w2", 0.0, lambda x: w(x) ** 2)])
+    ew, ew2 = est["w"].value, est["w2"].value
+    return d * ((d + 2) ** 2 / (d * (d + 4)) * ew2 / ew**2 - 1.0), d / (d + 2) * ew
+
+
+def _meets_oracle(est, sigma_sq, mean):
+    """|z| <= 3 on sigma^2 and E ||T||_2^2 within 1%; an exact route to 1e-7."""
+    if est.std_err == 0.0:
+        return (est.sigma_sq == pytest.approx(sigma_sq, rel=1e-7)
+                and est.mean_norm_sq == pytest.approx(mean, rel=1e-7))
+    z = (est.sigma_sq - sigma_sq) / est.std_err
+    return abs(z) <= 3.0 and est.mean_norm_sq == pytest.approx(mean, rel=0.01)
+
+
+_ORACLE_SPECS = [
+    SchattenSpec("R", "Full", 3, 3.0), SchattenSpec("C", "Full", 3, 3.0),
+    SchattenSpec("C", "Full", 2, 1.0), SchattenSpec("H", "Full", 2, 4.0),
+    SchattenSpec("R", "Full", 2, math.inf),
+    SchattenSpec("C", "SelfAdjoint", 3, math.inf), SchattenSpec("C", "SelfAdjoint", 3, 4.0),
+    SchattenSpec("R", "SelfAdjoint", 2, 8.0),
+    SchattenSpec("C", "AntiSymHermitian", 4, 3.0), SchattenSpec("C", "AntiSymHermitian", 5, 3.0),
+    SchattenSpec("C", "AntiSymHermitian", 6, 1.0),
+    SchattenSpec("C", "ComplexSymmetric", 3, 1.0), SchattenSpec("C", "ComplexSymmetric", 2, 3.0),
+]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS,
+                         ids=lambda s: f"{s.field}-{s.subspace}-{s.n}-p{s.p:g}")
+def test_sigma_pipeline_gas_route_meets_the_oracle(spec):
+    # the gas route integrates the ball's radius; the oracle integrates the
+    # gas's, so the two meet only if radial_columns is the exact E[. | direction]
+    assert _meets_oracle(mo.sigma_pipeline(spec, budget=20_000, seed=0), *_oracle_sigma(spec))
+
+
+def test_sigma_pipeline_gas_route_oracle_catches_planted_faults(monkeypatch):
+    true_columns = mo.radial_columns
+    full = SchattenSpec("R", "Full", 3, 3.0)
+    ash = SchattenSpec("C", "AntiSymHermitian", 4, 3.0)
+    oracle = {spec: _oracle_sigma(spec) for spec in (full, ash)}
+
+    def no_radial_variance(points, p, k, d):  # E R^4 taken as (E R^2)^2
+        cols = true_columns(points, p, k, d)
+        cols[:, 1] = cols[:, 0] ** 2
+        return cols
+
+    monkeypatch.setattr(mo, "radial_columns", no_radial_variance)
+    wrong = mo.sigma_pipeline(full, budget=20_000, seed=0)
+    assert not _meets_oracle(wrong, *oracle[full])
+    assert wrong.mean_norm_sq == pytest.approx(oracle[full][1], rel=0.01)
+
+    def no_multiplicity_in_norm(points, p, k, d):
+        return true_columns(points, p, 1, d) * [k, k * k]
+
+    monkeypatch.setattr(mo, "radial_columns", no_multiplicity_in_norm)
+    wrong = mo.sigma_pipeline(ash, budget=20_000, seed=0)
+    assert wrong.mean_norm_sq == pytest.approx(2 ** (2 / 3) * oracle[ash][1], rel=0.01)
+    assert not _meets_oracle(wrong, *oracle[ash])
 
 
 def test_sigma_pipeline_p2_needs_a_budget():

@@ -74,6 +74,35 @@ def test_metropolis_meets_selberg_averages_at_p_inf():
     assert all(abs(v) > 3.0 for v in wrong.values()), wrong
 
 
+_A1_FUNCTIONALS = ("norm2_sq", "norm2_4", "x1_pow4")
+
+
+def _z_against_oracle(gas, oracle):
+    """z of the draws' E ||x||^2, E ||x||^4 and E x1^4 against the oracle's."""
+    out = {}
+    for fid in _A1_FUNCTIONALS:
+        est = mo.estimate_moment(gas, fid)
+        out[fid] = (est.value - oracle[fid].value) / est.std_err
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_metropolis_meets_the_oracle_on_a1_families_at_p_inf(seed):
+    # the a=1 (SelfAdjoint) gases at p=inf have no closed form and no exact
+    # sampler, so Metropolis is tested against the quadrature oracle
+    for n in (2, 3):
+        oracle, drawn = {}, {}
+        for abc in ((1, 1, 0), (1, 2, 0), (1, 4, 0)):
+            params = EnsembleParams(*abc, n)
+            oracle[abc] = mo.quadrature_moments(params, math.inf, _A1_FUNCTIONALS)
+            drawn[abc] = sp.mcmc_sample(params, math.inf, n_samples=20_000, seed=seed)
+            z = _z_against_oracle(drawn[abc], oracle[abc])
+            assert all(abs(v) <= 3.0 for v in z.values()), (abc, n, z)
+        # planted fault: (1,2,0) draws against the (1,1,0) values
+        wrong = _z_against_oracle(drawn[(1, 2, 0)], oracle[(1, 1, 0)])
+        assert all(abs(v) > 3.0 for v in wrong.values()), (n, wrong)
+
+
 def test_exact_p2_moments():
     for params, expect in [
         (EnsembleParams(2, 1, 0, 2), 2.0),
@@ -125,14 +154,14 @@ def test_exact_p2_samplers_need_a_budget():
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             sp.matrix_hit_and_run(spec, n_samples)
     params = EnsembleParams(2, 1, 0, 3)
-    for bad in ({"n_chains": 0}, {"thinning": 0}, {"burn_in": -1}):
-        with pytest.raises(ValueError, match="n_chains >= 1, thinning >= 1 and burn_in >= 0"):
+    for bad in ({"n_chains": 0}, {"burn_in": -1}):
+        with pytest.raises(ValueError, match="n_chains >= 1 and burn_in >= 0"):
             sp.mcmc_sample(params, 4.0, n_samples=10, **bad)
-        with pytest.raises(ValueError, match="n_chains >= 1, thinning >= 1 and burn_in >= 0"):
+        with pytest.raises(ValueError, match="n_chains >= 1 and burn_in >= 0"):
             sp.matrix_hit_and_run(spec, 10, **bad)
 
 
-def _serial_metropolis_chain(params, p, keep, burn_in, thinning, seed_seq):
+def _serial_metropolis_chain(params, p, keep, burn_in, seed_seq):
     """One adaptive Metropolis chain, coordinate by coordinate in scalar
     arithmetic: the reference that the lockstep sweep must reproduce."""
     rng = np.random.default_rng(seed_seq)
@@ -147,7 +176,7 @@ def _serial_metropolis_chain(params, p, keep, burn_in, thinning, seed_seq):
     window = np.zeros(n)
     out = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for sweep in range(burn_in + keep * thinning):
+        for sweep in range(burn_in + keep):
             zs, us = rng.standard_normal(n), rng.random(n)
             for i in range(n):
                 prop = x[i] + steps[i] * zs[i]
@@ -167,7 +196,7 @@ def _serial_metropolis_chain(params, p, keep, burn_in, thinning, seed_seq):
             if sweep < burn_in and (sweep + 1) % 50 == 0:
                 steps *= np.exp(0.6 * (window / 50 - 0.44))
                 window[:] = 0.0
-            if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+            if sweep >= burn_in:
                 out.append(x.copy())
     return np.array(out)
 
@@ -179,9 +208,9 @@ def _serial_metropolis_chain(params, p, keep, burn_in, thinning, seed_seq):
 def test_lockstep_metropolis_matches_serial_chains(abc, n, p, chains):
     params = EnsembleParams(*abc, n)
     batch = sp.mcmc_sample(params, p, n_chains=chains, n_samples=60 * chains, seed=31,
-                           burn_in=120, thinning=2, validate=True)
+                           burn_in=120, validate=True)
     seqs = np.random.SeedSequence(31).spawn(chains)
-    ref = [_serial_metropolis_chain(params, p, 60, 120, 2, s) for s in seqs]
+    ref = [_serial_metropolis_chain(params, p, 60, 120, s) for s in seqs]
     assert np.array_equal(batch.points, np.concatenate(ref))
 
 
@@ -196,8 +225,8 @@ def test_chains_run_on_own_streams_and_merge_in_chain_order(walk):
     # chain 0 has spawn key 0 whatever the chain count, so a 3-chain run of
     # 3m draws starts with the m draws of a 1-chain run on the same seed
     m = 12
-    three = walk(n_chains=3, n_samples=3 * m, seed=17, burn_in=20, thinning=2).points
-    one = walk(n_chains=1, n_samples=m, seed=17, burn_in=20, thinning=2).points
+    three = walk(n_chains=3, n_samples=3 * m, seed=17, burn_in=20).points
+    one = walk(n_chains=1, n_samples=m, seed=17, burn_in=20).points
     assert three.shape[0] == 3 * m
     assert np.array_equal(three[:m], one)
     assert not np.array_equal(three[m : 2 * m], one)
@@ -302,9 +331,9 @@ def test_import_starts_no_pool_machinery():
 
 def test_mcmc_reports_burn_in_share():
     for walk in CHAIN_WALKS.values():
-        batch = walk(n_chains=2, n_samples=30, seed=6, burn_in=10, thinning=2)
-        # 2 chains x 10 burn-in sweeps against 30 draws x 2 sweeps each
-        assert batch.diagnostics["burn_in_share"] == pytest.approx(20 / 80)
+        batch = walk(n_chains=2, n_samples=30, seed=6, burn_in=10)
+        # each of 2 chains runs 10 burn-in sweeps and 15 kept ones
+        assert batch.diagnostics["burn_in_share"] == pytest.approx(20 / 50)
 
 
 def test_exact_vs_mcmc_max_coordinate_ks():
@@ -320,42 +349,22 @@ def test_exact_vs_mcmc_max_coordinate_ks():
 
 
 def test_pushforward_support_and_transfer():
+    # the first radial column is E[||T||_2^2 | direction] of the ball point
+    # with the gas point's direction: its mean over the gas mean of ||x||_2^2
+    # is the homogeneous transfer factor
     params = EnsembleParams(2, 1, 0, 3)
     p = 4.0
     gas = sp.mcmc_sample(params, p, n_chains=4, n_samples=40_000, seed=5)
-    ball = sp.ball_pushforward(gas, params, p, seed=6)
-    norms = np.sum(np.abs(ball.points) ** p, axis=1) ** (1.0 / p)
-    assert np.max(norms) <= 1.0 + 1e-12
     vg = np.sum(gas.points**2, axis=1)
-    vb = np.sum(ball.points**2, axis=1)
+    vb = mo.radial_columns(gas.points, p, 1, params.d)[:, 0]
+    # sup ||T||_2^2 on the unit 4-ball of R^3 is 3^(1/2), times E R^2 = d/(d+2)
+    assert np.max(vb) <= 3.0 ** 0.5 * params.d / (params.d + 2) * (1.0 + 1e-12)
     m_b, se_b, _ = batch_means(vb)
     m_g, se_g, _ = batch_means(vg)
     target = math.exp(math.lgamma(1 + params.d / p) - math.lgamma(1 + (params.d + 2) / p))
     ratio = m_b / m_g
     se = ratio * math.hypot(se_b / m_b, se_g / m_g)
     assert abs(ratio - target) <= 3.0 * se
-
-
-def test_pushforward_preserves_signs():
-    params = EnsembleParams(1, 2, 0, 3)
-    gas = sp.mcmc_sample(params, 2.0, n_chains=2, n_samples=5000, seed=12)
-    ball = sp.ball_pushforward(gas, params, 2.0, seed=13)
-    assert np.array_equal(np.sign(ball.points), np.sign(gas.points))
-
-
-def test_pushforward_identity_at_infinity():
-    params = EnsembleParams(2, 1, 0, 2)
-    gas = sp.mcmc_sample(params, math.inf, n_chains=2, n_samples=2000, seed=14)
-    ball = sp.ball_pushforward(gas, params, math.inf, seed=15)
-    assert ball.points is gas.points
-
-
-def test_pushforward_skips_zero_points():
-    params = EnsembleParams(2, 1, 0, 2)
-    batch = sp.SampleBatch(points=np.array([[0.0, 0.0], [1.0, 0.5]]))
-    out = sp.ball_pushforward(batch, params, 2.0, seed=16)
-    assert len(out) == 1
-    assert out.diagnostics["skipped_zero_points"] == 1
 
 
 def test_hit_and_run_membership_examples():
@@ -383,9 +392,7 @@ def test_hit_and_run_agrees_with_pushforward():
 
     params = EnsembleParams(2, 1, 0, 3)
     gas = sp.mcmc_sample(params, 4.0, n_chains=4, n_samples=40_000, seed=22)
-    ball = sp.ball_pushforward(gas, params, 4.0, seed=23)
-    v_pf = np.sum(ball.points**2, axis=1)
-    m2, se2, _ = batch_means(v_pf)
+    m2, se2, _ = batch_means(mo.radial_columns(gas.points, 4.0, 1, params.d)[:, 0])
     assert abs(m1 - m2) <= 3.0 * math.hypot(se1, se2)
 
 

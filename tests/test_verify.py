@@ -287,6 +287,16 @@ def test_run_suite_unknown():
         vf.run_suite("bogus")
 
 
+def test_run_suite_needs_a_finite_positive_scale_and_tol():
+    # an infinite scale would overflow int(1000 * scale), and a negative one
+    # would run the floor budgets in silence
+    for bad in (math.inf, -1.0, math.nan, 0.0):
+        with pytest.raises(ValueError, match="finite numbers > 0"):
+            vf.run_suite("entries", budget_scale=bad)
+        with pytest.raises(ValueError, match="finite numbers > 0"):
+            vf.run_suite("identities", tol=bad)
+
+
 def test_suite_gamma():
     reports = vf.run_suite("gamma")
     assert len(reports) == 3
