@@ -83,29 +83,52 @@ def _dumps(v):
     return json.dumps(v, sort_keys=True, allow_nan=False)
 
 
+def _header_line(config):
+    head = {
+        "record": "header",
+        "schema": 1,
+        "tool": "schattenlab",
+        "version": __version__,
+        "config": {
+            "subcommand": config.subcommand,
+            "options": vf._jsonable(config.options),
+            "seed": config.seed,
+            "format": config.fmt,
+        },
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    return ("" if config.fmt == "jsonl" else "# ") + _dumps(head) + "\n"
+
+
+class _Output:
+    """The --out stream (stdout for None or "-"), opened with the header at
+    its first write: a run that fails before its first record creates no
+    file and leaves an existing file as it was."""
+
+    def __init__(self, path, header):
+        self.path, self.header, self.file = path, header, None
+
+    def open(self):
+        if self.file is None:
+            stdout = self.path in (None, "-")
+            self.file = sys.stdout if stdout else open(self.path, "w", encoding="utf-8")
+            self.file.write(self.header)
+
+    def write(self, text):
+        self.open()
+        self.file.write(text)
+
+    def close(self):
+        if self.file is not None and self.file is not sys.stdout:
+            self.file.close()
+
+
 class _Writer:
     def __init__(self, config, stream):
-        self.config = config
         self.stream = stream
         self.fmt = config.fmt
         self._csv = None
         self._fields = None
-
-    def header(self):
-        head = {
-            "record": "header",
-            "schema": 1,
-            "tool": "schattenlab",
-            "version": __version__,
-            "config": {
-                "subcommand": self.config.subcommand,
-                "options": vf._jsonable(self.config.options),
-                "seed": self.config.seed,
-                "format": self.config.fmt,
-            },
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        self.stream.write(("" if self.fmt == "jsonl" else "# ") + _dumps(head) + "\n")
 
     def record(self, rec):
         rec = vf._jsonable(rec)
@@ -120,12 +143,6 @@ class _Writer:
             raise ValueError(f"csv record fields {sorted(rec)} differ from the header's "
                              f"{sorted(self._fields)}")
         self._csv.writerow({k: _dumps(v) if isinstance(v, dict) else v for k, v in rec.items()})
-
-
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
 
 
 # ---------------------------------------------------------------------------
@@ -248,22 +265,21 @@ def _cmd_gamma(args, writer):
 
 
 def _run(args):
-    """Write the header, run the subcommand body on the output stream and
-    return its exit code; an oracle failure exits with EXIT_ORACLE."""
+    """Run the subcommand body on the output stream and return its exit code;
+    an oracle failure exits with EXIT_ORACLE."""
     options = {k: v for k, v in vars(args).items()
                if k not in ("func", "out", "format", "seed", "subcommand")}
     config = RunConfig(args.subcommand, options, args.seed, args.format)
-    stream, close = _open_out(args.out)
+    out = _Output(args.out, _header_line(config))
     try:
-        writer = _Writer(config, stream)
-        writer.header()
-        return args.func(args, writer)
+        code = args.func(args, _Writer(config, out))
+        out.open()  # a body that wrote no record still leaves its header
+        return code
     except mo.OracleFailure as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     finally:
-        if close:
-            stream.close()
+        out.close()
 
 
 def _mcmc_kwargs(args):

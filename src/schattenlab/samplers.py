@@ -4,10 +4,11 @@ Two gas routes: adaptive random-walk Metropolis for arbitrary parameters and
 exact tridiagonal ensemble samplers for the Gaussian (p=2) weight.  A
 hit-and-run walk on the matrix subspace itself gives an independent route to
 the uniform ball measure.  Metropolis and hit-and-run share one lockstep
-chain loop, _run_chains.  The exact p=2 samplers draw their variates on the
-calling thread and solve the tridiagonal eigenproblems on the process's
-cores; the draws do not depend on the core count, the wall-time gain needs a
-second free core, and one core runs serially.
+chain loop, _run_chains.  The exact p=2 gas sampler draws in fixed chunks,
+one child seed stream per chunk, and runs whole chunks on the process's
+cores; the draws do not depend on the core count and are prefix-stable (the
+first full chunks of any budget agree), the wall-time gain needs a second
+free core, and one core runs serially.
 """
 
 import math
@@ -196,8 +197,7 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
 # ---------------------------------------------------------------------------
 # exact samplers at the Gaussian weight
 
-_EIG_CHUNK = 4096  # draws per chunk; it fixes the stream order, so it fixes every draw
-_EIG_SLICE = 512  # matrices per eigvalsh call; the slices of a chunk run in parallel
+_CHUNK = 1024  # draws per chunk, each from its own child stream; it fixes every draw
 
 
 def _cores():
@@ -216,33 +216,54 @@ def exact_p2_sample(params, n_samples, seed=0):
     eigenvalues; the Laguerre shape is chosen so the substitution y = x^2
     reproduces the gas exactly.  Anything else raises SamplerUnavailable.
 
-    The variates are drawn on the calling thread, chunk by chunk, from the
-    one seeded stream; each chunk's eigenproblems are then solved in slices
-    of _EIG_SLICE matrices on a thread pool with one worker per core the
-    process may use (eigvalsh releases the interpreter lock).  Each matrix is
-    solved on its own, so the draws are byte-identical whatever the core
-    count.  The wall-time gain needs a second free core; with one core, or
-    one slice, no pool starts and the solve runs serially.
+    The draws come in chunks of _CHUNK; chunk j draws its variates from
+    child j of SeedSequence(seed).spawn(n_chunks), so for one seed the first
+    k full chunks of any budget are the same draws.  Whole chunks (variates,
+    tridiagonal build, eigvalsh, eigenvalue map) run on a thread pool with
+    one worker per core the process may use, in rounds of one chunk per
+    worker, each worker filling its own matrix buffer made on the calling
+    thread (eigvalsh releases the interpreter lock).  A chunk depends only on
+    (seed, j, its size), so the draws are byte-identical whatever the core
+    count.  With one core, or one chunk, no pool starts and the chunks run
+    serially.
     """
     _check_budget(n_samples)
     n, a, b, c = params.n, params.a, params.b, params.c
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     if a == 1 and c == 0:
         draw = _hermite_draws
     elif a == 2:
         draw = _laguerre_draws
     else:
         raise SamplerUnavailable(f"no exact p=2 sampler for (a,b,c)=({a},{b},{c})")
-    workers = min(_cores(), -(-min(n_samples, _EIG_CHUNK) // _EIG_SLICE))
+    n_chunks = -(-n_samples // _CHUNK)
+    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    points = np.empty((n_samples, n))
+    workers = min(_cores(), n_chunks)
+    buffers = [np.zeros((min(n_samples, _CHUNK), n, n)) for _ in range(workers)]
+
+    def run(j, mats):
+        # chunk j's rows of points; the workers write disjoint rows
+        lam = points[j * _CHUNK : (j + 1) * _CHUNK]
+        diag, sub, finish = draw(params, len(lam), np.random.default_rng(seeds[j]))
+        chunk = mats[: len(lam)]
+        _set_tridiagonal(chunk, diag, sub)
+        lam[:] = np.linalg.eigvalsh(chunk)
+        finish(lam)
+
+    def rounds(mapper):
+        for start in range(0, n_chunks, workers):
+            for _ in mapper(run, range(start, min(start + workers, n_chunks)), buffers):
+                pass  # reading every result re-raises a worker's exception
+
     if workers > 1:
         # imported here: concurrent.futures imports logging, which would
         # add to every `import schattenlab`
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            points = _draw_chunks(draw, params, n_samples, rng, pool.map)
+            rounds(pool.map)
     else:
-        points = _draw_chunks(draw, params, n_samples, rng, map)
+        rounds(map)
     v = np.sum(points**2, axis=1)
     return SampleBatch(
         points=points,
@@ -254,23 +275,6 @@ def exact_p2_sample(params, n_samples, seed=0):
     )
 
 
-def _draw_chunks(draw, params, n_samples, rng, mapper):
-    """The (n_samples, n) points, chunk by chunk: each chunk's matrices are
-    built in one buffer, and their eigenvalues are written into the chunk's
-    rows of the points and mapped there in place."""
-    n = params.n
-    points = np.empty((n_samples, n))
-    mats = np.zeros((min(n_samples, _EIG_CHUNK), n, n))
-    for start in range(0, n_samples, _EIG_CHUNK):
-        lam = points[start : start + _EIG_CHUNK]
-        diag, sub, finish = draw(params, len(lam), rng)
-        chunk = mats[: len(lam)]
-        _set_tridiagonal(chunk, diag, sub)
-        _eigvalsh_into(chunk, lam, mapper)
-        finish(lam)
-    return points
-
-
 def _set_tridiagonal(mats, diag, sub):
     """Write the (m, n) diag on the diagonals and the (m, n-1) sub on the
     sub-diagonals of the contiguous (m, n, n) mats, through strides.  Nothing
@@ -280,19 +284,6 @@ def _set_tridiagonal(mats, diag, sub):
     flat = mats.reshape(m, n * n)
     flat[:, :: n + 1] = diag
     flat[:, n :: n + 1] = sub
-
-
-def _eigvalsh_into(mats, out, mapper):
-    """Write the eigenvalues of the stacked mats into out, one eigvalsh call
-    per slice of _EIG_SLICE matrices.  mapper is map or a pool's map; both
-    arrays are allocated by the caller, so the workers only read views of
-    mats and write disjoint rows of out."""
-
-    def solve(i):
-        out[i : i + _EIG_SLICE] = np.linalg.eigvalsh(mats[i : i + _EIG_SLICE])
-
-    for _ in mapper(solve, range(0, len(mats), _EIG_SLICE)):
-        pass  # reading every result re-raises a worker's exception
 
 
 def _hermite_draws(params, m, rng):

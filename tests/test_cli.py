@@ -210,6 +210,22 @@ def test_usage_errors():
                        "--tol", tol).returncode == cli.EXIT_USAGE, tol
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", "entries", "--budget-scale", "inf"),
+    ("verify", "--suite", "gamma", "--tol", "1e-3"),
+    ("estimate", "var", "--n", "3", "--p", "3", "--samples", "0"),
+])
+def test_usage_error_leaves_out_untouched(tmp_path, args):
+    # the output opens at the first record: an error before it creates no
+    # file and keeps an existing file's bytes
+    out = tmp_path / "f.jsonl"
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+    out.write_bytes(b'{"record": "earlier run"}\n')
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_USAGE
+    assert out.read_bytes() == b'{"record": "earlier run"}\n'
+
+
 def test_header_carries_config(tmp_path):
     out = tmp_path / "h.jsonl"
     run_cli("gamma", "--d", "9", "--p", "3", "--q", "2", "--seed", "5", "--out", str(out))

@@ -248,51 +248,62 @@ def test_only_chains_that_return_draws_run():
     assert np.array_equal(gas.diagnostics["acceptance"], three.diagnostics["acceptance"])
 
 
+def _chunk_streams(seed, m):
+    """(rows, generator) of each chunk of an m-draw exact p=2 run: chunk j
+    holds rows j*_CHUNK onwards and draws from child j of the seed."""
+    sizes = [min(sp._CHUNK, m - start) for start in range(0, m, sp._CHUNK)]
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [(slice(j * sp._CHUNK, j * sp._CHUNK + k), np.random.default_rng(child))
+            for j, (k, child) in enumerate(zip(sizes, children))]
+
+
 @pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3)])
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_laguerre_chunk_matches_dense_bidiagonal_product(abc, n):
-    # the same chi-square draws, squared into the dense B B^T of the
+    # each chunk's chi-square draws, squared into the dense B B^T of the
     # bidiagonal Laguerre model, must give the chunk's eigenvalues
     params = EnsembleParams(*abc, n)
-    m = 200
-    x = sp._draw_chunks(sp._laguerre_draws, params, m, np.random.default_rng(51), map)
-    rng = np.random.default_rng(51)
+    m = sp._CHUNK + 200
+    x = sp.exact_p2_sample(params, m, seed=51).points
     a, b, c = abc
-    bid = np.zeros((m, n, n))
-    idx = np.arange(n)
-    bid[:, idx, idx] = np.sqrt(rng.chisquare(b * (n - 1) + c + 1 - b * idx, size=(m, n)))
-    if n > 1:
-        j = np.arange(n - 1)
-        bid[:, j + 1, j] = np.sqrt(rng.chisquare(b * (n - 1 - j), size=(m, n - 1)))
-    y = np.linalg.eigvalsh(bid @ bid.transpose(0, 2, 1)) / 2.0
-    assert np.max(np.abs(x**2 - y)) <= 1e-12 * np.max(y)
+    for rows, rng in _chunk_streams(51, m):
+        k = rows.stop - rows.start
+        bid = np.zeros((k, n, n))
+        idx = np.arange(n)
+        bid[:, idx, idx] = np.sqrt(rng.chisquare(b * (n - 1) + c + 1 - b * idx, size=(k, n)))
+        if n > 1:
+            j = np.arange(n - 1)
+            bid[:, j + 1, j] = np.sqrt(rng.chisquare(b * (n - 1 - j), size=(k, n - 1)))
+        y = np.linalg.eigvalsh(bid @ bid.transpose(0, 2, 1)) / 2.0
+        assert np.max(np.abs(x[rows] ** 2 - y)) <= 1e-12 * np.max(y)
 
 
 @pytest.mark.parametrize("b", [1, 2, 4])
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_hermite_chunk_matches_dense_tridiagonal(b, n):
-    # the same normal and chi draws, in the dense symmetric tridiagonal
+    # each chunk's normal and chi draws, in the dense symmetric tridiagonal
     # Gaussian beta model, must give the chunk's eigenvalues
     params = EnsembleParams(1, b, 0, n)
-    m = 200
-    x = sp._draw_chunks(sp._hermite_draws, params, m, np.random.default_rng(51), map)
-    rng = np.random.default_rng(51)
-    tri = np.zeros((m, n, n))
-    idx = np.arange(n)
-    tri[:, idx, idx] = rng.standard_normal((m, n))
-    if n > 1:
-        j = np.arange(n - 1)
-        off = np.sqrt(rng.chisquare(b * (n - 1 - j), size=(m, n - 1))) / math.sqrt(2.0)
-        tri[:, j + 1, j] = off
-        tri[:, j, j + 1] = off
-    y = np.linalg.eigvalsh(tri) / math.sqrt(2.0)
-    assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+    m = sp._CHUNK + 200
+    x = sp.exact_p2_sample(params, m, seed=51).points
+    for rows, rng in _chunk_streams(51, m):
+        k = rows.stop - rows.start
+        tri = np.zeros((k, n, n))
+        idx = np.arange(n)
+        tri[:, idx, idx] = rng.standard_normal((k, n))
+        if n > 1:
+            j = np.arange(n - 1)
+            off = np.sqrt(rng.chisquare(b * (n - 1 - j), size=(k, n - 1))) / math.sqrt(2.0)
+            tri[:, j + 1, j] = off
+            tri[:, j, j + 1] = off
+        y = np.linalg.eigvalsh(tri) / math.sqrt(2.0)
+        assert np.max(np.abs(x[rows] - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 @pytest.mark.parametrize("abc", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 4, 3)])
 def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
-    s, chunk = sp._EIG_SLICE, sp._EIG_CHUNK
-    budgets = (1, s - 1, s, s + 1, chunk, chunk + 1, 10_000)
+    chunk = sp._CHUNK
+    budgets = (1, chunk - 1, chunk, chunk + 1, 10_000)
     pools = []
     pool_cls = concurrent.futures.ThreadPoolExecutor
 
@@ -303,20 +314,38 @@ def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
         pools.append(workers)
         return pool_cls(workers)
 
-    for n in (1, 2, 16):
-        params = EnsembleParams(*abc, n)
-        for budget in budgets:
-            monkeypatch.setattr(sp, "_cores", lambda: 1)
-            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-            serial = sp.exact_p2_sample(params, budget, seed=budget).points
-            monkeypatch.setattr(sp, "_cores", lambda: 3)
-            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
-            pools.clear()
-            threaded = sp.exact_p2_sample(params, budget, seed=budget).points
-            assert serial.shape == (budget, n)
-            assert np.array_equal(serial, threaded)
-            slices = -(-min(budget, chunk) // s)
-            assert pools == ([min(3, slices)] if slices > 1 else [])
+    # more workers than this host may have cores, switching threads often,
+    # so workers sharing a matrix buffer or rows would show as changed draws
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in (1, 2, 16):
+            params = EnsembleParams(*abc, n)
+            for budget in budgets:
+                monkeypatch.setattr(sp, "_cores", lambda: 1)
+                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+                serial = sp.exact_p2_sample(params, budget, seed=budget).points
+                monkeypatch.setattr(sp, "_cores", lambda: 3)
+                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
+                pools.clear()
+                threaded = sp.exact_p2_sample(params, budget, seed=budget).points
+                assert serial.shape == (budget, n)
+                assert np.array_equal(serial, threaded)
+                n_chunks = -(-budget // chunk)
+                assert pools == ([min(3, n_chunks)] if n_chunks > 1 else [])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 0), (2, 2, 1), (2, 4, 3)])
+@pytest.mark.parametrize("n", [2, 16])
+def test_exact_p2_draws_are_prefix_stable(abc, n):
+    # chunk j draws from child j of the seed, so a longer budget only
+    # appends draws after the last full chunk
+    params = EnsembleParams(*abc, n)
+    budget = 2 * sp._CHUNK
+    longer = sp.exact_p2_sample(params, budget + 7, seed=61).points
+    assert np.array_equal(longer[:budget], sp.exact_p2_sample(params, budget, seed=61).points)
 
 
 def test_import_starts_no_pool_machinery():
