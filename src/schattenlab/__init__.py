@@ -12,6 +12,7 @@ from .ensembles import (  # noqa: F401
     ensemble_of,
 )
 from .density import log_f, log_f_p  # noqa: F401
+from .exact import closed_form_moment  # noqa: F401
 from .gammafn import GammaRatio, gamma_gap, gamma_ratio  # noqa: F401
 from .matrixlab import (  # noqa: F401
     EntryIdentityTerms,
@@ -24,7 +25,6 @@ from .moments import (  # noqa: F401
     OracleFailure,
     SigmaEstimate,
     VarMpEstimate,
-    closed_form_moment,
     estimate_moment,
     quadrature_moment,
     quadrature_moments,

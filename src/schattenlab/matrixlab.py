@@ -29,7 +29,6 @@ __all__ = [
     "entry_identity_batch",
     "entry_identity_terms",
     "random_matrix",
-    "random_antisym_hermitian",
 ]
 
 
@@ -308,9 +307,3 @@ def random_matrix(field, n, rng):
         return rng.standard_normal((n, n, 4))
     raise ValueError(f"unknown field {field!r}")
 
-
-def random_antisym_hermitian(n, rng):
-    """Entries of a random i * (real antisymmetric) matrix with Gaussian entries."""
-    a = rng.standard_normal((n, n))
-    a = a - a.T
-    return 1j * a

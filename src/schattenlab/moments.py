@@ -1,6 +1,6 @@
 """Moment ratios M_p(F)/M_p(1) of the gas densities: Monte Carlo estimators,
-a deterministic quadrature oracle for n <= 3, homogeneous closed forms, and
-the thin-shell statistic pipelines.
+a deterministic quadrature oracle for n <= 3, and the thin-shell statistic
+pipelines, which read the closed forms of `exact` where they exist.
 
 The oracle integrates the radius exactly (a Gamma factor, by homogeneity) and
 only the face of the ordered sector by quadrature, so there is no truncation
@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import density
+from . import exact
 from . import matrixlab as ml
 from . import samplers
 from .ensembles import ensemble_of
@@ -40,7 +41,6 @@ __all__ = [
     "estimate_moment",
     "quadrature_moment",
     "quadrature_moments",
-    "closed_form_moment",
     "radial_columns",
     "sigma_from_values",
     "sigma_pipeline",
@@ -223,56 +223,6 @@ def estimate_moment(batch, functional):
     )
 
 
-def closed_form_moment(d, s, l, p):
-    """Gamma((d+l+s)/p) / Gamma((d+s)/p), the homogeneous moment transfer factor."""
-    if not 0 < p < math.inf:
-        raise ValueError("closed_form_moment needs finite p > 0")
-    if not (s > -d and l + s > -d):
-        raise ValueError("closed_form_moment needs s > -d and l + s > -d")
-    return math.exp(math.lgamma((d + l + s) / p) - math.lgamma((d + s) / p))
-
-
-def _selberg_moments(params):
-    """(E y_1, E y_1 y_2, E sum y^2) as Fractions, y = x^2 of the (2, b, c) gas at
-    p = inf (0 for E y_1 y_2 at n = 1).  y has the Selberg density
-    prod |y_i - y_j|^b prod y_i^((c-1)/2) on [0, 1]^n: Aomoto's formula
-    (alpha = (c+1)/2, gamma = b/2) gives E y_1 ... y_m, and Kadell's Selberg
-    average of the Jack polynomial P_(2) = sum y^2 + w e_2 gives E sum y^2."""
-    n = params.n
-    alpha, gamma = Fraction(params.c + 1, 2), Fraction(params.b, 2)
-
-    def aomoto(m):
-        """E y_1 ... y_m."""
-        out = Fraction(1)
-        for i in range(1, m + 1):
-            out *= (alpha + (n - i) * gamma) / (alpha + 1 + (2 * n - i - 1) * gamma)
-        return out
-
-    w = 2 / (1 + 1 / gamma)
-    a1, b1 = alpha + (n - 1) * gamma, alpha + 1 + (2 * n - 2) * gamma
-    jack = (n + Fraction(n * (n - 1), 2) * w) * a1 * (a1 + 1) / (b1 * (b1 + 1))
-    y1y2 = aomoto(2) if n > 1 else Fraction(0)
-    return aomoto(1), y1y2, jack - w * Fraction(n * (n - 1), 2) * y1y2
-
-
-def _exact_gas_moments(params, p):
-    """(E x1^4, E x1^2 x2^2, E x1^2) as Fractions (the pair 0 at n = 1) where
-    (family, p) has closed forms, else None.  p = inf, a = 2: Selberg averages.
-    p = 2, the families exact_p2_sample draws: ||x||^2 is Gamma(d/2), and
-    E sum x^4 is identity 1 (a = 2) or the Gaussian beta ensemble's (a = 1)."""
-    n, a, b, c = params.n, params.a, params.b, params.c
-    if a == 2 and math.isinf(p):
-        y1, y1y2, sum_sq = _selberg_moments(params)
-        return sum_sq / n, y1y2, y1
-    if p != 2 or not (a == 2 or (a == 1 and c == 0)):
-        return None
-    s2 = Fraction(params.d, 2)
-    quartic = ((Fraction(2 * params.d, n) + 1 - c) * s2 / 2 if a == 2
-               else (3 * s2 + b * ((n - 1) * s2 + (Fraction(n, 2) - s2) / 2)) / 2)
-    cross = (s2 * (s2 + 1) - quartic) / (n * (n - 1)) if n > 1 else Fraction(0)
-    return quartic / n, cross, s2 / n
-
-
 # ---------------------------------------------------------------------------
 # deterministic quadrature oracle (n <= 3)
 #
@@ -351,7 +301,7 @@ def _sector_sums(params, p, funcs, faces, w):
 
 def _radial_ratio(d, k, p):
     """Ratio of the radial integrals of degrees d + k and d."""
-    return d / (d + k) if math.isinf(p) else closed_form_moment(d, 0.0, k, p)
+    return d / (d + k) if math.isinf(p) else exact.closed_form_moment(d, 0.0, k, p)
 
 
 def quadrature_moments(params, p, functionals):
@@ -485,16 +435,17 @@ def _sigma_estimate(d, m, m2, cov, eff, method):
 def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=None):
     """Estimate the thin-shell statistic of K_{p,E} from the singular-value law.
 
-    sampler: "auto" (exact where _exact_gas_moments answers for the ball's
-    gas, else radial_columns of gas draws) or "hit_and_run" for the direct
-    matrix walk, whose raw (v, v^2) validate it.  mcmc_kwargs (n_chains,
-    burn_in) go to whichever chain sampler runs: Metropolis or hit-and-run.
+    sampler: "auto" (exact at p=2 and p=inf, else radial_columns of gas
+    draws) or "hit_and_run" for the direct matrix walk, whose raw (v, v^2)
+    validate it.  mcmc_kwargs (n_chains, burn_in) go to whichever chain
+    sampler runs: Metropolis or hit-and-run.
 
-    The exact routes draw nothing (budget must still be >= 1): at p=2 the
-    radial rule at w = 1 on every subspace, E v = dim/(dim+2) and
-    E v^2 = dim/(dim+4) ("exact-radial"), and for an a=2 ball at p=inf the
-    Selberg averages of v = multiplicity * ||x||_2^2 ("exact-selberg").
-    Other samplers raise ValueError.
+    The exact routes are chosen by p alone, on every subspace, and draw
+    nothing (budget must still be >= 1): at p=2 the radial rule at w = 1,
+    E v = dim/(dim+2) and E v^2 = dim/(dim+4) ("exact-radial"), and at p=inf
+    the Selberg averages of v = multiplicity * ||x||_2^2 ("exact-selberg"),
+    which exist for every ball's gas: a=2, or a=1 with c=0.  Other samplers
+    raise ValueError.
     """
     if sampler not in ("auto", "hit_and_run"):
         raise ValueError(f"sampler must be 'auto' or 'hit_and_run', got {sampler!r}")
@@ -506,12 +457,12 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
 
     mapping = ensemble_of(spec)
     params, k, dim = mapping.params, mapping.multiplicity, Fraction(spec.dim)
-    if (gas_moments := _exact_gas_moments(params, spec.p)) is not None:
+    if spec.p == 2 or math.isinf(spec.p):
         samplers._check_budget(budget)
         if spec.p == 2:  # w = 1: the gas cancels out of v = R^2
             m, m2, method = dim / (dim + 2), dim / (dim + 4), "exact-radial"
         else:  # p = inf: v = k ||x||_2^2
-            (e4, ec, e2), n = gas_moments, params.n
+            (e4, ec, e2), n = exact._exact_gas_moments(params, spec.p), params.n
             m, m2, method = k * n * e2, k * k * n * (e4 + (n - 1) * ec), "exact-selberg"
         return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, method)
     gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
@@ -545,13 +496,17 @@ class VarMpEstimate:
 
 
 def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=None):
-    """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws; with
-    no gas, _exact_gas_moments's closed forms where it has them instead."""
+    """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws.
+
+    With no gas it draws nothing where the family has closed forms: at p=2
+    and p=inf for a=2, or a=1 with c=0, the families exact_p2_sample draws
+    ("exact-gaussian" at p=2, "exact-selberg" at p=inf, every error bar 0).
+    """
     n = params.n
-    if gas is None and (exact := _exact_gas_moments(params, p)) is not None:
+    if gas is None and (moments := exact._exact_gas_moments(params, p)) is not None:
         samplers._check_budget(budget)
         method = "exact-selberg" if math.isinf(p) else "exact-gaussian"
-        return _var_mp_estimate(n, exact, np.zeros((3, 3)), math.inf, method)
+        return _var_mp_estimate(n, moments, np.zeros((3, 3)), math.inf, method)
     if gas is None:
         gas = samplers.gas_sample(params, p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     x = gas.points

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import exact
 from . import matrixlab as ml
 from . import moments as mo
 from . import samplers as sp
@@ -34,7 +35,6 @@ __all__ = [
     "check_antisym_normalization",
     "check_entry_correlations",
     "check_isotropic_constant_limit",
-    "report_k2_isotropy",
     "SUITES",
     "run_suite",
 ]
@@ -256,7 +256,7 @@ def check_homogeneous_moment(params, p, l):
     lifted = mo.p_norm_power_times(p, l, base)
     ests = mo.quadrature_moments(params, p, [base, lifted])
     measured = ests[lifted.name].value / ests[base.name].value
-    expected = mo.closed_form_moment(params.d, base.degree, l, p)
+    expected = exact.closed_form_moment(params.d, base.degree, l, p)
     tol = 10.0 * (ests[lifted.name].std_err + ests[base.name].std_err + 1e-9)
     tol_eff = max(tol, 1e-7) * max(1.0, abs(expected))
     return CheckReport(
@@ -450,7 +450,7 @@ def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, 
         raise ValueError(f"quartic-ratio references exist for p in {{1, 2, inf}}, got {p!r}")
     rows = []
     ok = True
-    exact = {"exact-selberg": "selberg-averages", "exact-gaussian": "gaussian-closed-form"}
+    exact_routes = {"exact-selberg": "selberg-averages", "exact-gaussian": "gaussian-closed-form"}
     for i, n in enumerate(n_grid):
         params = EnsembleParams(2, b, c, n)
         est = mo.var_mp_pipeline(params, p, budget=budget, seed=seed + 17 * i)
@@ -473,8 +473,8 @@ def check_neg_correlation_threshold(b, c, p, n_grid=(4, 8, 16), budget=100_000, 
         lhs=rows[-1]["ratio"],
         rhs=rows[-1]["reference"],
         tolerance=3.0 * rows[-1]["se"],
-        method="exact" if est.method in exact else "mc",
-        provenance=exact.get(est.method, "gas-sampler"),
+        method="exact" if est.method in exact_routes else "mc",
+        provenance=exact_routes.get(est.method, "gas-sampler"),
         details={"grid": rows},
     )
 
@@ -621,7 +621,8 @@ def check_antisym_normalization(n, p, budget=40_000, seed=0):
     the matrix walk and the gas with its power-of-two and Gamma factors."""
     k = 2
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mats = np.stack([ml.random_antisym_hermitian(n, rng) for _ in range(50)])
+    spec = SchattenSpec("C", "AntiSymHermitian", n, p)
+    mats = ml.coords_to_entries(spec, rng.standard_normal((50, spec.dim)))
     sv = ml.singular_values("C", mats)
     s = n // 2
     theta = sv[:, 0 : 2 * s : 2]
@@ -636,7 +637,6 @@ def check_antisym_normalization(n, p, budget=40_000, seed=0):
     norm_worst = float(np.max(np.abs(lhs_norm - rhs_norm) / np.maximum(1.0, np.abs(lhs_norm))))
     structure_ok = pair_worst <= 1e-10 and norm_worst <= 1e-10
 
-    spec = SchattenSpec("C", "AntiSymHermitian", n, p)
     mapping = ensemble_of(spec)
     params = mapping.params
     hr = sp.matrix_hit_and_run(spec, n_samples=budget, seed=seed)
@@ -765,19 +765,13 @@ def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0):
     """Isotropic constant L_n = sqrt(E||T||_2^2 / D) |K|^(-1/D) of the Full
     n x n operator-norm ball K over field, D = beta n^2, exact at every n: it
     must lie within 15% of its limit 1/sqrt(pi e^{3/2}), and the mean ||T||_2^2
-    of Metropolis draws must meet the exact E||T||_2^2 (Aomoto's) with |z| <= 3.
-    |K| = pi^(D/2) Z_inf / Z_2, Z_q the integral of the singular-value density
-    against exp(-||x||_q^q) (the SVD Jacobian cancels against the Frobenius
-    ball's): Selberg's integral over Mehta's, a product of Gammas.
+    of Metropolis draws must meet the exact E||T||_2^2 (a Selberg average) with
+    |z| <= 3.  |K| is exact.opnorm_ball_log_volume's.
     """
-    beta = BETA[field]
     spec = SchattenSpec(field, "Full", n, math.inf)
     d = spec.dim
     norm_sq = mo.sigma_pipeline(spec).mean_norm_sq
-    log_vol = 0.5 * d * math.log(math.pi) + math.fsum(
-        math.lgamma(1 + j * beta / 2) - math.lgamma(1 + beta / 2 + (n + j - 1) * beta / 2)
-        for j in range(n))
-    vol_radius = math.exp(log_vol / d)
+    vol_radius = math.exp(exact.opnorm_ball_log_volume(field, n) / d)
     l_n = math.sqrt(norm_sq / d) / vol_radius
     l_inf = 1.0 / math.sqrt(math.pi * math.exp(1.5))
     gas = sp.gas_sample(ensemble_of(spec).params, math.inf, budget, seed)
@@ -786,29 +780,6 @@ def check_isotropic_constant_limit(field="R", n=16, budget=60_000, seed=0):
                "rel_tol": 0.15}
     return _mc_report(f"isotropic-constant[{field},n={n}]", mean, norm_sq, se, ess, 0,
                       "exact-selberg-volume", details, ok=abs(l_n / l_inf - 1.0) <= 0.15)
-
-
-def report_k2_isotropy(subspace, n=3, budget=20_000, seed=0):
-    """Report-only covariance diagnostics of the Frobenius ball in the special
-    subspaces (no assertion: isotropy there is an open question)."""
-    spec = SchattenSpec("C", subspace, n, 2.0)
-    batch = sp.matrix_hit_and_run(spec, n_samples=budget, seed=seed)
-    x = batch.points
-    cov = np.cov(x.T)
-    diag = np.diag(cov)
-    off = cov - np.diag(diag)
-    max_corr = float(np.max(np.abs(off)) / np.min(diag))
-    spread = float(np.max(diag) / np.min(diag))
-    return CheckReport(
-        claim_id=f"k2-isotropy-report[{subspace},n={n}]",
-        passed=True,
-        lhs=spread,
-        rhs=1.0,
-        tolerance=0.0,
-        method="hit_and_run",
-        provenance="report-only",
-        details={"coord_var_spread": spread, "max_offdiag_over_var": max_corr},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +914,6 @@ def run_suite(name, budget_scale=1.0, seed=0, only=None, tol=None):
         out = []
         for key in SUITES:
             out.extend(SUITES[key](budget_scale, seed))
-        out.append(report_k2_isotropy("SelfAdjoint", seed=seed))
         return out
     if name == "identities":
         return _suite_identities(budget_scale, seed, only=only, tol=tol)

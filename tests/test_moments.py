@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schattenlab.ensembles import EnsembleParams, SchattenSpec, ensemble_of
+from schattenlab import exact
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
 
@@ -93,25 +94,27 @@ def _aomoto_product_mean(b, c, n, k):
 
 
 @pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3), (2, 1, 1), (2, 2, 0), (2, 2, 2),
-                                 (2, 3, 0)])
+                                 (2, 3, 0), (1, 1, 0), (1, 2, 0), (1, 4, 0)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_quadrature_aomoto_at_p_infinity(abc, n):
     params = EnsembleParams(*abc, n)
     pair = ["x1sq_x2sq"] if n > 1 else []
     ests = mo.quadrature_moments(params, math.inf, ["x1_sq", "x1_pow4", *pair])
-    _, b, c = abc
-    # the exact Selberg averages: E y1, E y1 y2 and E sum y^2 / n with y = x^2
-    y1, y1y2, sum_sq = mo._selberg_moments(params)
-    assert ests["x1_pow2"].value == pytest.approx(_aomoto_product_mean(b, c, n, 1), rel=1e-10)
-    assert mo._exact_gas_moments(params, math.inf) == (sum_sq / n, y1y2, y1)
-    assert float(y1) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
-    assert float(sum_sq / n) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
+    a, b, c = abc
+    # the exact Selberg averages E x1^4, E x1^2 x2^2 and E x1^2
+    x4, cross, x2 = exact._exact_gas_moments(params, math.inf)
+    assert float(x2) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
+    assert float(x4) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
+    if a == 2:
+        assert ests["x1_pow2"].value == pytest.approx(_aomoto_product_mean(b, c, n, 1), rel=1e-10)
     if n == 1:
         # no pair: for (2,3,0) Aomoto's E y1 y2 would divide by alpha + 1 - gamma = 0
-        assert y1y2 == 0
+        assert cross == 0
         return
-    assert ests["x1sq_x2sq"].value == pytest.approx(_aomoto_product_mean(b, c, n, 2), rel=1e-10)
-    assert float(y1y2) == pytest.approx(ests["x1sq_x2sq"].value, rel=1e-12)
+    assert float(cross) == pytest.approx(ests["x1sq_x2sq"].value, rel=1e-12)
+    if a == 2:
+        assert ests["x1sq_x2sq"].value == pytest.approx(_aomoto_product_mean(b, c, n, 2),
+                                                        rel=1e-10)
 
 
 @pytest.mark.parametrize("abc", [(2, 1, 0), (2, 2, 1), (2, 4, 3), (2, 1, 1), (2, 2, 0), (2, 2, 2),
@@ -123,7 +126,7 @@ def test_quadrature_gaussian_moments_at_p2(abc, n):
     params = EnsembleParams(*abc, n)
     pair = ["x1sq_x2sq"] if n > 1 else []
     ests = mo.quadrature_moments(params, 2.0, ["x1_pow4", "x1_sq", *pair])
-    x4, cross, x2 = mo._exact_gas_moments(params, 2.0)
+    x4, cross, x2 = exact._exact_gas_moments(params, 2.0)
     assert float(x4) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
     assert float(x2) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
     if n == 1:
@@ -133,12 +136,15 @@ def test_quadrature_gaussian_moments_at_p2(abc, n):
 
 
 def test_exact_gas_moments_cover_only_the_closed_forms():
-    # p=inf needs a=2; p=2 needs a=2 or (a=1, c=0); no other p has a closed form
-    assert mo._exact_gas_moments(EnsembleParams(1, 2, 0, 3), math.inf) is None
-    assert mo._exact_gas_moments(EnsembleParams(1, 1, 2, 3), 2.0) is None
-    assert mo._exact_gas_moments(EnsembleParams(3, 1, 0, 3), 2.0) is None
+    # p=2 and p=inf, each for a=2 or (a=1, c=0), the families exact_p2_sample
+    # draws; (1,2,0) at p=inf became exact with the Jack averages
+    assert exact._exact_gas_moments(EnsembleParams(1, 2, 0, 3), math.inf) is not None
+    for p in (2.0, math.inf):
+        assert exact._exact_gas_moments(EnsembleParams(1, 1, 2, 3), p) is None
+        assert exact._exact_gas_moments(EnsembleParams(3, 1, 0, 3), p) is None
     for p in (1.0, 4.0):
-        assert mo._exact_gas_moments(EnsembleParams(2, 1, 0, 3), p) is None
+        assert exact._exact_gas_moments(EnsembleParams(2, 1, 0, 3), p) is None
+        assert exact._exact_gas_moments(EnsembleParams(1, 2, 0, 3), p) is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -158,16 +164,16 @@ def test_quadrature_rejects_wrong_declared_degree():
 
 
 def test_closed_form_moment_values():
-    assert mo.closed_form_moment(1, 0, 2, 2) == pytest.approx(0.5, rel=1e-12)
-    assert mo.closed_form_moment(8, 0, 4, 4) == pytest.approx(2.0, rel=1e-12)
-    assert mo.closed_form_moment(4, 2, 4, 2) == pytest.approx(12.0, rel=1e-12)
+    assert exact.closed_form_moment(1, 0, 2, 2) == pytest.approx(0.5, rel=1e-12)
+    assert exact.closed_form_moment(8, 0, 4, 4) == pytest.approx(2.0, rel=1e-12)
+    assert exact.closed_form_moment(4, 2, 4, 2) == pytest.approx(12.0, rel=1e-12)
     with pytest.raises(ValueError):
-        mo.closed_form_moment(4, -5, 2, 2)
+        exact.closed_form_moment(4, -5, 2, 2)
     with pytest.raises(ValueError):
-        mo.closed_form_moment(4, 0, 2, math.inf)
+        exact.closed_form_moment(4, 0, 2, math.inf)
     for p in (0.0, -2.0):
         with pytest.raises(ValueError):
-            mo.closed_form_moment(4, 0, 2, p)
+            exact.closed_form_moment(4, 0, 2, p)
 
 
 def _no_draws(monkeypatch):
@@ -207,9 +213,11 @@ def test_sigma_pipeline_exact_opnorm_full_matches_oracle(field, monkeypatch):
 @pytest.mark.parametrize("spec", [
     *(SchattenSpec("C", "ComplexSymmetric", n, math.inf) for n in (1, 2, 3)),
     *(SchattenSpec("C", "AntiSymHermitian", n, math.inf) for n in range(2, 8)),
-], ids=lambda s: f"{s.subspace}-{s.n}")
+    *(SchattenSpec(f, "SelfAdjoint", n, math.inf) for f in "RCH" for n in (1, 2, 3)),
+], ids=lambda s: (f"{s.field}-" if s.subspace == "SelfAdjoint" else "") + f"{s.subspace}-{s.n}")
 def test_sigma_pipeline_exact_opnorm_subspaces_match_oracle(spec, monkeypatch):
-    # every a=2 ball at p=inf: (2,1,1) and (2,2,2r) on floor(n/2) <= 3 coordinates
+    # every ball at p=inf: (2,1,1) and (2,2,2r) on floor(n/2) <= 3 coordinates,
+    # and the signed (1,beta,0) of the SelfAdjoint balls
     _no_draws(monkeypatch)
     exact = _exact_sigma_meets_oracle(spec)
     assert exact.sigma_sq == pytest.approx(
@@ -217,10 +225,35 @@ def test_sigma_pipeline_exact_opnorm_subspaces_match_oracle(spec, monkeypatch):
     assert exact.mean_over_dim == pytest.approx(exact.mean_norm_sq / spec.dim, rel=1e-15)
 
 
+_SELF_ADJOINT_SIGMA_SQ = {
+    "R": (Fraction(3, 4), Fraction(272, 405), Fraction(775, 1232)),
+    "C": (Fraction(248, 343), Fraction(164, 289), Fraction(28256, 52855)),
+    "H": (Fraction(13, 20), Fraction(1775, 4212), Fraction(6223, 14144)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_SELF_ADJOINT_SIGMA_SQ))
+def test_sigma_pipeline_exact_opnorm_self_adjoint_draws_nothing(field, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact route must draw nothing")
+
+    for name in ("gas_sample", "mcmc_sample", "exact_p2_sample", "matrix_hit_and_run"):
+        monkeypatch.setattr(sp, name, refuse)
+    for n, value in zip((2, 3, 4), _SELF_ADJOINT_SIGMA_SQ[field]):
+        est = mo.sigma_pipeline(SchattenSpec(field, "SelfAdjoint", n, math.inf))
+        assert (est.sigma_sq, est.method, est.std_err, est.ess) == (
+            float(value), "exact-selberg", 0.0, math.inf)
+    est = mo.var_mp_pipeline(ensemble_of(SchattenSpec(field, "SelfAdjoint", 3, math.inf)).params,
+                             math.inf)
+    assert (est.method, est.std_err, est.ess) == ("exact-selberg", 0.0, math.inf)
+
+
 _WALK_CASES = {
     "cs3": (SchattenSpec("C", "ComplexSymmetric", 3, math.inf), Fraction(4, 7)),
     "ash4": (SchattenSpec("C", "AntiSymHermitian", 4, math.inf), Fraction(8, 15)),
     "ash5": (SchattenSpec("C", "AntiSymHermitian", 5, math.inf), Fraction(40, 77)),
+    "sa-c3": (SchattenSpec("C", "SelfAdjoint", 3, math.inf), Fraction(164, 289)),
+    "sa-h2": (SchattenSpec("H", "SelfAdjoint", 2, math.inf), Fraction(13, 20)),
 }
 
 
@@ -266,7 +299,7 @@ def test_homogeneous_transfer_on_grid():
             lifted = mo.p_norm_power_times(p, l, base)
             ests = mo.quadrature_moments(params, p, [base, lifted])
             measured = ests[lifted.name].value / ests[base.name].value
-            expected = mo.closed_form_moment(params.d, 2.0, l, p)
+            expected = exact.closed_form_moment(params.d, 2.0, l, p)
             assert measured == pytest.approx(expected, rel=1e-6)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from schattenlab.density import log_f_p
 from schattenlab.ensembles import EnsembleParams, SchattenSpec
+from schattenlab import exact
 from schattenlab import matrixlab as ml
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
@@ -77,29 +78,41 @@ def test_metropolis_meets_selberg_averages_at_p_inf():
 _A1_FUNCTIONALS = ("norm2_sq", "norm2_4", "x1_pow4")
 
 
-def _z_against_oracle(gas, oracle):
-    """z of the draws' E ||x||^2, E ||x||^4 and E x1^4 against the oracle's."""
+def _z_against_reference(gas, reference):
+    """z of the draws' E ||x||^2, E ||x||^4 and E x1^4 against reference values."""
     out = {}
     for fid in _A1_FUNCTIONALS:
         est = mo.estimate_moment(gas, fid)
-        out[fid] = (est.value - oracle[fid].value) / est.std_err
+        out[fid] = (est.value - reference[fid]) / est.std_err
     return out
+
+
+def _a1_reference(params):
+    """E ||x||^2, E ||x||^4 and E x1^4 at p=inf: the oracle's up to n = 3,
+    the exact table's beyond."""
+    if params.n <= mo.ORACLE_MAX_N:
+        ests = mo.quadrature_moments(params, math.inf, _A1_FUNCTIONALS)
+        return {fid: est.value for fid, est in ests.items()}
+    (x4, cross, x2), n = exact._exact_gas_moments(params, math.inf), params.n
+    return {"norm2_sq": float(n * x2), "norm2_4": float(n * x4 + n * (n - 1) * cross),
+            "x1_pow4": float(x4)}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_metropolis_meets_the_oracle_on_a1_families_at_p_inf(seed):
-    # the a=1 (SelfAdjoint) gases at p=inf have no closed form and no exact
-    # sampler, so Metropolis is tested against the quadrature oracle
-    for n in (2, 3):
-        oracle, drawn = {}, {}
+    # the a=1 (SelfAdjoint) gases at p=inf have no exact sampler, so
+    # Metropolis is tested against the quadrature oracle (n <= 3) and the
+    # exact Selberg averages (n = 8)
+    for n in (2, 3, 8):
+        reference, drawn = {}, {}
         for abc in ((1, 1, 0), (1, 2, 0), (1, 4, 0)):
             params = EnsembleParams(*abc, n)
-            oracle[abc] = mo.quadrature_moments(params, math.inf, _A1_FUNCTIONALS)
+            reference[abc] = _a1_reference(params)
             drawn[abc] = sp.mcmc_sample(params, math.inf, n_samples=20_000, seed=seed)
-            z = _z_against_oracle(drawn[abc], oracle[abc])
+            z = _z_against_reference(drawn[abc], reference[abc])
             assert all(abs(v) <= 3.0 for v in z.values()), (abc, n, z)
         # planted fault: (1,2,0) draws against the (1,1,0) values
-        wrong = _z_against_oracle(drawn[(1, 2, 0)], oracle[(1, 1, 0)])
+        wrong = _z_against_reference(drawn[(1, 2, 0)], reference[(1, 1, 0)])
         assert all(abs(v) > 3.0 for v in wrong.values()), (n, wrong)
 
 

@@ -248,12 +248,6 @@ def test_isotropic_constant_fails_for_the_wrong_family(monkeypatch):
     assert abs(rep.details["l_ratio"] - 1.0) <= rep.details["rel_tol"]
 
 
-def test_k2_isotropy_report_runs():
-    rep = vf.report_k2_isotropy("ComplexSymmetric", n=2, budget=3000, seed=11)
-    assert rep.passed
-    assert rep.provenance == "report-only"
-
-
 def test_sigma_band_hit_and_run_meets_the_exact_value():
     # the thinshell suite's call at seed 0
     rep = vf.check_sigma_band_hit_and_run("R", 4, budget=20_000, seed=2)
