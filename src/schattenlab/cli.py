@@ -1,18 +1,23 @@
 """Reproducible experiment runner: verify / estimate / sample / sweep / gamma.
 
-Every output stream starts with a self-describing header record (schema
-version, full run configuration, package version); data records after the
-header are a pure function of the configuration and seed, so replays are
-byte-identical apart from the header timestamp.
+This module alone turns results into records.  Every kind of record (checks,
+estimates, sweep rows, samples, Gamma rows) goes through one writer,
+`_Writer`, and its one rule: the record's context (its kind, and the
+ensemble, n, p of an estimate), then every field of the result, a dataclass
+or a dict, in order.  Every output stream starts with a self-describing
+header record (schema version, full run configuration, package version);
+data records after the header are a pure function of the configuration and
+seed, so replays are byte-identical apart from the header timestamp.
 """
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
@@ -68,14 +73,18 @@ def _parse_subspace(text):
     return _SUBSPACE_ALIASES[key]
 
 
-@dataclass
-class RunConfig:
-    """Everything needed to replay a run; serialized into the output header."""
-
-    subcommand: str
-    options: dict
-    seed: int
-    fmt: str
+def _jsonable(v):
+    """v with numpy scalars and arrays made plain, and every non-finite float
+    spelled "inf", "-inf" or "nan", so a record is strict JSON."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
+    if isinstance(v, (np.ndarray, list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    return v
 
 
 def _dumps(v):
@@ -83,65 +92,57 @@ def _dumps(v):
     return json.dumps(v, sort_keys=True, allow_nan=False)
 
 
-def _header_line(config):
-    head = {
-        "record": "header",
-        "schema": 1,
-        "tool": "schattenlab",
-        "version": __version__,
-        "config": {
-            "subcommand": config.subcommand,
-            "options": vf._jsonable(config.options),
-            "seed": config.seed,
-            "format": config.fmt,
-        },
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    return ("" if config.fmt == "jsonl" else "# ") + _dumps(head) + "\n"
+class _Writer:
+    """The one record writer of a run, built from its parsed arguments.
 
+    The --out stream (stdout for None or "-", looked up when it opens) opens
+    with the header at the first record: a run that fails before its first
+    record creates no file and leaves an existing file as it was."""
 
-class _Output:
-    """The --out stream (stdout for None or "-"), opened with the header at
-    its first write: a run that fails before its first record creates no
-    file and leaves an existing file as it was."""
-
-    def __init__(self, path, header):
-        self.path, self.header, self.file = path, header, None
+    def __init__(self, args):
+        self.args, self.fmt = args, args.format
+        self.file = self._csv = None
 
     def open(self):
-        if self.file is None:
-            stdout = self.path in (None, "-")
-            self.file = sys.stdout if stdout else open(self.path, "w", encoding="utf-8")
-            self.file.write(self.header)
-
-    def write(self, text):
-        self.open()
-        self.file.write(text)
+        if self.file is not None:
+            return
+        args = self.args
+        options = {k: v for k, v in vars(args).items()
+                   if k not in ("func", "out", "format", "seed", "subcommand")}
+        head = {
+            "record": "header",
+            "schema": 1,
+            "tool": "schattenlab",
+            "version": __version__,
+            "config": {"subcommand": args.subcommand, "options": options,
+                       "seed": args.seed, "format": self.fmt},
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        }
+        self.file = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
+        self.file.write(("" if self.fmt == "jsonl" else "# ") + _dumps(_jsonable(head)) + "\n")
 
     def close(self):
         if self.file is not None and self.file is not sys.stdout:
             self.file.close()
 
-
-class _Writer:
-    def __init__(self, config, stream):
-        self.stream = stream
-        self.fmt = config.fmt
-        self._csv = None
-        self._fields = None
-
-    def record(self, rec):
-        rec = vf._jsonable(rec)
+    def record(self, obj, **context):
+        """Write one record: the context, then every field of obj (a dataclass
+        or a dict) in order; a field named in the context keeps the context's
+        place.  A dict-valued "details" field (a CheckReport's) is spread into
+        the record in JSON lines and kept whole as one JSON column in CSV."""
+        rec = _jsonable({**context, **(asdict(obj) if is_dataclass(obj) else obj)})
+        self.open()
         if self.fmt == "jsonl":
-            self.stream.write(_dumps(rec) + "\n")
+            if isinstance(rec.get("details"), dict):
+                rec.update(rec.pop("details"))
+            self.file.write(_dumps(rec) + "\n")
             return
         if self._csv is None:
-            self._fields = list(rec.keys())
-            self._csv = csv.DictWriter(self.stream, fieldnames=self._fields)
+            self._csv = csv.DictWriter(self.file, fieldnames=list(rec))
             self._csv.writeheader()
-        elif set(rec) != set(self._fields):
+        elif set(rec) != set(self._csv.fieldnames):
             raise ValueError(f"csv record fields {sorted(rec)} differ from the header's "
-                             f"{sorted(self._fields)}")
+                             f"{sorted(self._csv.fieldnames)}")
         self._csv.writerow({k: _dumps(v) if isinstance(v, dict) else v for k, v in rec.items()})
 
 
@@ -154,59 +155,37 @@ def _cmd_verify(args, writer):
         only = (args.ensemble, args.n, args.p)
     reports = vf.run_suite(args.suite, budget_scale=args.budget_scale,
                            seed=args.seed, only=only, tol=args.tol)
-    all_ok = True
     for rep in reports:
-        writer.record(rep.to_record(nested=writer.fmt == "csv"))
+        writer.record(rep, record="check")
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.claim_id} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}",
               file=sys.stderr)
-        all_ok = all_ok and rep.passed
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-
-
-def _estimate_record(kind, context, est):
-    """An estimate record: its kind, the run context, then every field of the
-    estimate dataclass in declaration order (a field named in context keeps
-    the context's place)."""
-    return {"record": kind, **context, **asdict(est)}
-
-
-def _estimate_sigma(args, writer):
-    spec = SchattenSpec(args.field, args.subspace, args.n, args.p)
-    est = mo.sigma_pipeline(spec, sampler=args.sampler, budget=args.samples, seed=args.seed,
-                            mcmc_kwargs=_mcmc_kwargs(args))
-    context = {"field": args.field, "subspace": args.subspace, "n": args.n, "p": args.p}
-    writer.record(_estimate_record("sigma", context, est))
-
-
-def _estimate_var(args, writer):
-    params = EnsembleParams(*args.ensemble, args.n)
-    est = mo.var_mp_pipeline(params, args.p, budget=args.samples, seed=args.seed,
-                             mcmc_kwargs=_mcmc_kwargs(args))
-    context = {"ensemble": list(args.ensemble), "n": args.n, "p": args.p}
-    writer.record(_estimate_record("var_mp", context, est))
-
-
-def _estimate_moment(args, writer):
-    params = EnsembleParams(*args.ensemble, args.n)
-    if args.method == "quadrature":
-        est = mo.quadrature_moment(params, args.p, args.functional)
-    else:
-        batch = sp.gas_sample(params, args.p, args.samples, args.seed,
-                              mcmc_kwargs=_mcmc_kwargs(args))
-        est = mo.estimate_moment(batch, args.functional)
-    context = {"ensemble": list(args.ensemble), "n": args.n, "p": args.p,
-               "functional": args.functional}
-    writer.record(_estimate_record("moment", context, est))
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CHECK_FAILED
 
 
 def _cmd_estimate(args, writer):
+    mcmc_kwargs = _mcmc_kwargs(args)
+    context = {"ensemble": args.ensemble, "n": args.n, "p": args.p}
     if args.quantity == "sigma":
-        _estimate_sigma(args, writer)
+        spec = SchattenSpec(args.field, args.subspace, args.n, args.p)
+        est = mo.sigma_pipeline(spec, sampler=args.sampler, budget=args.samples,
+                                seed=args.seed, mcmc_kwargs=mcmc_kwargs)
+        kind, context = "sigma", {"field": args.field, "subspace": args.subspace,
+                                  "n": args.n, "p": args.p}
     elif args.quantity == "var":
-        _estimate_var(args, writer)
+        est = mo.var_mp_pipeline(EnsembleParams(*args.ensemble, args.n), args.p,
+                                 budget=args.samples, seed=args.seed, mcmc_kwargs=mcmc_kwargs)
+        kind = "var_mp"
     else:
-        _estimate_moment(args, writer)
+        params = EnsembleParams(*args.ensemble, args.n)
+        if args.method == "quadrature":
+            est = mo.quadrature_moment(params, args.p, args.functional)
+        else:
+            batch = sp.gas_sample(params, args.p, args.samples, args.seed,
+                                  mcmc_kwargs=mcmc_kwargs)
+            est = mo.estimate_moment(batch, args.functional)
+        kind, context["functional"] = "moment", args.functional
+    writer.record(est, record=kind, **context)
     return EXIT_OK
 
 
@@ -220,21 +199,16 @@ def _cmd_sample(args, writer):
         batch = sp.matrix_hit_and_run(spec, n_samples=args.samples, seed=args.seed,
                                       **_mcmc_kwargs(args))
     for row in batch.points:
-        writer.record({f"x{i}": float(v) for i, v in enumerate(row)})
+        writer.record({f"x{i}": v for i, v in enumerate(row)})
     return EXIT_OK
 
 
 def _cmd_sweep(args, writer):
-    idx = 0
-    for abc in args.ensembles:
-        for n in args.n_list:
-            for p in args.p_list:
-                params = EnsembleParams(*abc, n)
-                est = mo.var_mp_pipeline(params, p, budget=args.samples,
-                                         seed=args.seed + idx)
-                idx += 1
-                context = {"ensemble": list(abc), "n": n, "p": p}
-                writer.record(_estimate_record("sweep", context, est))
+    grid = itertools.product(args.ensembles, args.n_list, args.p_list)
+    for idx, (abc, n, p) in enumerate(grid):
+        est = mo.var_mp_pipeline(EnsembleParams(*abc, n), p, budget=args.samples,
+                                 seed=args.seed + idx)
+        writer.record(est, record="sweep", ensemble=abc, n=n, p=p)
     return EXIT_OK
 
 
@@ -243,50 +217,31 @@ def _cmd_gamma(args, writer):
         ds = np.unique(np.round(np.geomspace(4, 10_000, 15)).astype(int))
         ps = np.geomspace(1.0, 10_000.0, 15)
         for row in gamma_grid(ds, ps):
-            rec = {"record": "gamma"}
-            rec.update(row)
-            writer.record(rec)
+            writer.record(row, record="gamma")
     else:
         r = gamma_ratio(args.d, args.p, args.q)
-        writer.record(
-            {
-                "record": "gamma",
-                "d": args.d,
-                "p": args.p,
-                "q": args.q,
-                "ratio": r.value,
-                "approximant": r.approximant,
-                "discrepancy": r.discrepancy,
-                "gap": gamma_gap(args.d, args.p),
-            }
-        )
+        writer.record({"d": args.d, "p": args.p, "q": args.q, "ratio": r.value,
+                       "approximant": r.approximant, "discrepancy": r.discrepancy,
+                       "gap": gamma_gap(args.d, args.p)}, record="gamma")
         print(f"{r.value:.12g}", file=sys.stderr)
     return EXIT_OK
 
 
-def _run(args):
-    """Run the subcommand body on the output stream and return its exit code;
-    an oracle failure exits with EXIT_ORACLE."""
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("func", "out", "format", "seed", "subcommand")}
-    config = RunConfig(args.subcommand, options, args.seed, args.format)
-    out = _Output(args.out, _header_line(config))
-    try:
-        code = args.func(args, _Writer(config, out))
-        out.open()  # a body that wrote no record still leaves its header
-        return code
-    except mo.OracleFailure as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    finally:
-        out.close()
-
-
 def _mcmc_kwargs(args):
     """The chain flags given on the command line, named as the samplers name them."""
-    names = {"chains": "n_chains", "burn_in": "burn_in"}
-    return {kw: getattr(args, flag) for flag, kw in names.items()
-            if getattr(args, flag, None) is not None}
+    kwargs = {"n_chains": args.chains, "burn_in": args.burn_in}
+    return {kw: v for kw, v in kwargs.items() if v is not None}
+
+
+def _add_draw_args(sub):
+    """The arguments estimate and sample share: what to draw and how."""
+    sub.add_argument("--ensemble", type=_parse_ensemble, default=(2, 1, 0))
+    sub.add_argument("--field", default="R", choices=("R", "C", "H"))
+    sub.add_argument("--subspace", type=_parse_subspace, default="Full")
+    sub.add_argument("--n", type=int, default=2)
+    sub.add_argument("--p", type=_parse_p, default=2.0)
+    sub.add_argument("--chains", type=_parse_count(1), default=None)
+    sub.add_argument("--burn-in", type=_parse_count(0), default=None)
 
 
 def _add_common(sub):
@@ -318,30 +273,18 @@ def build_parser():
 
     e = subs.add_parser("estimate", help="print moment / variance / sigma estimates")
     e.add_argument("quantity", choices=("sigma", "var", "moment"))
-    e.add_argument("--field", default="R", choices=("R", "C", "H"))
-    e.add_argument("--subspace", type=_parse_subspace, default="Full")
-    e.add_argument("--ensemble", type=_parse_ensemble, default=(2, 1, 0))
-    e.add_argument("--n", type=int, default=2)
-    e.add_argument("--p", type=_parse_p, default=2.0)
+    _add_draw_args(e)
     e.add_argument("--sampler", default="auto", choices=("auto", "hit_and_run"))
     e.add_argument("--functional", default="x1_sq")
     e.add_argument("--method", default="mc", choices=("mc", "quadrature"))
     e.add_argument("--samples", type=int, default=50_000)
-    e.add_argument("--chains", type=_parse_count(1), default=None)
-    e.add_argument("--burn-in", type=_parse_count(0), default=None)
     _add_common(e)
     e.set_defaults(func=_cmd_estimate)
 
     s = subs.add_parser("sample", help="stream sampler output")
     s.add_argument("target", choices=("gas", "matrix"))
-    s.add_argument("--ensemble", type=_parse_ensemble, default=(2, 1, 0))
-    s.add_argument("--field", default="R", choices=("R", "C", "H"))
-    s.add_argument("--subspace", type=_parse_subspace, default="Full")
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--p", type=_parse_p, default=2.0)
+    _add_draw_args(s)
     s.add_argument("--samples", type=int, default=1000)
-    s.add_argument("--chains", type=_parse_count(1), default=None)
-    s.add_argument("--burn-in", type=_parse_count(0), default=None)
     _add_common(s)
     s.set_defaults(func=_cmd_sample)
 
@@ -367,13 +310,22 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code: a ValueError or KeyError
+    is a usage error, an oracle failure exits with EXIT_ORACLE."""
+    args = build_parser().parse_args(argv)
+    writer = _Writer(args)
     try:
-        return _run(args)
+        code = args.func(args, writer)
+        writer.open()  # a body that wrote no record still leaves its header
+        return code
+    except mo.OracleFailure as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        writer.close()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """One checker per identity, inequality or asymptotic claim about the gas
 densities and the Schatten balls.  Every checker returns a CheckReport; the
-suite runner aggregates them for the CLI.
+suite runner aggregates them for the CLI, which alone writes them as records.
 """
 
 import functools
@@ -52,41 +52,6 @@ class CheckReport:
     method: str
     provenance: str
     details: dict = field(default_factory=dict)
-
-    def to_record(self, nested=False):
-        """The record as written: details spread into it, or with nested=True
-        kept whole under one "details" key."""
-        rec = {
-            "record": "check",
-            "claim_id": self.claim_id,
-            "passed": bool(self.passed),
-            "lhs": _jsonable(self.lhs),
-            "rhs": _jsonable(self.rhs),
-            "tolerance": _jsonable(self.tolerance),
-            "method": self.method,
-            "provenance": self.provenance,
-        }
-        if nested:
-            rec["details"] = _jsonable(self.details)
-        else:
-            rec.update({k: _jsonable(v) for k, v in self.details.items()})
-        return rec
-
-
-def _jsonable(v):
-    """v with numpy scalars and arrays made plain, and every non-finite float
-    spelled "inf", "-inf" or "nan", so a record is strict JSON."""
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
-    if isinstance(v, float) and not math.isfinite(v):
-        return "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
 
 
 def _p_tag(p):

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from schattenlab.ensembles import EnsembleParams, SchattenSpec
+from schattenlab import cli
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
 from schattenlab import verify as vf
@@ -239,7 +240,7 @@ def test_a11_isotropic_constant():
     assert elapsed < 300.0
 
 
-def test_a12_reproducibility(tmp_path):
+def test_a12_reproducibility(tmp_path, capsys):
     t0 = time.perf_counter()
     # library-level replay
     params = EnsembleParams(2, 2, 1, 3)
@@ -248,7 +249,12 @@ def test_a12_reproducibility(tmp_path):
     lib_ok = np.array_equal(a.points, b.points)
     rep_a = vf.check_isotropic_constant_limit("R", 4, budget=8000, seed=121)
     rep_b = vf.check_isotropic_constant_limit("R", 4, budget=8000, seed=121)
-    rep_ok = rep_a.to_record() == rep_b.to_record()
+    # compared as `schattenlab verify` writes them, where a NaN reads "nan"
+    writer = cli._Writer(cli.build_parser().parse_args(["verify"]))
+    writer.record(rep_a, record="check")
+    writer.record(rep_b, record="check")
+    _, rec_a, rec_b = capsys.readouterr().out.splitlines()
+    rep_ok = rec_a == rec_b
     # CLI-level replay: identical data records, header timestamp aside
     outs = []
     for name in ("r1.jsonl", "r2.jsonl"):

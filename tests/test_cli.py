@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import subprocess
@@ -26,6 +25,15 @@ def run_cli(*args):
     return proc
 
 
+def run_main(*args):
+    """The exit code of cli.main in this process; argparse exits with 2 on a
+    usage error it catches itself."""
+    try:
+        return cli.main(list(args))
+    except SystemExit as exc:
+        return exc.code
+
+
 def data_lines(path):
     """All records after the header (the only line carrying a timestamp)."""
     with open(path, encoding="utf-8") as fh:
@@ -42,10 +50,9 @@ def test_gamma_value(tmp_path):
     assert rec["ratio"] == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
-def test_verify_gamma_suite_exit_zero(tmp_path):
+def test_verify_gamma_suite_exit_zero(tmp_path, capsys):
     out = tmp_path / "v.jsonl"
-    proc = run_cli("verify", "--suite", "gamma", "--out", str(out))
-    assert proc.returncode == cli.EXIT_OK
+    assert run_main("verify", "--suite", "gamma", "--out", str(out)) == cli.EXIT_OK
     recs = [json.loads(ln) for ln in data_lines(out)]
     assert {r["claim_id"] for r in recs} == {
         "gamma-gap-positive",
@@ -53,16 +60,16 @@ def test_verify_gamma_suite_exit_zero(tmp_path):
         "gamma-approximant-band",
     }
     assert all(r["passed"] for r in recs)
-    assert proc.stderr.count("PASS") == 3
+    assert capsys.readouterr().err.count("PASS") == 3
 
 
 def test_estimate_sigma_record(tmp_path):
     out = tmp_path / "s.jsonl"
-    proc = run_cli(
+    code = run_main(
         "estimate", "sigma", "--field", "R", "--subspace", "full", "--n", "2",
         "--p", "2", "--samples", "50000", "--out", str(out),
     )
-    assert proc.returncode == cli.EXIT_OK
+    assert code == cli.EXIT_OK
     rec = json.loads(data_lines(out)[0])
     assert rec["record"] == "sigma"
     assert abs(rec["sigma_sq"] - 0.5) < 0.05
@@ -82,39 +89,39 @@ def test_estimate_sigma_exact_opnorm_record(tmp_path):
 
 def test_estimate_moment_quadrature(tmp_path):
     out = tmp_path / "m.jsonl"
-    proc = run_cli(
+    code = run_main(
         "estimate", "moment", "--ensemble", "2,1,0", "--n", "2", "--p", "2",
         "--functional", "x1_sq", "--method", "quadrature", "--out", str(out),
     )
-    assert proc.returncode == cli.EXIT_OK
+    assert code == cli.EXIT_OK
     rec = json.loads(data_lines(out)[0])
     assert rec["method"] == "quadrature"
 
 
 def test_oracle_failure_exit_code(tmp_path):
     # odd-a family at odd p has no smooth quadrature route
-    proc = run_cli(
+    code = run_main(
         "estimate", "moment", "--ensemble", "1,1,0", "--n", "2", "--p", "1",
         "--functional", "one", "--method", "quadrature", "--out", str(tmp_path / "x.jsonl"),
     )
-    assert proc.returncode == cli.EXIT_ORACLE
+    assert code == cli.EXIT_ORACLE
 
 
 def test_sample_replay_byte_identical(tmp_path):
     args = ("sample", "gas", "--ensemble", "2,1,0", "--n", "2", "--p", "inf",
             "--samples", "200", "--seed", "11")
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert run_cli(*args, "--out", str(out1)).returncode == cli.EXIT_OK
-    assert run_cli(*args, "--out", str(out2)).returncode == cli.EXIT_OK
+    assert run_main(*args, "--out", str(out1)) == cli.EXIT_OK
+    assert run_main(*args, "--out", str(out2)) == cli.EXIT_OK
     assert data_lines(out1) == data_lines(out2)
     assert len(data_lines(out1)) == 200
 
 
 def test_sample_csv_format(tmp_path):
     out = tmp_path / "c.csv"
-    proc = run_cli("sample", "gas", "--ensemble", "2,1,0", "--n", "3", "--p", "2",
-                   "--samples", "50", "--format", "csv", "--out", str(out))
-    assert proc.returncode == cli.EXIT_OK
+    code = run_main("sample", "gas", "--ensemble", "2,1,0", "--n", "3", "--p", "2",
+                    "--samples", "50", "--format", "csv", "--out", str(out))
+    assert code == cli.EXIT_OK
     lines = data_lines(out)
     assert lines[0] == "x0,x1,x2"
     assert len(lines) == 51
@@ -122,9 +129,9 @@ def test_sample_csv_format(tmp_path):
 
 def test_verify_csv_keeps_every_detail(tmp_path):
     jl, cs = tmp_path / "v.jsonl", tmp_path / "v.csv"
-    assert run_cli("verify", "--suite", "gamma", "--out", str(jl)).returncode == cli.EXIT_OK
-    proc = run_cli("verify", "--suite", "gamma", "--format", "csv", "--out", str(cs))
-    assert proc.returncode == cli.EXIT_OK
+    assert run_main("verify", "--suite", "gamma", "--out", str(jl)) == cli.EXIT_OK
+    code = run_main("verify", "--suite", "gamma", "--format", "csv", "--out", str(cs))
+    assert code == cli.EXIT_OK
     recs = [json.loads(ln) for ln in data_lines(jl)]
     rows = list(csv.DictReader(data_lines(cs)))
     assert [r["claim_id"] for r in rows] == [r["claim_id"] for r in recs]
@@ -148,9 +155,9 @@ def test_csv_rejects_a_record_with_other_fields(tmp_path, monkeypatch, second):
 
 def test_sweep_emits_grid(tmp_path):
     out = tmp_path / "w.jsonl"
-    proc = run_cli("sweep", "--ensembles", "2,1,0", "--n-list", "2", "--p-list",
-                   "2,inf", "--samples", "4000", "--out", str(out))
-    assert proc.returncode == cli.EXIT_OK
+    code = run_main("sweep", "--ensembles", "2,1,0", "--n-list", "2", "--p-list",
+                    "2,inf", "--samples", "4000", "--out", str(out))
+    assert code == cli.EXIT_OK
     recs = [json.loads(ln) for ln in data_lines(out)]
     assert [r["p"] for r in recs] == [2.0, "inf"]
     assert all("combination" in r for r in recs)
@@ -158,9 +165,9 @@ def test_sweep_emits_grid(tmp_path):
 
 def test_verify_narrowed_identities(tmp_path):
     out = tmp_path / "n.jsonl"
-    proc = run_cli("verify", "--suite", "identities", "--ensemble", "2,1,0",
-                   "--n", "2", "--p", "2", "--out", str(out))
-    assert proc.returncode == cli.EXIT_OK
+    code = run_main("verify", "--suite", "identities", "--ensemble", "2,1,0",
+                    "--n", "2", "--p", "2", "--out", str(out))
+    assert code == cli.EXIT_OK
     recs = [json.loads(ln) for ln in data_lines(out)]
     assert len(recs) == 3
     assert all(r["passed"] for r in recs)
@@ -168,46 +175,46 @@ def test_verify_narrowed_identities(tmp_path):
 
 
 def test_usage_errors():
-    assert run_cli("verify", "--suite", "wat").returncode == cli.EXIT_USAGE
-    assert run_cli("estimate", "sigma", "--p", "0.3").returncode == cli.EXIT_USAGE
-    assert run_cli().returncode == cli.EXIT_USAGE
-    assert run_cli("sample", "gas", "--chains", "0").returncode == cli.EXIT_USAGE
-    assert run_cli("sample", "gas", "--burn-in", "-1").returncode == cli.EXIT_USAGE
+    assert run_main("verify", "--suite", "wat") == cli.EXIT_USAGE
+    assert run_main("estimate", "sigma", "--p", "0.3") == cli.EXIT_USAGE
+    assert run_main() == cli.EXIT_USAGE
+    assert run_main("sample", "gas", "--chains", "0") == cli.EXIT_USAGE
+    assert run_main("sample", "gas", "--burn-in", "-1") == cli.EXIT_USAGE
     # every chain keeps each state after burn-in: there is no thinning flag
     for args in (("sample", "gas"), ("estimate", "var"), ("estimate", "sigma")):
-        assert run_cli(*args, "--thinning", "2").returncode == cli.EXIT_USAGE, args
-    assert run_cli("sample", "matrix", "--samples", "0").returncode == cli.EXIT_USAGE
-    assert run_cli("estimate", "sigma", "--sampler", "hit_and_run",
-                   "--samples", "0").returncode == cli.EXIT_USAGE
+        assert run_main(*args, "--thinning", "2") == cli.EXIT_USAGE, args
+    assert run_main("sample", "matrix", "--samples", "0") == cli.EXIT_USAGE
+    assert run_main("estimate", "sigma", "--sampler", "hit_and_run",
+                    "--samples", "0") == cli.EXIT_USAGE
     # the exact routes draw nothing, yet still refuse an empty budget
     for quantity in ("var", "sigma"):
         for p in ("2", "inf"):
-            assert run_cli("estimate", quantity, "--p", p,
-                           "--samples", "0").returncode == cli.EXIT_USAGE, (quantity, p)
+            assert run_main("estimate", quantity, "--p", p,
+                            "--samples", "0") == cli.EXIT_USAGE, (quantity, p)
     # NaN must fail every bound, never reach a sampler's start loop
     for args in (("estimate", "var"), ("estimate", "moment"), ("sample", "gas"),
                  ("gamma",)):
-        assert run_cli(*args, "--p", "nan").returncode == cli.EXIT_USAGE, args
-    assert run_cli("gamma", "--d", "nan").returncode == cli.EXIT_USAGE
-    assert run_cli("gamma", "--q", "nan").returncode == cli.EXIT_USAGE
+        assert run_main(*args, "--p", "nan") == cli.EXIT_USAGE, args
+    assert run_main("gamma", "--d", "nan") == cli.EXIT_USAGE
+    assert run_main("gamma", "--q", "nan") == cli.EXIT_USAGE
     # an infinite argument has no Gamma ratio either, never a record of NaNs
     for flag in ("--d", "--p", "--q"):
-        assert run_cli("gamma", flag, "inf").returncode == cli.EXIT_USAGE, flag
+        assert run_main("gamma", flag, "inf") == cli.EXIT_USAGE, flag
     # the narrowing flags act on the identities suite alone
-    assert run_cli("verify", "--suite", "gamma", "--ensemble", "9,9,9", "--n", "7",
-                   "--p", "5", "--tol", "1e-30").returncode == cli.EXIT_USAGE
-    assert run_cli("verify", "--suite", "all", "--tol", "1e-3").returncode == cli.EXIT_USAGE
+    assert run_main("verify", "--suite", "gamma", "--ensemble", "9,9,9", "--n", "7",
+                    "--p", "5", "--tol", "1e-30") == cli.EXIT_USAGE
+    assert run_main("verify", "--suite", "all", "--tol", "1e-3") == cli.EXIT_USAGE
     # a narrowing that selects no identity configuration is no pass
-    assert run_cli("verify", "--suite", "identities", "--n", "7").returncode == cli.EXIT_USAGE
-    assert run_cli("verify", "--suite", "identities", "--ensemble", "2,1,0", "--n", "2",
-                   "--p", "inf").returncode == cli.EXIT_USAGE
+    assert run_main("verify", "--suite", "identities", "--n", "7") == cli.EXIT_USAGE
+    assert run_main("verify", "--suite", "identities", "--ensemble", "2,1,0", "--n", "2",
+                    "--p", "inf") == cli.EXIT_USAGE
     # budget scales and tolerances are finite and positive
     for scale in ("inf", "1e400", "-1", "nan"):
-        assert run_cli("verify", "--suite", "entries",
-                       "--budget-scale", scale).returncode == cli.EXIT_USAGE, scale
+        assert run_main("verify", "--suite", "entries",
+                        "--budget-scale", scale) == cli.EXIT_USAGE, scale
     for tol in ("inf", "nan", "0"):
-        assert run_cli("verify", "--suite", "identities",
-                       "--tol", tol).returncode == cli.EXIT_USAGE, tol
+        assert run_main("verify", "--suite", "identities",
+                        "--tol", tol) == cli.EXIT_USAGE, tol
 
 
 @pytest.mark.parametrize("args", [
@@ -228,7 +235,7 @@ def test_usage_error_leaves_out_untouched(tmp_path, args):
 
 def test_header_carries_config(tmp_path):
     out = tmp_path / "h.jsonl"
-    run_cli("gamma", "--d", "9", "--p", "3", "--q", "2", "--seed", "5", "--out", str(out))
+    run_main("gamma", "--d", "9", "--p", "3", "--q", "2", "--seed", "5", "--out", str(out))
     with open(out, encoding="utf-8") as fh:
         head = json.loads(fh.readline())
     assert head["record"] == "header"
@@ -237,7 +244,7 @@ def test_header_carries_config(tmp_path):
     assert head["schema"] == 1
 
     out = tmp_path / "hv.jsonl"
-    run_cli("verify", "--suite", "gamma", "--seed", "6", "--out", str(out))
+    run_main("verify", "--suite", "gamma", "--seed", "6", "--out", str(out))
     with open(out, encoding="utf-8") as fh:
         head = json.loads(fh.readline())
     assert head["config"]["subcommand"] == "verify"
@@ -322,14 +329,36 @@ def _strict_json(line):
     return json.loads(line, parse_constant=reject)
 
 
-def test_records_are_strict_json():
+def _writer(*argv):
+    """The writer `schattenlab verify` builds from these arguments."""
+    return cli._Writer(cli.build_parser().parse_args(["verify", *argv]))
+
+
+def test_records_are_strict_json(capsys):
     # a check without an error bar has z NaN; numpy infinities must be spelled too
     check = vf.check_isotropic_constant_limit("R", 4, budget=3)
-    stream = io.StringIO()
-    writer = cli._Writer(cli.RunConfig("verify", {}, 0, "jsonl"), stream)
-    writer.record(check.to_record())
+    writer = _writer()
+    writer.record(check, record="check")
     writer.record({"record": "x", "hi": np.float64(np.inf), "lo": np.float32(-np.inf),
                    "nan": math.nan})
-    first, second = (_strict_json(line) for line in stream.getvalue().splitlines())
+    head, first, second = (_strict_json(line) for line in capsys.readouterr().out.splitlines())
+    assert head["record"] == "header"
     assert first["z"] == "nan" and first["tolerance"] == "inf"
     assert second == {"record": "x", "hi": "inf", "lo": "-inf", "nan": "nan"}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_numpy_booleans_are_written_as_booleans(capsys, fmt):
+    def written(flag):
+        rep = vf.CheckReport("flag", flag, 1.0, 1.0, 0.0, "exact", "test", {"ok": flag})
+        _writer("--format", fmt).record(rep, record="check")
+        return capsys.readouterr().out.splitlines()[1:]
+
+    lines = written(np.bool_(True))
+    assert lines == written(True)
+    if fmt == "jsonl":
+        assert '"passed": true' in lines[0] and '"ok": true' in lines[0]
+        assert _strict_json(lines[0])["ok"] is True
+    else:
+        row = next(csv.DictReader(lines))
+        assert row["passed"] == "True" and row["details"] == '{"ok": true}'

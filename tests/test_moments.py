@@ -416,12 +416,44 @@ _ORACLE_SPECS = [
 ]
 
 
+def _gas_route_sigma(spec, seed=0):
+    """sigma_pipeline's gas route on 20k draws; at p=inf, where sigma_pipeline
+    is exact, the same estimator on radial_columns of Metropolis gas draws."""
+    if not math.isinf(spec.p):
+        return mo.sigma_pipeline(spec, budget=20_000, seed=seed)
+    mapping = ensemble_of(spec)
+    points = sp.mcmc_sample(mapping.params, math.inf, n_samples=20_000, seed=seed).points
+    columns = mo.radial_columns(points, math.inf, mapping.multiplicity, spec.dim)
+    return mo.sigma_from_values(columns, spec.dim, "mcmc")
+
+
 @pytest.mark.parametrize("spec", _ORACLE_SPECS,
                          ids=lambda s: f"{s.field}-{s.subspace}-{s.n}-p{s.p:g}")
 def test_sigma_pipeline_gas_route_meets_the_oracle(spec):
     # the gas route integrates the ball's radius; the oracle integrates the
     # gas's, so the two meet only if radial_columns is the exact E[. | direction]
-    assert _meets_oracle(mo.sigma_pipeline(spec, budget=20_000, seed=0), *_oracle_sigma(spec))
+    assert _meets_oracle(_gas_route_sigma(spec), *_oracle_sigma(spec))
+
+
+@pytest.mark.parametrize("spec", [s for s in _ORACLE_SPECS if math.isinf(s.p)],
+                         ids=lambda s: f"{s.field}-{s.subspace}-{s.n}")
+def test_opnorm_gas_route_oracle_catches_planted_faults(monkeypatch, spec):
+    true_columns = mo.radial_columns
+    oracle = _oracle_sigma(spec)
+    assert _meets_oracle(_gas_route_sigma(spec, seed=1), *oracle)
+
+    def l2_for_max(points, p, k, d):  # N(x) = ||x||_2 in place of max |x_i|: w = k
+        w = np.full(len(points), float(k))
+        return np.stack([w * (d / (d + 2)), w**2 * (d / (d + 4))], axis=1)
+
+    def no_radial_variance(points, p, k, d):  # E R^4 taken as (E R^2)^2
+        cols = true_columns(points, p, k, d)
+        cols[:, 1] = cols[:, 0] ** 2
+        return cols
+
+    for fault in (l2_for_max, no_radial_variance):
+        monkeypatch.setattr(mo, "radial_columns", fault)
+        assert not _meets_oracle(_gas_route_sigma(spec), *oracle), fault.__name__
 
 
 def test_sigma_pipeline_gas_route_oracle_catches_planted_faults(monkeypatch):
