@@ -129,7 +129,8 @@ class _Writer:
         """Write one record: the context, then every field of obj (a dataclass
         or a dict) in order; a field named in the context keeps the context's
         place.  A dict-valued "details" field (a CheckReport's) is spread into
-        the record in JSON lines and kept whole as one JSON column in CSV."""
+        the record in JSON lines and kept whole as one JSON column in CSV; a
+        CSV boolean is spelled as in JSON, true or false."""
         rec = _jsonable({**context, **(asdict(obj) if is_dataclass(obj) else obj)})
         self.open()
         if self.fmt == "jsonl":
@@ -143,7 +144,8 @@ class _Writer:
         elif set(rec) != set(self._csv.fieldnames):
             raise ValueError(f"csv record fields {sorted(rec)} differ from the header's "
                              f"{sorted(self._csv.fieldnames)}")
-        self._csv.writerow({k: _dumps(v) if isinstance(v, dict) else v for k, v in rec.items()})
+        self._csv.writerow({k: _dumps(v) if isinstance(v, (dict, bool)) else v
+                            for k, v in rec.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -467,7 +467,7 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
         return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, method)
     gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     return sigma_from_values(radial_columns(gas.points, spec.p, k, spec.dim), spec.dim,
-                             gas.diagnostics.get("method", "mc"))
+                             gas.diagnostics["method"])
 
 
 @dataclass(frozen=True)
@@ -519,7 +519,7 @@ def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=Non
         cross = np.zeros(len(x))
     joint = np.stack([t4, cross, m2], axis=1)
     means, cov, eff = batch_means_cov(joint)
-    return _var_mp_estimate(n, means, cov, eff, gas.diagnostics.get("method", "mc"))
+    return _var_mp_estimate(n, means, cov, eff, gas.diagnostics["method"])
 
 
 def _var_mp_estimate(n, means, cov, eff, method):

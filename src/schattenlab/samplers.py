@@ -5,10 +5,11 @@ exact tridiagonal ensemble samplers for the Gaussian (p=2) weight.  A
 hit-and-run walk on the matrix subspace itself gives an independent route to
 the uniform ball measure.  Metropolis and hit-and-run share one lockstep
 chain loop, _run_chains.  The exact p=2 gas sampler draws in fixed chunks,
-one child seed stream per chunk, and runs whole chunks on the process's
-cores; the draws do not depend on the core count and are prefix-stable (the
-first full chunks of any budget agree), the wall-time gain needs a second
-free core, and one core runs serially.
+one child seed stream per chunk, and maps the self-contained chunks over the
+process's cores (no rounds, no shared buffers); the draws do not depend on
+the core count and are prefix-stable (the first full chunks of any budget
+agree), the wall-time gain needs a second free core, and one core runs
+serially.
 """
 
 import math
@@ -218,14 +219,14 @@ def exact_p2_sample(params, n_samples, seed=0):
 
     The draws come in chunks of _CHUNK; chunk j draws its variates from
     child j of SeedSequence(seed).spawn(n_chunks), so for one seed the first
-    k full chunks of any budget are the same draws.  Whole chunks (variates,
-    tridiagonal build, eigvalsh, eigenvalue map) run on a thread pool with
-    one worker per core the process may use, in rounds of one chunk per
-    worker, each worker filling its own matrix buffer made on the calling
-    thread (eigvalsh releases the interpreter lock).  A chunk depends only on
-    (seed, j, its size), so the draws are byte-identical whatever the core
-    count.  With one core, or one chunk, no pool starts and the chunks run
-    serially.
+    k full chunks of any budget are the same draws.  Each chunk is
+    self-contained (variates, its own zeroed tridiagonal matrices, eigvalsh
+    and the eigenvalue map into its own rows of the result), and one map
+    over a thread pool with one worker per core the process may use runs
+    them all (eigvalsh releases the interpreter lock): no rounds, no shared
+    buffers.  A chunk depends only on (seed, j, its size), so the draws are
+    byte-identical whatever the core count.  With one core, or one chunk, no
+    pool starts and the chunks run serially.
     """
     _check_budget(n_samples)
     n, a, b, c = params.n, params.a, params.b, params.c
@@ -238,33 +239,29 @@ def exact_p2_sample(params, n_samples, seed=0):
     n_chunks = -(-n_samples // _CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     points = np.empty((n_samples, n))
-    workers = min(_cores(), n_chunks)
-    buffers = [np.zeros((min(n_samples, _CHUNK), n, n)) for _ in range(workers)]
 
-    def run(j, mats):
-        # chunk j's rows of points; the workers write disjoint rows
+    def run(j):
+        # chunk j's rows of points; chunks write disjoint rows
         lam = points[j * _CHUNK : (j + 1) * _CHUNK]
         diag, sub, finish = draw(params, len(lam), np.random.default_rng(seeds[j]))
-        chunk = mats[: len(lam)]
-        _set_tridiagonal(chunk, diag, sub)
-        lam[:] = np.linalg.eigvalsh(chunk)
+        mats = np.zeros((len(lam), n, n))
+        _set_tridiagonal(mats, diag, sub)
+        lam[:] = np.linalg.eigvalsh(mats)
         finish(lam)
 
-    def rounds(mapper):
-        for start in range(0, n_chunks, workers):
-            for _ in mapper(run, range(start, min(start + workers, n_chunks)), buffers):
-                pass  # reading every result re-raises a worker's exception
-
+    workers = min(_cores(), n_chunks)
     if workers > 1:
         # imported here: concurrent.futures imports logging, which would
         # add to every `import schattenlab`
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            rounds(pool.map)
+            for _ in pool.map(run, range(n_chunks)):
+                pass  # reading every result re-raises a worker's exception
     else:
-        rounds(map)
-    v = np.sum(points**2, axis=1)
+        for j in range(n_chunks):
+            run(j)
+    v = np.einsum("ij,ij->i", points, points)
     return SampleBatch(
         points=points,
         diagnostics={

@@ -162,23 +162,18 @@ def _mc_relation_report(claim, lhs_terms, rhs_terms, x):
     return _mc_report(claim, mean, 0.0, se, eff, 0, "shared-draw-difference")
 
 
-def identity_suite_for(params, p, tol=1e-5, method="auto", budget=200_000, seed=0):
+def identity_suite_for(params, p, tol=1e-5, budget=200_000, seed=0):
     """The three moment identities: the degree-2 identity
     ((2d+(1-c)n)/n) M(||x||_2^2) = p M(||x||_{p+2}^{p+2}), the degree-4 one
     with the -2 M(||x||_4^4) correction and the quartic one with the pair
     cross-moment term.
 
-    method "quadrature" checks them on one oracle call, "mc" on one set of
-    budget gas draws with |z| <= 3; "auto" takes quadrature for n up to
-    moments.ORACLE_MAX_N and MC above.
+    For n up to moments.ORACLE_MAX_N they are checked on one oracle call,
+    above it on one set of budget gas draws with |z| <= 3.
     """
-    if method not in ("auto", "quadrature", "mc"):
-        raise ValueError(f"method must be 'auto', 'quadrature' or 'mc', got {method!r}")
     relations = [(f"identity-{which}[{_ens_tag(params)},p={_p_tag(p)}]",
                   *_identity_sides(params, p, which)) for which in (1, 2, 3)]
-    if method == "auto":
-        method = "quadrature" if params.n <= mo.ORACLE_MAX_N else "mc"
-    if method == "quadrature":
+    if params.n <= mo.ORACLE_MAX_N:
         return _relation_reports(params, p, relations, tol)
     x = sp.gas_sample(params, p, budget, seed).points
     return [_mc_relation_report(*relation, x) for relation in relations]
@@ -508,7 +503,7 @@ def check_orders_of_magnitude(ensembles=((2, 1, 0), (2, 2, 1)), n_grid=(2, 4, 8,
                 r2 = est.coord_sq_mean / npow2
                 r4 = (est.term_quartic / n) / npow2**2
                 sig = mo.sigma_from_values(mo.radial_columns(gas.points, p, 1, d), d,
-                                           gas.diagnostics.get("method", "mc"))
+                                           gas.diagnostics["method"])
                 inv_p = 0.0 if math.isinf(p) else 1.0 / p
                 r_var = est.combination / (max(sig.sigma_sq, inv_p) * npow2**2)
                 r_eq1 = sig.mean_norm_sq * d ** (0.5 + inv_p) / d

@@ -361,4 +361,13 @@ def test_numpy_booleans_are_written_as_booleans(capsys, fmt):
         assert _strict_json(lines[0])["ok"] is True
     else:
         row = next(csv.DictReader(lines))
-        assert row["passed"] == "True" and row["details"] == '{"ok": true}'
+        assert row["passed"] == "true" and row["details"] == '{"ok": true}'
+
+
+@pytest.mark.parametrize("samples, flag", [(100, "true"), (1000, "false")])
+def test_csv_booleans_are_spelled_as_in_json(tmp_path, samples, flag):
+    # the scalar low_confidence column reads like the JSON details column
+    out = tmp_path / "m.csv"
+    assert cli.main(["estimate", "moment", "--n", "2", "--p", "2", "--samples", str(samples),
+                     "--format", "csv", "--out", str(out)]) == cli.EXIT_OK
+    assert next(csv.DictReader(data_lines(out)))["low_confidence"] == flag

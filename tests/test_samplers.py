@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,42 @@ def test_exact_p2_draws_are_prefix_stable(abc, n):
     budget = 2 * sp._CHUNK
     longer = sp.exact_p2_sample(params, budget + 7, seed=61).points
     assert np.array_equal(longer[:budget], sp.exact_p2_sample(params, budget, seed=61).points)
+
+
+@pytest.mark.parametrize("cores", [3, 1])
+def test_exact_p2_worker_exception_reaches_the_caller(cores, monkeypatch):
+    # only the short last chunk raises; pooled or serial, its error must
+    # reach the caller and not be lost with the worker's result
+    draws = sp._laguerre_draws
+
+    def failing(params, m, rng):
+        if m != sp._CHUNK:
+            raise RuntimeError("last chunk")
+        return draws(params, m, rng)
+
+    monkeypatch.setattr(sp, "_laguerre_draws", failing)
+    monkeypatch.setattr(sp, "_cores", lambda: cores)
+    with pytest.raises(RuntimeError, match="last chunk"):
+        sp.exact_p2_sample(EnsembleParams(2, 1, 0, 4), 2 * sp._CHUNK + 5)
+
+
+def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget(monkeypatch):
+    # past the draws, only the running chunks' matrices and the ESS series
+    # (one value per draw, 1/16 of the draws here) remain, so the peak
+    # beyond the draws barely moves between 4 and 64 chunks
+    monkeypatch.setattr(sp, "_cores", lambda: 2)
+    params = EnsembleParams(2, 4, 3, 16)
+    sp.exact_p2_sample(params, 2 * sp._CHUNK)  # first-call costs are not the budget's
+    extra = []
+    for k in (4, 64):
+        tracemalloc.start()
+        try:
+            points = sp.exact_p2_sample(params, k * sp._CHUNK).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - points.nbytes)
+    assert abs(extra[1] - extra[0]) < 1e6, extra
 
 
 def test_import_starts_no_pool_machinery():

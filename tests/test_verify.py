@@ -34,22 +34,20 @@ def test_identity_lhs_coefficient_example():
 
 def test_identity_requires_even_a_and_finite_p():
     with pytest.raises(ValueError):
-        vf.identity_suite_for(EnsembleParams(1, 2, 0, 2), 2.0, method="mc")
+        vf.identity_suite_for(EnsembleParams(1, 2, 0, mo.ORACLE_MAX_N + 1), 2.0)
     with pytest.raises(ValueError):
         vf.identity_suite_for(EnsembleParams(2, 1, 0, 2), math.inf)
     with pytest.raises(ValueError):
         vf.identity_suite_for(EnsembleParams(1, 2, 0, 2), 2.0)
     with pytest.raises(ValueError):
         vf.identity_suite_for(EnsembleParams(2, 1, 0, 3), math.inf)
-    with pytest.raises(ValueError):
-        vf.identity_suite_for(EnsembleParams(2, 1, 0, 2), 2.0, method="bogus")
 
 
 def test_identity_mc_route():
-    # n=4 is past the oracle, so "auto" takes the same MC route on shared draws
-    reports = vf.identity_suite_for(EnsembleParams(2, 1, 0, 4), 2.0, budget=60_000, seed=3)
-    assert reports == vf.identity_suite_for(EnsembleParams(2, 1, 0, 4), 2.0, method="mc",
-                                            budget=60_000, seed=3)
+    # past the oracle the identities are checked on shared gas draws, and replay
+    params = EnsembleParams(2, 1, 0, mo.ORACLE_MAX_N + 1)
+    reports = vf.identity_suite_for(params, 2.0, budget=60_000, seed=3)
+    assert reports == vf.identity_suite_for(params, 2.0, budget=60_000, seed=3)
     for rep in reports:
         assert rep.method == "mc"
         assert rep.passed, rep
@@ -69,8 +67,8 @@ def test_mc_relation_with_a_zero_error_bar_fails():
 # Three draws are too few for a batch-means error bar (it is inf below 4), so
 # each Monte Carlo verdict must fail whatever its estimate reads.
 _THREE_DRAW_CHECKS = {
-    "mc-relation": lambda: vf.identity_suite_for(EnsembleParams(2, 1, 0, 2), 2.0, method="mc",
-                                                 budget=3),
+    "mc-relation": lambda: vf.identity_suite_for(EnsembleParams(2, 1, 0, mo.ORACLE_MAX_N + 1),
+                                                 2.0, budget=3),
     "sigma-band": lambda: [vf.check_sigma_band_hit_and_run("R", 4, budget=3)],
     "antisym-normalization": lambda: [vf.check_antisym_normalization(4, 3.0, budget=3)],
     "entry-correlations-p2": lambda: [vf.check_entry_correlations("R", 2.0, n=4, budget=3)],
