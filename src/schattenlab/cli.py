@@ -12,6 +12,7 @@ seed, so replays are byte-identical apart from the header timestamp.
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -108,7 +109,7 @@ class _Writer:
             return
         args = self.args
         options = {k: v for k, v in vars(args).items()
-                   if k not in ("func", "out", "format", "seed", "subcommand")}
+                   if k not in ("out", "format", "seed", "subcommand")}
         head = {
             "record": "header",
             "schema": 1,
@@ -252,7 +253,10 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  It names no command
+    function: main looks up _cmd_<subcommand> when the command runs."""
     parser = argparse.ArgumentParser(
         prog="schattenlab",
         description="Gas-density and Schatten-ball verification laboratory",
@@ -271,7 +275,6 @@ def build_parser():
     v.add_argument("--tol", type=float, default=None,
                    help="identity tolerance override")
     _add_common(v)
-    v.set_defaults(func=_cmd_verify)
 
     e = subs.add_parser("estimate", help="print moment / variance / sigma estimates")
     e.add_argument("quantity", choices=("sigma", "var", "moment"))
@@ -281,14 +284,12 @@ def build_parser():
     e.add_argument("--method", default="mc", choices=("mc", "quadrature"))
     e.add_argument("--samples", type=int, default=50_000)
     _add_common(e)
-    e.set_defaults(func=_cmd_estimate)
 
     s = subs.add_parser("sample", help="stream sampler output")
     s.add_argument("target", choices=("gas", "matrix"))
     _add_draw_args(s)
     s.add_argument("--samples", type=int, default=1000)
     _add_common(s)
-    s.set_defaults(func=_cmd_sample)
 
     w = subs.add_parser("sweep", help="grid over (ensemble, n, p)")
     w.add_argument("--ensembles", type=lambda t: [_parse_ensemble(x) for x in t.split(";")],
@@ -299,7 +300,6 @@ def build_parser():
                    default=[1.0, 2.0, math.inf])
     w.add_argument("--samples", type=int, default=20_000)
     _add_common(w)
-    w.set_defaults(func=_cmd_sweep)
 
     g = subs.add_parser("gamma", help="tabulate the Gamma-ratio quantities")
     g.add_argument("--d", type=float, default=4.0)
@@ -307,7 +307,6 @@ def build_parser():
     g.add_argument("--q", type=float, default=2.0)
     g.add_argument("--grid", action="store_true")
     _add_common(g)
-    g.set_defaults(func=_cmd_gamma)
     return parser
 
 
@@ -315,9 +314,10 @@ def main(argv=None):
     """Run one subcommand and return its exit code: a ValueError or KeyError
     is a usage error, an oracle failure exits with EXIT_ORACLE."""
     args = build_parser().parse_args(argv)
+    command = globals()[f"_cmd_{args.subcommand}"]
     writer = _Writer(args)
     try:
-        code = args.func(args, writer)
+        code = command(args, writer)
         writer.open()  # a body that wrote no record still leaves its header
         return code
     except mo.OracleFailure as exc:

@@ -10,6 +10,7 @@ embedded singular values come in equal pairs and are returned once each.
 Every singular value comes from one batched library SVD, `singular_values`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,27 +212,55 @@ def _gram_quartic(field, entries):
     return prod, None
 
 
+@functools.cache
+def _line_selectors(n):
+    """The read-only (n*n, 2n + 1) 0/1 matrix whose column i picks row i,
+    column n + j column j, and last column every entry of a flattened n x n
+    matrix, built once per n."""
+    sel = np.zeros((n * n, 2 * n + 1))
+    idx = np.arange(n * n)
+    sel[idx, idx // n] = 1.0
+    sel[idx, n + idx % n] = 1.0
+    sel[:, -1] = 1.0
+    sel.flags.writeable = False
+    return sel
+
+
 def entry_sums(field, entries):
-    """EntrySums of a batch of matrices (B, n, n), or (B, n, n, 4) over H."""
-    n = entries.shape[1]
-    q = abs_sq(field, entries)
-    q2 = q**2
-    row = q.sum(axis=2)
-    col = q.sum(axis=1)
-    abs4 = q2.sum(axis=(1, 2))
-    total = q.sum(axis=(1, 2))
+    """EntrySums of a batch of matrices (B, n, n), or (B, n, n, 4) over H, in
+    closed form from the row sums r_i and column sums c_j of q:
+
+    row_cross = sum r_i^2 - sum q^2, col_cross = sum c_j^2 - sum q^2,
+    pair_cross = (sum q)^2 - sum r_i^2 - sum c_j^2 + sum q^2, and
+    quartic_cross = sum_{i != l} scalar(gram_il gram_li) - (sum c_j^2 - sum q^2),
+    the last term being sum_{i != l} sum_j q_ij q_lj.  The row sums, column
+    sums and sum q are one product of the flattened squares with
+    _line_selectors(n), a vector-matrix product per matrix, so a matrix's
+    sums do not depend on the batch it is in; each sum over i != l is the
+    full sum minus the trace.
+    """
+    bsz, n = entries.shape[:2]
+    q = abs_sq(field, entries).reshape(bsz, n * n)
+    lines = (q[:, None, :] @ _line_selectors(n))[:, 0]
+    row_sq = np.einsum("bi,bi->b", lines[:, :n], lines[:, :n])
+    col_sq = np.einsum("bj,bj->b", lines[:, n:-1], lines[:, n:-1])
+    abs4 = np.einsum("bk,bk->b", q, q)
+    total = lines[:, -1]
     scal, vec = _gram_quartic(field, entries)
-    off = ~np.eye(n, dtype=bool)
-    qqt = q @ q.transpose(0, 2, 1)
     return EntrySums(
         frobenius_sq=total,
         sum_abs4=abs4,
-        row_cross=(row**2 - q2.sum(axis=2)).sum(axis=1),
-        col_cross=(col**2 - q2.sum(axis=1)).sum(axis=1),
-        pair_cross=total**2 - (row**2).sum(axis=1) - (col**2).sum(axis=1) + abs4,
-        quartic_cross=(scal - qqt)[:, off].sum(axis=1),
-        quartic_cross_vector=np.zeros(len(q)) if vec is None else vec[:, off].sum(axis=1),
+        row_cross=row_sq - abs4,
+        col_cross=col_sq - abs4,
+        pair_cross=total**2 - row_sq - col_sq + abs4,
+        quartic_cross=_off_diagonal_sum(scal) - (col_sq - abs4),
+        quartic_cross_vector=np.zeros(bsz) if vec is None else _off_diagonal_sum(vec),
     )
+
+
+def _off_diagonal_sum(mats):
+    """Sum over i != l of each (n, n) matrix of a batch: the full sum minus the trace."""
+    return mats.sum(axis=(1, 2)) - np.trace(mats, axis1=1, axis2=2)
 
 
 @dataclass(frozen=True)

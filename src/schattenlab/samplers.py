@@ -4,12 +4,12 @@ Two gas routes: adaptive random-walk Metropolis for arbitrary parameters and
 exact tridiagonal ensemble samplers for the Gaussian (p=2) weight.  A
 hit-and-run walk on the matrix subspace itself gives an independent route to
 the uniform ball measure.  Metropolis and hit-and-run share one lockstep
-chain loop, _run_chains.  The exact p=2 gas sampler draws in fixed chunks,
-one child seed stream per chunk, and maps the self-contained chunks over the
-process's cores (no rounds, no shared buffers); the draws do not depend on
-the core count and are prefix-stable (the first full chunks of any budget
-agree), the wall-time gain needs a second free core, and one core runs
-serially.
+chain loop, _run_chains.  Both exact p=2 samplers, of the gas and of the
+Frobenius ball, share one chunk map, _map_chunks: fixed chunks, one child
+seed stream per chunk, the self-contained chunks mapped over the process's
+cores (no rounds, no shared buffers); the draws do not depend on the core
+count and are prefix-stable (the first full chunks of any budget agree), the
+wall-time gain needs a second free core, and one core runs serially.
 """
 
 import math
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import matrixlab as ml
 from .density import log_f_p
-from .util import batch_means
 
 # kept under its old name for perfbench/worker.py, whose warm-up calls it here
 batch_singular_values = ml.batch_singular_values
@@ -70,8 +69,7 @@ def _run_chains(n_samples, n_chains, seed, burn_in, start, sweep):
     whose draws are returned run: the last returned chain may be cut short,
     but none runs idle.  The draws merge in chain order and are cut to
     n_samples; chain k's stream depends only on (seed, k), so the draws equal
-    those of a run with n_chains = chains.  ess_norm2sq sums the batch-means
-    ESS of ||state||^2 over the chains' returned draws.
+    those of a run with n_chains = chains.
     """
     _check_budget(n_samples)
     if n_chains < 1 or burn_in < 0:
@@ -86,10 +84,8 @@ def _run_chains(n_samples, n_chains, seed, burn_in, start, sweep):
         if s >= burn_in:
             out[:, s - burn_in] = x
     points = out.reshape(chains * keep_each, -1)[:n_samples]
-    norm2sq = np.sum(points**2, axis=1)
-    ess = sum(batch_means(norm2sq[k : k + keep_each])[2] for k in range(0, n_samples, keep_each))
     return points, {"chains": chains, "burn_in": burn_in,
-                    "burn_in_share": burn_in / (burn_in + keep_each), "ess_norm2sq": ess}
+                    "burn_in_share": burn_in / (burn_in + keep_each)}
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +205,25 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def exact_p2_sample(params, n_samples, seed=0):
-    """Independent draws from the p=2 gas via tridiagonal ensemble models.
+def _map_chunks(fill, seed, *arrays):
+    """Fill arrays of one length chunk by chunk: fill(rng, *rows) for each
+    chunk of _CHUNK rows (the last one may be short), rows being the chunk's
+    rows of each array and rng a generator on child j of
+    SeedSequence(seed).spawn(n_chunks) for chunk j, so for one seed the
+    first k full chunks of any budget are the same draws.
 
-    a=1 (c=0): rescaled eigenvalues of the tridiagonal Gaussian beta model.
-    a=2 (any c): signed square roots of rescaled tridiagonal Laguerre
-    eigenvalues; the Laguerre shape is chosen so the substitution y = x^2
-    reproduces the gas exactly.  Anything else raises SamplerUnavailable.
-
-    The draws come in chunks of _CHUNK; chunk j draws its variates from
-    child j of SeedSequence(seed).spawn(n_chunks), so for one seed the first
-    k full chunks of any budget are the same draws.  Each chunk is
-    self-contained (variates, its own zeroed tridiagonal matrices, eigvalsh
-    and the eigenvalue map into its own rows of the result), and one map
-    over a thread pool with one worker per core the process may use runs
-    them all (eigvalsh releases the interpreter lock): no rounds, no shared
-    buffers.  A chunk depends only on (seed, j, its size), so the draws are
-    byte-identical whatever the core count.  With one core, or one chunk, no
-    pool starts and the chunks run serially.
+    A chunk depends only on (seed, j, its size) and writes only its own rows,
+    so one map over a thread pool with one worker per core the process may
+    use runs them all, and the draws are byte-identical whatever the core
+    count.  With one core, or one chunk, no pool starts and the chunks run
+    in a plain loop.
     """
-    _check_budget(n_samples)
-    n, a, b, c = params.n, params.a, params.b, params.c
-    if a == 1 and c == 0:
-        draw = _hermite_draws
-    elif a == 2:
-        draw = _laguerre_draws
-    else:
-        raise SamplerUnavailable(f"no exact p=2 sampler for (a,b,c)=({a},{b},{c})")
-    n_chunks = -(-n_samples // _CHUNK)
+    n_chunks = -(-len(arrays[0]) // _CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    points = np.empty((n_samples, n))
 
     def run(j):
-        # chunk j's rows of points; chunks write disjoint rows
-        lam = points[j * _CHUNK : (j + 1) * _CHUNK]
-        diag, sub, finish = draw(params, len(lam), np.random.default_rng(seeds[j]))
-        mats = np.zeros((len(lam), n, n))
-        _set_tridiagonal(mats, diag, sub)
-        lam[:] = np.linalg.eigvalsh(mats)
-        finish(lam)
+        rows = slice(j * _CHUNK, (j + 1) * _CHUNK)
+        fill(np.random.default_rng(seeds[j]), *(a[rows] for a in arrays))
 
     workers = min(_cores(), n_chunks)
     if workers > 1:
@@ -261,15 +237,39 @@ def exact_p2_sample(params, n_samples, seed=0):
     else:
         for j in range(n_chunks):
             run(j)
-    v = np.einsum("ij,ij->i", points, points)
-    return SampleBatch(
-        points=points,
-        diagnostics={
-            "method": "exact-p2",
-            "chains": 1,
-            "ess_norm2sq": batch_means(v)[2],
-        },
-    )
+
+
+def exact_p2_sample(params, n_samples, seed=0):
+    """Independent draws from the p=2 gas via tridiagonal ensemble models.
+
+    a=1 (c=0): rescaled eigenvalues of the tridiagonal Gaussian beta model.
+    a=2 (any c): signed square roots of rescaled tridiagonal Laguerre
+    eigenvalues; the Laguerre shape is chosen so the substitution y = x^2
+    reproduces the gas exactly.  Anything else raises SamplerUnavailable.
+
+    The draws come from _map_chunks.  Each chunk is self-contained: its
+    variates, its own zeroed tridiagonal matrices, eigvalsh (which releases
+    the interpreter lock) and the eigenvalue map into its own rows.
+    """
+    _check_budget(n_samples)
+    n, a, b, c = params.n, params.a, params.b, params.c
+    if a == 1 and c == 0:
+        draw = _hermite_draws
+    elif a == 2:
+        draw = _laguerre_draws
+    else:
+        raise SamplerUnavailable(f"no exact p=2 sampler for (a,b,c)=({a},{b},{c})")
+
+    def fill(rng, lam):
+        diag, sub, finish = draw(params, len(lam), rng)
+        mats = np.zeros((len(lam), n, n))
+        _set_tridiagonal(mats, diag, sub)
+        lam[:] = np.linalg.eigvalsh(mats)
+        finish(lam)
+
+    points = np.empty((n_samples, n))
+    _map_chunks(fill, seed, points)
+    return SampleBatch(points=points, diagnostics={"method": "exact-p2", "chains": 1})
 
 
 def _set_tridiagonal(mats, diag, sub):
@@ -380,23 +380,30 @@ def matrix_hit_and_run(spec, n_samples, seed=0, burn_in=300, n_chains=32):
 def exact_p2_matrix_sample(spec, n_samples, seed=0):
     """Uniform draws from the Frobenius-norm ball (p=2, Full subspaces only).
 
-    The flat coordinates are a Euclidean isometry there, so scaled Gaussian
-    directions with a beta-law radius sample the ball exactly, and the ESS
-    series ||T||_2^2 is read from the coordinate rows.  The unit
-    directions are scaled by the radius in place (the same multiply as a
-    scaled copy), so no second (n_samples, dim) array of draws is made.
+    The flat coordinates are a Euclidean isometry there, so Gaussian
+    directions scaled to unit length and then by a radius u^(1/dim), u
+    uniform, sample the ball exactly.  The draws come from _map_chunks: each
+    chunk draws its standard normal rows into its own rows of the result,
+    then its uniforms, and scales the rows in place, so the draws do not
+    depend on the core count.  A chunk allocates no array: its norms and
+    radii go to its rows of one scratch array of one value per draw.
     """
     if spec.subspace != "Full" or spec.p != 2:
         raise SamplerUnavailable("exact ball sampling needs p=2 on a Full subspace")
     _check_budget(n_samples)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     dim = spec.dim
-    g = rng.standard_normal((n_samples, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = rng.random(n_samples) ** (1.0 / dim)
-    g *= r[:, None]
-    v = np.einsum("ij,ij->i", g, g)  # ||T||_2^2, as the coordinates are an isometry
-    return SampleBatch(
-        points=g,
-        diagnostics={"method": "exact-ball", "chains": 1, "ess_norm2sq": batch_means(v)[2]},
-    )
+
+    def fill(rng, g, r):
+        rng.standard_normal(out=g)
+        np.einsum("ij,ij->i", g, g, out=r)
+        g /= np.sqrt(r, out=r)[:, None]
+        rng.random(out=r)
+        r **= 1.0 / dim
+        g *= r[:, None]
+
+    # Both made on the calling thread: with the chunks' small arrays made in
+    # the worker threads, their malloc arenas kept memory, and the peak RSS
+    # of perfbench's gauss-exact workload rose by about 10 MB.
+    points, scratch = np.empty((n_samples, dim)), np.empty(n_samples)
+    _map_chunks(fill, seed, points, scratch)
+    return SampleBatch(points=points, diagnostics={"method": "exact-ball", "chains": 1})

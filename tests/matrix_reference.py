@@ -1,5 +1,6 @@
 """Single-matrix references for the tests: the one-sided Jacobi SVD, the
-Schatten-norm-preserving transforms and scalar quaternions.
+Schatten-norm-preserving transforms, scalar quaternions and the entry sums
+by brute-force loops.
 
 The package takes every singular value from one batched library SVD
 (`schattenlab.matrixlab.singular_values`); this module checks it by other
@@ -112,6 +113,59 @@ def svd(field, entries):
         sv = _jacobi_singular_values(complex_embedding(entries))
         return 0.5 * (sv[0::2] + sv[1::2])
     return _jacobi_singular_values(entries)
+
+
+# ---------------------------------------------------------------------------
+# entry sums by brute force
+
+def _as_quaternions(field, entries):
+    """Every entry as a Quaternion: a real r is r, a complex z is
+    Re z + Im z i (a subfield, so products agree), H its four components."""
+    n = entries.shape[0]
+    if field == "H":
+        return [[Quaternion(*map(float, entries[i, j])) for j in range(n)] for i in range(n)]
+    return [[Quaternion(float(np.real(entries[i, j])), float(np.imag(entries[i, j])))
+             for j in range(n)] for i in range(n)]
+
+
+def entry_sums(field, entries):
+    """The entry sums of one matrix, named as the fields of
+    schattenlab.matrixlab.EntrySums, by loops over i, l (rows) and j, k
+    (columns) with q_ij = |a_ij|^2: frobenius_sq = sum q_ij, sum_abs4 = sum
+    q_ij^2, row_cross = sum over i, j != k of q_ij q_ik, col_cross = sum over
+    j, i != l of q_ij q_lj, pair_cross = sum over i != l, j != k of q_ij q_lk;
+    quartic_cross sums over i != l the scalar part of the quaternion sum over
+    j != k of a_ij conj(a_lj) a_lk conj(a_ik), and quartic_cross_vector the
+    magnitudes of its non-scalar parts."""
+    a = _as_quaternions(field, entries)
+    n = len(a)
+    q = [[a[i][j].norm_sq() for j in range(n)] for i in range(n)]
+    out = dict.fromkeys(("frobenius_sq", "sum_abs4", "row_cross", "col_cross", "pair_cross",
+                         "quartic_cross", "quartic_cross_vector"), 0.0)
+    for i in range(n):
+        for j in range(n):
+            out["frobenius_sq"] += q[i][j]
+            out["sum_abs4"] += q[i][j] ** 2
+            for k in range(n):
+                if k != j:
+                    out["row_cross"] += q[i][j] * q[i][k]
+            for l in range(n):
+                if l != i:
+                    out["col_cross"] += q[i][j] * q[l][j]
+    for i in range(n):
+        for l in range(n):
+            if l == i:
+                continue
+            quartic = Quaternion()
+            for j in range(n):
+                for k in range(n):
+                    if k == j:
+                        continue
+                    out["pair_cross"] += q[i][j] * q[l][k]
+                    quartic = quartic + a[i][j] * a[l][j].conjugate() * a[l][k] * a[i][k].conjugate()
+            out["quartic_cross"] += quartic.w
+            out["quartic_cross_vector"] += quartic.vector_norm()
+    return out
 
 
 # ---------------------------------------------------------------------------

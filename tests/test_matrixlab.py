@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -178,6 +179,37 @@ def test_entry_identities_random(field):
                 assert abs(t.lhs22 - t.det_cross) < 1e-9 * max(1.0, abs(t.lhs22))
             else:
                 assert t.det_cross is None
+
+
+def _entry_sums_error(sums, field, batch):
+    """The largest deviation of any EntrySums field from the brute-force
+    reference, over a batch, relative to (sum q)^2, which bounds every sum."""
+    worst = 0.0
+    for k, e in enumerate(batch):
+        want = ref.entry_sums(field, e)
+        scale = want["frobenius_sq"] ** 2
+        worst = max(worst, *(abs(float(getattr(sums, name)[k]) - v) / scale
+                             for name, v in want.items()))
+    return worst
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_entry_sums_meet_the_brute_force_loops(field, n):
+    # at n = 1 every sum over i != l or j != k is empty
+    rng = np.random.default_rng(30 + n)
+    batch = np.stack([ml.random_matrix(field, n, rng) for _ in range(4)])
+    sums = ml.entry_sums(field, batch)
+    assert _entry_sums_error(sums, field, batch) <= 1e-12
+    if n == 1:
+        for name in ("row_cross", "col_cross", "pair_cross", "quartic_cross"):
+            assert np.all(getattr(sums, name) == 0.0)
+    # planted fault: quartic_cross without its -(sum_j c_j^2 - sum q^2) term,
+    # which is empty at n = 1
+    q = ml.abs_sq(field, batch)
+    dropped = (q.sum(axis=1) ** 2).sum(axis=1) - (q**2).sum(axis=(1, 2))
+    faulty = dataclasses.replace(sums, quartic_cross=sums.quartic_cross + dropped)
+    assert (_entry_sums_error(faulty, field, batch) > 1e-3) == (n > 1)
 
 
 def test_rotation_swaps_rows_with_sign():

@@ -314,7 +314,40 @@ def test_hermite_chunk_matches_dense_tridiagonal(b, n):
         assert np.max(np.abs(x[rows] - y)) <= 1e-12 * np.max(np.abs(y))
 
 
-@pytest.mark.parametrize("abc", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 4, 3)])
+def _exact_sampler(abc, n):
+    """(draw(budget, seed) -> points, row width) of the exact sampler that abc
+    names: a gas ensemble (a, b, c), or, as a field letter, the Full
+    Frobenius ball over that field.  Both run on samplers._map_chunks."""
+    if isinstance(abc, str):
+        spec = SchattenSpec(abc, "Full", n, 2.0)
+        return (lambda budget, seed: sp.exact_p2_matrix_sample(spec, budget, seed).points), spec.dim
+    params = EnsembleParams(*abc, n)
+    return (lambda budget, seed: sp.exact_p2_sample(params, budget, seed).points), n
+
+
+def _ball_chunks_follow_their_streams(spec, points, seed):
+    """Whether each chunk of exact ball draws is, to rounding, its child
+    stream's standard normal rows scaled to unit length, then by u^(1/dim)
+    with its uniforms u drawn after them."""
+    dim = spec.dim
+    for rows, rng in _chunk_streams(seed, len(points)):
+        k = rows.stop - rows.start
+        g = rng.standard_normal((k, dim))
+        want = g / np.sqrt(np.sum(g * g, axis=1))[:, None] * rng.random((k, 1)) ** (1.0 / dim)
+        if not np.max(np.abs(points[rows] - want)) <= 1e-14:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_exact_ball_chunks_follow_their_child_streams(field, n):
+    spec = SchattenSpec(field, "Full", n, 2.0)
+    m = 2 * sp._CHUNK + 200
+    assert _ball_chunks_follow_their_streams(spec, sp.exact_p2_matrix_sample(spec, m, 51).points, 51)
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 4, 3), "R", "C"])
 def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
     chunk = sp._CHUNK
     budgets = (1, chunk - 1, chunk, chunk + 1, 10_000)
@@ -334,16 +367,16 @@ def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         for n in (1, 2, 16):
-            params = EnsembleParams(*abc, n)
+            draw, width = _exact_sampler(abc, n)
             for budget in budgets:
                 monkeypatch.setattr(sp, "_cores", lambda: 1)
                 monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-                serial = sp.exact_p2_sample(params, budget, seed=budget).points
+                serial = draw(budget, budget)
                 monkeypatch.setattr(sp, "_cores", lambda: 3)
                 monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
                 pools.clear()
-                threaded = sp.exact_p2_sample(params, budget, seed=budget).points
-                assert serial.shape == (budget, n)
+                threaded = draw(budget, budget)
+                assert serial.shape == (budget, width)
                 assert np.array_equal(serial, threaded)
                 n_chunks = -(-budget // chunk)
                 assert pools == ([min(3, n_chunks)] if n_chunks > 1 else [])
@@ -351,51 +384,93 @@ def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("abc", [(1, 1, 0), (2, 2, 1), (2, 4, 3)])
+def _prefix_stable(abc, n):
+    draw, _ = _exact_sampler(abc, n)
+    budget = 2 * sp._CHUNK
+    return np.array_equal(draw(budget + 7, 61)[:budget], draw(budget, 61))
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 0), (2, 2, 1), (2, 4, 3), "R", "C"])
 @pytest.mark.parametrize("n", [2, 16])
 def test_exact_p2_draws_are_prefix_stable(abc, n):
     # chunk j draws from child j of the seed, so a longer budget only
     # appends draws after the last full chunk
-    params = EnsembleParams(*abc, n)
-    budget = 2 * sp._CHUNK
-    longer = sp.exact_p2_sample(params, budget + 7, seed=61).points
-    assert np.array_equal(longer[:budget], sp.exact_p2_sample(params, budget, seed=61).points)
+    assert _prefix_stable(abc, n)
+
+
+def _reversed_streams(fill, seed, *arrays):
+    """A planted fault in samplers._map_chunks: chunk j draws from child
+    n_chunks - 1 - j of the seed."""
+    children = np.random.SeedSequence(seed).spawn(-(-len(arrays[0]) // sp._CHUNK))
+    for j, child in enumerate(reversed(children)):
+        rows = slice(j * sp._CHUNK, (j + 1) * sp._CHUNK)
+        fill(np.random.default_rng(child), *(a[rows] for a in arrays))
+
+
+def _shared_stream(fill, seed, *arrays):
+    """A planted fault in samplers._map_chunks: every chunk draws, in order,
+    from one stream of the seed."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, len(arrays[0]), sp._CHUNK):
+        fill(rng, *(a[start : start + sp._CHUNK] for a in arrays))
+
+
+@pytest.mark.parametrize("fault", [_reversed_streams, _shared_stream])
+def test_exact_p2_stream_faults_are_caught(fault, monkeypatch):
+    # either fault breaks the chunk-to-child-stream law; reversed streams
+    # also break prefix stability (a shared stream run in order keeps it)
+    monkeypatch.setattr(sp, "_map_chunks", fault)
+    spec = SchattenSpec("R", "Full", 4, 2.0)
+    m = 2 * sp._CHUNK + 200
+    assert not _ball_chunks_follow_their_streams(spec, sp.exact_p2_matrix_sample(spec, m, 51).points, 51)
+    if fault is _reversed_streams:
+        assert not _prefix_stable((2, 2, 1), 2)
+        assert not _prefix_stable("C", 2)
 
 
 @pytest.mark.parametrize("cores", [3, 1])
 def test_exact_p2_worker_exception_reaches_the_caller(cores, monkeypatch):
     # only the short last chunk raises; pooled or serial, its error must
     # reach the caller and not be lost with the worker's result
-    draws = sp._laguerre_draws
+    draws, einsum = sp._laguerre_draws, np.einsum
 
     def failing(params, m, rng):
         if m != sp._CHUNK:
             raise RuntimeError("last chunk")
         return draws(params, m, rng)
 
+    def failing_einsum(subscripts, g, *args, **kwargs):  # the ball's squared norms
+        if len(g) != sp._CHUNK:
+            raise RuntimeError("last chunk")
+        return einsum(subscripts, g, *args, **kwargs)
+
     monkeypatch.setattr(sp, "_laguerre_draws", failing)
+    monkeypatch.setattr(np, "einsum", failing_einsum)
     monkeypatch.setattr(sp, "_cores", lambda: cores)
-    with pytest.raises(RuntimeError, match="last chunk"):
-        sp.exact_p2_sample(EnsembleParams(2, 1, 0, 4), 2 * sp._CHUNK + 5)
+    for abc in ((2, 1, 0), "R"):
+        draw, _ = _exact_sampler(abc, 4)
+        with pytest.raises(RuntimeError, match="last chunk"):
+            draw(2 * sp._CHUNK + 5, 0)
 
 
 def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget(monkeypatch):
-    # past the draws, only the running chunks' matrices and the ESS series
-    # (one value per draw, 1/16 of the draws here) remain, so the peak
-    # beyond the draws barely moves between 4 and 64 chunks
+    # past the draws, only the running chunks' temporaries remain (and, for
+    # the ball, one scratch value per draw: 1/16 of the draws here), so the
+    # peak beyond the draws barely moves between 4 and 64 chunks
     monkeypatch.setattr(sp, "_cores", lambda: 2)
-    params = EnsembleParams(2, 4, 3, 16)
-    sp.exact_p2_sample(params, 2 * sp._CHUNK)  # first-call costs are not the budget's
-    extra = []
-    for k in (4, 64):
-        tracemalloc.start()
-        try:
-            points = sp.exact_p2_sample(params, k * sp._CHUNK).points
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra.append(peak - points.nbytes)
-    assert abs(extra[1] - extra[0]) < 1e6, extra
+    for abc, n in (((2, 4, 3), 16), ("R", 4)):
+        draw, _ = _exact_sampler(abc, n)
+        draw(2 * sp._CHUNK, 0)  # first-call costs are not the budget's
+        extra = []
+        for k in (4, 64):
+            tracemalloc.start()
+            try:
+                points = draw(k * sp._CHUNK, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - points.nbytes)
+        assert abs(extra[1] - extra[0]) < 1e6, (abc, extra)
 
 
 def test_import_starts_no_pool_machinery():

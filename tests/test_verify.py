@@ -179,15 +179,18 @@ def test_entry_statistics_match_single_matrix_terms(field):
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_entry_statistics_blocks_match_one_batch(field, monkeypatch):
-    spec = SchattenSpec(field, "Full", 3, 2.0)
+    # n = 4 is the size check_entry_correlations runs at
     block = vf._ENTRY_BLOCK
     sizes = (1, block - 1, block, block + 1, 2 * block + 3)
-    coords = np.random.default_rng(29).standard_normal((max(sizes), spec.dim))
-    blocked = {m: vf._entry_statistics(spec, coords[:m]) for m in sizes}
-    monkeypatch.setattr(vf, "_ENTRY_BLOCK", max(sizes) + 1)
-    for m in sizes:
-        whole = vf._entry_statistics(spec, coords[:m])
-        assert all(np.array_equal(a, b) for a, b in zip(blocked[m], whole, strict=True))
+    for n in (3, 4):
+        spec = SchattenSpec(field, "Full", n, 2.0)
+        coords = np.random.default_rng(29).standard_normal((max(sizes), spec.dim))
+        monkeypatch.setattr(vf, "_ENTRY_BLOCK", block)
+        blocked = {m: vf._entry_statistics(spec, coords[:m]) for m in sizes}
+        monkeypatch.setattr(vf, "_ENTRY_BLOCK", max(sizes) + 1)
+        for m in sizes:
+            whole = vf._entry_statistics(spec, coords[:m])
+            assert all(np.array_equal(a, b) for a, b in zip(blocked[m], whole, strict=True))
 
 
 def test_entry_correlations_memory_does_not_grow_with_budget():
