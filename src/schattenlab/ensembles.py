@@ -89,18 +89,11 @@ class SchattenSpec:
 
 @dataclass(frozen=True)
 class GasMapping:
-    """Result of mapping a Schatten ball onto its singular-value gas.
-
-    multiplicity counts how often each gas coordinate appears among the matrix
-    singular values; signed marks eigenvalue (rather than singular value)
-    coordinates; forced_zero records the extra zero singular value of
-    odd-size anti-symmetric Hermitian matrices.
-    """
+    """A Schatten ball's singular-value gas, with the multiplicity of each gas
+    coordinate among the matrix singular values."""
 
     params: EnsembleParams
     multiplicity: int
-    signed: bool
-    forced_zero: bool
 
 
 def ensemble_of(spec):
@@ -108,21 +101,17 @@ def ensemble_of(spec):
 
     Full and ComplexSymmetric matrices keep n gas coordinates, SelfAdjoint uses
     signed eigenvalue coordinates, and AntiSymHermitian reduces to floor(n/2)
-    coordinates each counted twice.
+    coordinates each counted twice, with c = 2 for the forced zero of odd n.
     """
     n, beta = spec.n, spec.beta
     if spec.subspace == "Full":
-        params = EnsembleParams(a=2, b=beta, c=beta - 1, n=n)
-        return GasMapping(params, 1, signed=False, forced_zero=False)
+        return GasMapping(EnsembleParams(a=2, b=beta, c=beta - 1, n=n), 1)
     if spec.subspace == "SelfAdjoint":
-        params = EnsembleParams(a=1, b=beta, c=0, n=n)
-        return GasMapping(params, 1, signed=True, forced_zero=False)
+        return GasMapping(EnsembleParams(a=1, b=beta, c=0, n=n), 1)
     if spec.subspace == "ComplexSymmetric":
-        params = EnsembleParams(a=2, b=1, c=1, n=n)
-        return GasMapping(params, 1, signed=False, forced_zero=False)
+        return GasMapping(EnsembleParams(a=2, b=1, c=1, n=n), 1)
     # AntiSymHermitian: i * (real antisymmetric); singular values pair up.
     s, r = divmod(n, 2)
     if s < 1:
         raise ValueError("AntiSymHermitian needs n >= 2")
-    params = EnsembleParams(a=2, b=2, c=2 * r, n=s)
-    return GasMapping(params, 2, signed=False, forced_zero=bool(r))
+    return GasMapping(EnsembleParams(a=2, b=2, c=2 * r, n=s), 2)

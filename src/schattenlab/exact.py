@@ -1,7 +1,7 @@
 """Closed forms, in Fractions wherever no Gamma function enters: the
-homogeneous moment transfer factor, the exact gas moments at p = 2 and
-p = inf, the Selberg average of a symmetric polynomial behind the latter, and
-the volume of the operator-norm ball.
+homogeneous moment transfer factor, the Selberg average of a symmetric
+polynomial, the volume of the operator-norm ball, and the exact gas and ball
+moments, the one place that decides which answers are exact and names them.
 
 A symmetric polynomial is a dict {partition: coefficient} over the power sums
 p_lambda = p_lambda1 p_lambda2 ..., the empty partition standing for 1.
@@ -12,9 +12,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from .ensembles import BETA
+from .ensembles import BETA, ensemble_of
 
-__all__ = ["closed_form_moment", "selberg_average", "opnorm_ball_log_volume"]
+__all__ = ["closed_form_moment", "selberg_average", "opnorm_ball_log_volume", "gas_moments",
+           "ball_moments", "PROVENANCE"]
+
+# the provenance a check records per exact gas route; a pipeline's method is "exact-" + route
+PROVENANCE = {"gaussian": "gaussian-closed-form", "selberg": "selberg-averages"}
 
 # the largest degree selberg_average expands: the gas moments need 4, and the
 # count behind _monomials grows as len(mu)^len(lambda)
@@ -148,23 +152,40 @@ def _selberg_gas(params):
     return (1, 1, gamma), power_sum(2), power_sum(4)
 
 
-def _exact_gas_moments(params, p):
-    """(E x1^4, E x1^2 x2^2, E x1^2) as Fractions (the pair 0 at n = 1) where
-    (family, p) has closed forms, else None: p in {2, inf} for a = 2 and for
-    a = 1 with c = 0, the families exact_p2_sample draws.  p = 2: ||x||^2 is
-    Gamma(d/2), and E sum x^4 is identity 1 (a = 2) or the Gaussian beta
-    ensemble's (a = 1).  p = inf: Selberg averages."""
+def gas_moments(params, p):
+    """(route, (E x1^4, E x1^2 x2^2, E x1^2)) as Fractions (the pair 0 at
+    n = 1) where (family, p) has closed forms, else None: p in {2, inf} for
+    a = 2 and for a = 1 with c = 0, the families exact_p2_sample draws.  p = 2
+    ("gaussian"): ||x||^2 is Gamma(d/2), and E sum x^4 is identity 1 (a = 2)
+    or the Gaussian beta ensemble's (a = 1).  p = inf ("selberg"): Selberg
+    averages."""
     n, a, b, c = params.n, params.a, params.b, params.c
     if p not in (2, math.inf) or not (a == 2 or (a == 1 and c == 0)):
         return None
     if p == 2:
-        s2 = Fraction(params.d, 2)
+        route, s2 = "gaussian", Fraction(params.d, 2)
         quartic = ((Fraction(2 * params.d, n) + 1 - c) * s2 / 2 if a == 2
                    else (3 * s2 + b * ((n - 1) * s2 + (Fraction(n, 2) - s2) / 2)) / 2)
         square = s2 * (s2 + 1)
     else:
-        weights, sum_sq, sum_4 = _selberg_gas(params)
+        route, (weights, sum_sq, sum_4) = "selberg", _selberg_gas(params)
         s2, quartic, square = (selberg_average(f, n, *weights)
                                for f in (sum_sq, sum_4, _times(sum_sq, sum_sq)))
     cross = (square - quartic) / (n * (n - 1)) if n > 1 else Fraction(0)
-    return quartic / n, cross, s2 / n
+    return route, (quartic / n, cross, s2 / n)
+
+
+def ball_moments(spec):
+    """(route, (E v, E v^2)) as Fractions for v = ||T||_2^2 on the uniform
+    ball spec where closed forms exist, else None: at p = inf v = k ||x||_2^2
+    (k the multiplicity) on every ball's gas route in gas_moments, and at p = 2
+    ("radial") v = R^2 with R^dim uniform, so E v = dim/(dim+2), E v^2 = dim/(dim+4)."""
+    if math.isinf(spec.p):
+        mapping = ensemble_of(spec)
+        route, (e4, ec, e2) = gas_moments(mapping.params, spec.p)
+        n, k = mapping.params.n, mapping.multiplicity
+        return route, (k * n * e2, k * k * n * (e4 + (n - 1) * ec))
+    if spec.p != 2:
+        return None
+    dim = Fraction(spec.dim)
+    return "radial", (dim / (dim + 2), dim / (dim + 4))

@@ -52,9 +52,6 @@ class MatrixSample:
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", e)
 
-    def frobenius_sq(self):
-        return float(np.sum(abs_sq(self.field, self.entries)))
-
 
 # ---------------------------------------------------------------------------
 # quaternion component helpers

@@ -10,7 +10,6 @@ Every functional must be homogeneous of its declared degree.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -371,7 +370,7 @@ class SigmaEstimate:
 
     std_err is the delta-method error of sigma_sq from the joint batch means
     of the two columns sigma_from_values reads, inf below 4 draws; ess is the
-    smaller of their effective sample sizes; on an "exact-" route std_err is
+    smaller of their effective sample sizes; on an exact route std_err is
     0 and ess inf.  The fields are in the order of the CLI's sigma record.
     """
 
@@ -435,17 +434,12 @@ def _sigma_estimate(d, m, m2, cov, eff, method):
 def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=None):
     """Estimate the thin-shell statistic of K_{p,E} from the singular-value law.
 
-    sampler: "auto" (exact at p=2 and p=inf, else radial_columns of gas
-    draws) or "hit_and_run" for the direct matrix walk, whose raw (v, v^2)
-    validate it.  mcmc_kwargs (n_chains, burn_in) go to whichever chain
-    sampler runs: Metropolis or hit-and-run.
-
-    The exact routes are chosen by p alone, on every subspace, and draw
-    nothing (budget must still be >= 1): at p=2 the radial rule at w = 1,
-    E v = dim/(dim+2) and E v^2 = dim/(dim+4) ("exact-radial"), and at p=inf
-    the Selberg averages of v = multiplicity * ||x||_2^2 ("exact-selberg"),
-    which exist for every ball's gas: a=2, or a=1 with c=0.  Other samplers
-    raise ValueError.
+    sampler: "auto" (exact where exact.ball_moments answers, else
+    radial_columns of gas draws) or "hit_and_run" for the direct matrix walk,
+    whose raw (v, v^2) validate it.  mcmc_kwargs (n_chains, burn_in) go to
+    whichever chain sampler runs: Metropolis or hit-and-run.  The exact route
+    draws nothing (budget must still be >= 1) and names its method "exact-"
+    + route.  Other samplers raise ValueError.
     """
     if sampler not in ("auto", "hit_and_run"):
         raise ValueError(f"sampler must be 'auto' or 'hit_and_run', got {sampler!r}")
@@ -454,20 +448,14 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
                                            **(mcmc_kwargs or {}))
         v = ml.frobenius_sq_batch(spec, mats.points)
         return sigma_from_values(np.stack([v, v**2], axis=1), spec.dim, "hit_and_run")
-
-    mapping = ensemble_of(spec)
-    params, k, dim = mapping.params, mapping.multiplicity, Fraction(spec.dim)
-    if spec.p == 2 or math.isinf(spec.p):
+    if (found := exact.ball_moments(spec)) is not None:
         samplers._check_budget(budget)
-        if spec.p == 2:  # w = 1: the gas cancels out of v = R^2
-            m, m2, method = dim / (dim + 2), dim / (dim + 4), "exact-radial"
-        else:  # p = inf: v = k ||x||_2^2
-            (e4, ec, e2), n = exact._exact_gas_moments(params, spec.p), params.n
-            m, m2, method = k * n * e2, k * k * n * (e4 + (n - 1) * ec), "exact-selberg"
-        return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, method)
-    gas = samplers.gas_sample(params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
-    return sigma_from_values(radial_columns(gas.points, spec.p, k, spec.dim), spec.dim,
-                             gas.diagnostics["method"])
+        route, (m, m2) = found
+        return _sigma_estimate(spec.dim, m, m2, np.zeros((2, 2)), math.inf, "exact-" + route)
+    mapping = ensemble_of(spec)
+    gas = samplers.gas_sample(mapping.params, spec.p, budget, seed, mcmc_kwargs=mcmc_kwargs)
+    return sigma_from_values(radial_columns(gas.points, spec.p, mapping.multiplicity, spec.dim),
+                             spec.dim, gas.diagnostics["method"])
 
 
 @dataclass(frozen=True)
@@ -498,15 +486,14 @@ class VarMpEstimate:
 def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=None):
     """Estimate Var_{M_p}(||x||_2^2) and its decomposition from gas draws.
 
-    With no gas it draws nothing where the family has closed forms: at p=2
-    and p=inf for a=2, or a=1 with c=0, the families exact_p2_sample draws
-    ("exact-gaussian" at p=2, "exact-selberg" at p=inf, every error bar 0).
+    With no gas it draws nothing where exact.gas_moments answers, and names
+    its method "exact-" + route, every error bar 0.
     """
     n = params.n
-    if gas is None and (moments := exact._exact_gas_moments(params, p)) is not None:
+    if gas is None and (found := exact.gas_moments(params, p)) is not None:
         samplers._check_budget(budget)
-        method = "exact-selberg" if math.isinf(p) else "exact-gaussian"
-        return _var_mp_estimate(n, moments, np.zeros((3, 3)), math.inf, method)
+        route, moments = found
+        return _var_mp_estimate(n, moments, np.zeros((3, 3)), math.inf, "exact-" + route)
     if gas is None:
         gas = samplers.gas_sample(params, p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     x = gas.points

@@ -75,14 +75,13 @@ def test_full_mapping_all_fields():
             m = ensemble_of(spec)
             assert m.params == EnsembleParams(2, beta, beta - 1, n)
             assert m.params.d == beta * n * n == spec.dim
-            assert m.multiplicity == 1 and not m.signed
+            assert m.multiplicity == 1
 
 
 def test_self_adjoint_mapping():
     m = ensemble_of(SchattenSpec("R", "SelfAdjoint", 4, 2.0))
     assert m.params == EnsembleParams(1, 1, 0, 4)
     assert m.params.d == 4 * 5 // 2
-    assert m.signed
     m = ensemble_of(SchattenSpec("H", "SelfAdjoint", 3, 1.0))
     assert m.params == EnsembleParams(1, 4, 0, 3)
     assert m.params.d == 2 * 9 - 3
@@ -92,10 +91,8 @@ def test_antisym_mapping():
     m = ensemble_of(SchattenSpec("C", "AntiSymHermitian", 5, 2.0))
     assert m.params == EnsembleParams(2, 2, 2, 2)
     assert m.multiplicity == 2
-    assert m.forced_zero
     m = ensemble_of(SchattenSpec("C", "AntiSymHermitian", 4, 2.0))
     assert m.params == EnsembleParams(2, 2, 0, 2)
-    assert not m.forced_zero
     # the gas degree matches the subspace dimension
     for n in range(2, 12):
         spec = SchattenSpec("C", "AntiSymHermitian", n, 2.0)

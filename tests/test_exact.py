@@ -38,12 +38,12 @@ def _aomoto_jack_reference(params):
 def test_jack_averages_reproduce_aomoto_and_p2(abc, n):
     params = EnsembleParams(*abc, n)
     y1, y1y2, sum_sq = _aomoto_jack_reference(params)
-    assert exact._exact_gas_moments(params, math.inf) == (sum_sq / n, y1y2, y1)
+    assert exact.gas_moments(params, math.inf) == ("selberg", (sum_sq / n, y1y2, y1))
 
 
 def test_a1_averages_pinned():
     # (1,4,0) at n=3: E||x||^2, E||x||^4 and E sum x^4
-    x4, cross, x2 = exact._exact_gas_moments(EnsembleParams(1, 4, 0, 3), math.inf)
+    _, (x4, cross, x2) = exact.gas_moments(EnsembleParams(1, 4, 0, 3), math.inf)
     assert (3 * x2, 3 * x4 + 6 * cross, 3 * x4) == (
         Fraction(18, 11), Fraction(1181, 429), Fraction(557, 429))
 
@@ -82,4 +82,4 @@ def test_closed_form_moment_lives_only_in_exact():
 
     assert schattenlab.closed_form_moment is exact.closed_form_moment
     assert not hasattr(mo, "closed_form_moment")
-    assert not hasattr(mo, "_exact_gas_moments")
+    assert not hasattr(mo, "gas_moments")

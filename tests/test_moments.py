@@ -102,7 +102,7 @@ def test_quadrature_aomoto_at_p_infinity(abc, n):
     ests = mo.quadrature_moments(params, math.inf, ["x1_sq", "x1_pow4", *pair])
     a, b, c = abc
     # the exact Selberg averages E x1^4, E x1^2 x2^2 and E x1^2
-    x4, cross, x2 = exact._exact_gas_moments(params, math.inf)
+    _, (x4, cross, x2) = exact.gas_moments(params, math.inf)
     assert float(x2) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
     assert float(x4) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
     if a == 2:
@@ -126,7 +126,7 @@ def test_quadrature_gaussian_moments_at_p2(abc, n):
     params = EnsembleParams(*abc, n)
     pair = ["x1sq_x2sq"] if n > 1 else []
     ests = mo.quadrature_moments(params, 2.0, ["x1_pow4", "x1_sq", *pair])
-    x4, cross, x2 = exact._exact_gas_moments(params, 2.0)
+    _, (x4, cross, x2) = exact.gas_moments(params, 2.0)
     assert float(x4) == pytest.approx(ests["x1_pow4"].value, rel=1e-12)
     assert float(x2) == pytest.approx(ests["x1_pow2"].value, rel=1e-12)
     if n == 1:
@@ -135,16 +135,100 @@ def test_quadrature_gaussian_moments_at_p2(abc, n):
         assert float(cross) == pytest.approx(ests["x1sq_x2sq"].value, rel=1e-12)
 
 
-def test_exact_gas_moments_cover_only_the_closed_forms():
+def test_gas_moments_cover_only_the_closed_forms():
     # p=2 and p=inf, each for a=2 or (a=1, c=0), the families exact_p2_sample
     # draws; (1,2,0) at p=inf became exact with the Jack averages
-    assert exact._exact_gas_moments(EnsembleParams(1, 2, 0, 3), math.inf) is not None
+    assert exact.gas_moments(EnsembleParams(1, 2, 0, 3), math.inf)[0] == "selberg"
+    assert exact.gas_moments(EnsembleParams(1, 2, 0, 3), 2.0)[0] == "gaussian"
     for p in (2.0, math.inf):
-        assert exact._exact_gas_moments(EnsembleParams(1, 1, 2, 3), p) is None
-        assert exact._exact_gas_moments(EnsembleParams(3, 1, 0, 3), p) is None
-    for p in (1.0, 4.0):
-        assert exact._exact_gas_moments(EnsembleParams(2, 1, 0, 3), p) is None
-        assert exact._exact_gas_moments(EnsembleParams(1, 2, 0, 3), p) is None
+        assert exact.gas_moments(EnsembleParams(1, 1, 2, 3), p) is None
+        assert exact.gas_moments(EnsembleParams(3, 1, 0, 3), p) is None
+    for p in (1.0, 3.0, 4.0):
+        assert exact.gas_moments(EnsembleParams(2, 1, 0, 3), p) is None
+        assert exact.gas_moments(EnsembleParams(1, 2, 0, 3), p) is None
+
+
+# every ball: Full and SelfAdjoint over each field, C ComplexSymmetric, and C
+# AntiSymHermitian at an even and an odd n (the forced zero), each with its
+# exact sigma^2 at p=inf as the pipeline read it before the route table
+_BALLS = {
+    ("R", "Full", 3): Fraction(16, 27),
+    ("C", "Full", 3): Fraction(18, 35),
+    ("H", "Full", 3): Fraction(25, 54),
+    ("R", "SelfAdjoint", 3): Fraction(272, 405),
+    ("C", "SelfAdjoint", 3): Fraction(164, 289),
+    ("H", "SelfAdjoint", 3): Fraction(1775, 4212),
+    ("C", "ComplexSymmetric", 3): Fraction(4, 7),
+    ("C", "AntiSymHermitian", 4): Fraction(8, 15),
+    ("C", "AntiSymHermitian", 5): Fraction(40, 77),
+}
+
+
+@pytest.mark.parametrize("ball", sorted(_BALLS), ids=lambda b: "{}-{}-{}".format(*b))
+def test_ball_moments_cover_every_ball_at_p2_and_p_inf(ball):
+    # p=inf: k ||x||^2 against the oracle's E||x||^2 and E||x||^4; p=2: the radial rule
+    mapping = ensemble_of(SchattenSpec(*ball, math.inf))
+    k = mapping.multiplicity
+    oracle = mo.quadrature_moments(mapping.params, math.inf, ["norm2_sq", "norm2_4"])
+    route, (m, m2) = exact.ball_moments(SchattenSpec(*ball, math.inf))
+    assert route == "selberg"
+    assert float(m) == pytest.approx(k * oracle["norm2_sq"].value, rel=1e-12)
+    assert float(m2) == pytest.approx(k * k * oracle["norm2_4"].value, rel=1e-12)
+    dim = Fraction(SchattenSpec(*ball, 2.0).dim)
+    assert exact.ball_moments(SchattenSpec(*ball, 2.0)) == ("radial", (dim / (dim + 2),
+                                                                      dim / (dim + 4)))
+    for p in (1.0, 1.5, 3.0, 4.0):
+        assert exact.ball_moments(SchattenSpec(*ball, p)) is None
+
+
+class _Drew(Exception):
+    """A pipeline reached a sampler."""
+
+
+def _draws(monkeypatch, pipeline, *args):
+    """Whether pipeline(*args, budget=10) reaches the gas sampler or the
+    matrix walk (each patched to raise _Drew); else its estimate."""
+    def refuse(*_, **__):
+        raise _Drew
+
+    monkeypatch.setattr(sp, "gas_sample", refuse)
+    monkeypatch.setattr(sp, "matrix_hit_and_run", refuse)
+    try:
+        return pipeline(*args, budget=10)
+    except _Drew:
+        return True
+
+
+@pytest.mark.parametrize("ball", sorted(_BALLS), ids=lambda b: "{}-{}-{}".format(*b))
+def test_pipelines_answer_from_exact_at_p2_and_p_inf_only(ball, monkeypatch):
+    for p, method in ((2.0, "exact-radial"), (math.inf, "exact-selberg")):
+        spec = SchattenSpec(*ball, p)
+        est = _draws(monkeypatch, mo.sigma_pipeline, spec)
+        value = Fraction(4, spec.dim + 4) if p == 2 else _BALLS[ball]
+        assert (est.method, est.sigma_sq, est.std_err, est.ess) == (
+            method, float(value), 0.0, math.inf)
+        assert est.method == "exact-" + exact.ball_moments(spec)[0]
+    params = ensemble_of(SchattenSpec(*ball, 2.0)).params
+    for p, method in ((2.0, "exact-gaussian"), (math.inf, "exact-selberg")):
+        est = _draws(monkeypatch, mo.var_mp_pipeline, params, p)
+        route, (_, _, e2) = exact.gas_moments(params, p)
+        assert (est.method, est.coord_sq_mean, est.std_err) == (method, float(e2), 0.0)
+        assert method == "exact-" + route
+    for p in (1.0, 3.0):
+        assert _draws(monkeypatch, mo.sigma_pipeline, SchattenSpec(*ball, p)) is True
+        assert _draws(monkeypatch, mo.var_mp_pipeline, params, p) is True
+
+
+def test_pipelines_route_test_catches_a_table_that_answers_p1(monkeypatch):
+    # planted fault: a route table that also answers p=1, with the p=2 rules
+    ball_moments, gas_moments = exact.ball_moments, exact.gas_moments
+    monkeypatch.setattr(exact, "ball_moments", lambda spec: ball_moments(
+        dataclasses.replace(spec, p=2.0) if spec.p == 1 else spec))
+    monkeypatch.setattr(exact, "gas_moments", lambda params, p: gas_moments(
+        params, 2.0 if p == 1 else p))
+    spec = SchattenSpec("R", "Full", 3, 1.0)
+    assert _draws(monkeypatch, mo.sigma_pipeline, spec) is not True
+    assert _draws(monkeypatch, mo.var_mp_pipeline, ensemble_of(spec).params, 1.0) is not True
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -279,14 +363,13 @@ def test_sigma_pipeline_exact_opnorm_meets_the_matrix_walk(case, seed):
 def test_sigma_pipeline_exact_opnorm_walk_catches_a_lost_forced_zero(monkeypatch):
     # planted fault: n=5 mapped without its forced zero, (2,2,0) in place of (2,2,2)
     spec = _WALK_CASES["ash5"][0]
-    true_map = mo.ensemble_of
+    true_map = exact.ensemble_of
 
     def no_forced_zero(s):
         m = true_map(s)
-        return dataclasses.replace(m, params=dataclasses.replace(m.params, c=0),
-                                   forced_zero=False)
+        return dataclasses.replace(m, params=dataclasses.replace(m.params, c=0))
 
-    monkeypatch.setattr(mo, "ensemble_of", no_forced_zero)
+    monkeypatch.setattr(exact, "ensemble_of", no_forced_zero)
     assert mo.sigma_pipeline(spec).sigma_sq == float(Fraction(8, 9))
     assert abs(_walk_z(spec, 0)[0]) > 3.0
 

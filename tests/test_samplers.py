@@ -94,7 +94,7 @@ def _a1_reference(params):
     if params.n <= mo.ORACLE_MAX_N:
         ests = mo.quadrature_moments(params, math.inf, _A1_FUNCTIONALS)
         return {fid: est.value for fid, est in ests.items()}
-    (x4, cross, x2), n = exact._exact_gas_moments(params, math.inf), params.n
+    (_, (x4, cross, x2)), n = exact.gas_moments(params, math.inf), params.n
     return {"norm2_sq": float(n * x2), "norm2_4": float(n * x4 + n * (n - 1) * cross),
             "x1_pow4": float(x4)}
 
