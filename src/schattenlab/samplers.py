@@ -5,11 +5,13 @@ exact tridiagonal ensemble samplers for the Gaussian (p=2) weight.  A
 hit-and-run walk on the matrix subspace itself gives an independent route to
 the uniform ball measure.  Metropolis and hit-and-run share one lockstep
 chain loop, _run_chains.  Both exact p=2 samplers, of the gas and of the
-Frobenius ball, share one chunk map, _map_chunks: fixed chunks, one child
-seed stream per chunk, the self-contained chunks mapped over the process's
-cores (no rounds, no shared buffers); the draws do not depend on the core
-count and are prefix-stable (the first full chunks of any budget agree), the
-wall-time gain needs a second free core, and one core runs serially.
+Frobenius ball, draw in fixed chunks with one child seed stream per chunk
+through one chunk map, _map_chunks, so their draws are prefix-stable (the
+first full chunks of any budget agree) and do not depend on the core count.
+The gas sampler solves its tridiagonal models with a batched root-free QL
+kernel, _tridiagonal_eigvalsh, on the calling thread; the ball sampler maps
+its self-contained chunks over a thread pool with one worker per core (one
+core runs serially).
 """
 
 import math
@@ -206,37 +208,23 @@ def _cores():
 
 
 def _map_chunks(fill, seed, *arrays):
-    """Fill arrays of one length chunk by chunk: fill(rng, *rows) for each
-    chunk of _CHUNK rows (the last one may be short), rows being the chunk's
-    rows of each array and rng a generator on child j of
-    SeedSequence(seed).spawn(n_chunks) for chunk j, so for one seed the
-    first k full chunks of any budget are the same draws.
-
-    A chunk depends only on (seed, j, its size) and writes only its own rows,
-    so one map over a thread pool with one worker per core the process may
-    use runs them all, and the draws are byte-identical whatever the core
-    count.  With one core, or one chunk, no pool starts and the chunks run
-    in a plain loop.
+    """Fill arrays of one length chunk by chunk, in row order on the calling
+    thread: fill(rng, *rows) for each chunk of _CHUNK rows (the last one may
+    be short), rows being the chunk's rows of each array and rng a generator
+    on child j of SeedSequence(seed).spawn(n_chunks) for chunk j, so for one
+    seed the first k full chunks of any budget are the same draws.  This is
+    the one chunk-to-stream rule of both exact p=2 samplers.
     """
     n_chunks = -(-len(arrays[0]) // _CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def run(j):
+    for j, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         rows = slice(j * _CHUNK, (j + 1) * _CHUNK)
-        fill(np.random.default_rng(seeds[j]), *(a[rows] for a in arrays))
+        fill(np.random.default_rng(child), *(a[rows] for a in arrays))
 
-    workers = min(_cores(), n_chunks)
-    if workers > 1:
-        # imported here: concurrent.futures imports logging, which would
-        # add to every `import schattenlab`
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(run, range(n_chunks)):
-                pass  # reading every result re-raises a worker's exception
-    else:
-        for j in range(n_chunks):
-            run(j)
+# Chunks per _tridiagonal_eigvalsh call: a call's fixed cost (a few thousand
+# small numpy operations) is shared by up to 4096 matrices, and its
+# temporaries, a few MB, stay the same whatever the budget.
+_GROUP = 4
 
 
 def exact_p2_sample(params, n_samples, seed=0):
@@ -247,9 +235,12 @@ def exact_p2_sample(params, n_samples, seed=0):
     eigenvalues; the Laguerre shape is chosen so the substitution y = x^2
     reproduces the gas exactly.  Anything else raises SamplerUnavailable.
 
-    The draws come from _map_chunks.  Each chunk is self-contained: its
-    variates, its own zeroed tridiagonal matrices, eigvalsh (which releases
-    the interpreter lock) and the eigenvalue map into its own rows.
+    Everything runs on the calling thread; no pool starts.  _map_chunks draws
+    each chunk's variates from its own child stream, and every _GROUP chunks
+    (then the last, shorter group) go to one _tridiagonal_eigvalsh call,
+    whose eigenvalues are mapped into the chunks' rows.  A matrix's
+    eigenvalues do not depend on the group it is solved in, so the draws are
+    prefix-stable and the same at any core count.
     """
     _check_budget(n_samples)
     n, a, b, c = params.n, params.a, params.b, params.c
@@ -259,50 +250,56 @@ def exact_p2_sample(params, n_samples, seed=0):
         draw = _laguerre_draws
     else:
         raise SamplerUnavailable(f"no exact p=2 sampler for (a,b,c)=({a},{b},{c})")
+    group = []  # (rows, diag, squared sub-diagonal, finish) of each chunk not yet solved
+
+    def solve():
+        rows, diags, subs_sq, finishes = zip(*group)
+        # Each matrix goes in reversed, which keeps its eigenvalues.  The
+        # models' chi-square degrees of freedom fall down the matrix, so
+        # their entries shrink toward the last row, and QL, which deflates
+        # at the first row, converges in fewer sweeps from that end.
+        lam = _tridiagonal_eigvalsh(np.concatenate([d[:, ::-1] for d in diags]),
+                                    np.concatenate([e[:, ::-1] for e in subs_sq]))
+        start = 0
+        for chunk, finish in zip(rows, finishes):
+            chunk[:] = lam[start : start + len(chunk)]
+            finish(chunk)
+            start += len(chunk)
+        group.clear()
 
     def fill(rng, lam):
-        diag, sub, finish = draw(params, len(lam), rng)
-        mats = np.zeros((len(lam), n, n))
-        _set_tridiagonal(mats, diag, sub)
-        lam[:] = np.linalg.eigvalsh(mats)
-        finish(lam)
+        group.append((lam, *draw(params, len(lam), rng)))
+        if len(group) == _GROUP:
+            solve()
 
     points = np.empty((n_samples, n))
     _map_chunks(fill, seed, points)
+    if group:
+        solve()
     return SampleBatch(points=points, diagnostics={"method": "exact-p2", "chains": 1})
 
 
-def _set_tridiagonal(mats, diag, sub):
-    """Write the (m, n) diag on the diagonals and the (m, n-1) sub on the
-    sub-diagonals of the contiguous (m, n, n) mats, through strides.  Nothing
-    else is written: the rest of the lower triangle must be zero, and the
-    upper triangle is never read, as eigvalsh reads the lower one only."""
-    m, n = diag.shape
-    flat = mats.reshape(m, n * n)
-    flat[:, :: n + 1] = diag
-    flat[:, n :: n + 1] = sub
-
-
 def _hermite_draws(params, m, rng):
-    """Diagonal, sub-diagonal and in-place eigenvalue map of m tridiagonal
-    Gaussian beta models."""
+    """Diagonal, squared sub-diagonal and in-place eigenvalue map of m
+    tridiagonal Gaussian beta models."""
     n, b = params.n, params.b
     diag = rng.standard_normal((m, n))
-    sub = np.sqrt(rng.chisquare(b * (n - np.arange(1, n)), size=(m, n - 1))) / math.sqrt(2.0)
-    return diag, sub, lambda lam: np.divide(lam, math.sqrt(2.0), out=lam)
+    sub_sq = rng.chisquare(b * (n - np.arange(1, n)), size=(m, n - 1)) / 2.0
+    return diag, sub_sq, lambda lam: np.divide(lam, math.sqrt(2.0), out=lam)
 
 
 def _laguerre_draws(params, m, rng):
-    """Diagonal, sub-diagonal and in-place eigenvalue map of m Laguerre
-    models B B^T, B lower bidiagonal (diagonal a_i, sub-diagonal s_i): the
-    tridiagonal B B^T has diagonal a_i^2 + s_(i-1)^2 and sub-diagonal a_i s_i.
-    The signs do not depend on the eigenvalues, so they are drawn here; the
-    stream order is diagonal chi-squares, sub-diagonal chi-squares, signs."""
+    """Diagonal, squared sub-diagonal and in-place eigenvalue map of m
+    Laguerre models B B^T, B lower bidiagonal (diagonal a_i, sub-diagonal
+    s_i): the tridiagonal B B^T has diagonal a_i^2 + s_(i-1)^2 and
+    sub-diagonal a_i s_i.  The signs do not depend on the eigenvalues, so
+    they are drawn here; the stream order is diagonal chi-squares,
+    sub-diagonal chi-squares, signs."""
     n, b, c = params.n, params.b, params.c
     two_shape = b * (n - 1) + c + 1  # = 2 * Laguerre shape parameter
     a_sq = rng.chisquare(two_shape - b * np.arange(n), size=(m, n))
     s_sq = rng.chisquare(b * (n - 1 - np.arange(n - 1)), size=(m, n - 1))
-    sub = np.sqrt(a_sq[:, :-1] * s_sq)
+    sub_sq = a_sq[:, :-1] * s_sq
     a_sq[:, 1:] += s_sq  # now the diagonal
     signs = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
 
@@ -312,7 +309,134 @@ def _laguerre_draws(params, m, rng):
         np.sqrt(y, out=y)
         y *= signs
 
-    return a_sq, sub, finish
+    return a_sq, sub_sq, finish
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues of a batch of symmetric tridiagonal matrices
+
+_EPS2 = np.finfo(float).eps ** 2
+_TINY = np.finfo(float).tiny
+
+
+def _ql_sweep(d, e2, l, work):
+    """One root-free implicit QL sweep, in place, over rows l.. of the lists
+    d and e2 of equal-length arrays: entry j of every array belongs to matrix
+    j, d[i] holds diagonal entries and e2[i] squared sub-diagonal entries.
+    This is the QL step of LAPACK's dsterf (Pal, Walker and Kahan; Parlett,
+    The Symmetric Eigenvalue Problem, section 8.15) with its shift, applied
+    from the last row up to row l with no split search, so each line below
+    is one numpy operation over every matrix.  work holds eight scratch
+    arrays of the same length."""
+    n = len(d)
+    c, s, r, t, gamma, oldgam, p, shift = work
+    # local names: the loop below runs a dozen ufunc calls per row
+    add, sub, mul, div, fmax = np.add, np.subtract, np.multiply, np.divide, np.fmax
+    dl, el = d[l], e2[l]
+    # the shift: the eigenvalue of the leading 2x2 block nearer d_l; the
+    # floor makes it d_l, not 0/0, where that block is a multiple of I
+    sub(d[l + 1], dl, t)
+    mul(t, 0.5, t)
+    mul(t, t, r)
+    add(r, el, r)
+    np.sqrt(r, r)
+    fmax(r, _TINY, r)
+    np.copysign(r, t, r)
+    add(r, t, r)
+    div(el, r, r)
+    sub(dl, r, shift)
+    sub(d[n - 1], shift, gamma)
+    mul(gamma, gamma, p)
+    for i in range(n - 2, l - 1, -1):
+        bb, alpha = e2[i], d[i]
+        # the floor keeps r > 0 where a matrix has split exactly (bb = 0)
+        # with a zero bulge (p = 0), as in a multiple of I
+        fmax(p, _TINY, p)
+        add(p, bb, r)
+        if i < n - 2:
+            mul(s, r, e2[i + 1])
+        div(p, r, c)
+        div(bb, r, s)
+        gamma, oldgam = oldgam, gamma
+        sub(alpha, shift, t)
+        mul(c, t, gamma)
+        mul(s, oldgam, t)
+        sub(gamma, t, gamma)
+        sub(alpha, gamma, t)
+        add(oldgam, t, d[i + 1])
+        mul(gamma, gamma, p)
+        div(p, c, p)
+    mul(s, p, e2[l])
+    add(shift, gamma, dl)
+
+
+def _tridiagonal_eigvalsh(d, e2):
+    """Ascending eigenvalues of m symmetric tridiagonal matrices, as
+    np.linalg.eigvalsh gives those of the dense matrices: row j of d (m, n)
+    holds matrix j's diagonal and row j of e2 (m, n-1) its squared
+    sub-diagonal (>= 0).  The inputs are not changed.
+
+    The work runs on (n, m) copies, so each step of a sweep (_ql_sweep) is a
+    few numpy operations over all m matrices.  At deflation level l every
+    matrix takes a fixed number of sweeps; then each matrix whose own test
+    e2_l <= eps^2 |d_l d_(l+1)| fails is swept alone, with the others that
+    fail it, until it passes.  The last 2x2 block is solved in closed form.
+    So a matrix's arithmetic depends on that matrix alone: its eigenvalues
+    are the same bits in any batch.  Unlike dsterf it does not scale the
+    matrices, so it is meant for entries well inside 1e-150..1e150 in
+    magnitude.  A matrix that needs more than 30 n sweeps in all (LAPACK's
+    cap), or whose eigenvalues are not finite, as with a NaN or an inf entry,
+    raises np.linalg.LinAlgError naming its rows.
+    """
+    m, n = d.shape
+    d = np.array(d.T, dtype=float, order="C")
+    e2 = np.array(e2.T, dtype=float, order="C")
+    cap, sweeps = 30 * n, np.zeros(m, dtype=np.int64)
+    d_rows, e2_rows = list(d), list(e2)  # row views: indexing a list is cheaper
+    work = [np.empty(m) for _ in range(8)]
+    with np.errstate(all="ignore"):
+        for l in range(n - 2):
+            # The first level starts cold and takes 5 sweeps; past the first
+            # third the earlier sweeps have nearly converged the rest, which
+            # take 2.  These counts were about the fastest for the gas
+            # sampler's models at n = 8, 16 and 32; the per-matrix sweeps
+            # below finish every level, so they change the time, not the
+            # accuracy.
+            fixed = 5 if l == 0 else 3 if l < n // 3 else 2
+            for _ in range(fixed):
+                _ql_sweep(d_rows, e2_rows, l, work)
+            sweeps += fixed
+            left = np.flatnonzero(~_ql_converged(d[l:], e2[l:]))
+            while left.size:
+                stuck = left[sweeps[left] >= cap]
+                if stuck.size:
+                    raise np.linalg.LinAlgError(
+                        f"tridiagonal QL: rows {stuck.tolist()} did not converge in {cap} sweeps")
+                dt, et = d[l:, left], e2[l:, left]
+                _ql_sweep(list(dt), list(et), 0, [w[: left.size] for w in work])
+                d[l:, left], e2[l:, left] = dt, et
+                sweeps[left] += 1
+                left = left[~_ql_converged(dt, et)]
+        if n > 1:
+            # the eigenvalue of larger magnitude, then the other one from the determinant
+            x, y, b2 = d[n - 2], d[n - 1], e2[n - 2]
+            big = x + y
+            big += np.copysign(np.sqrt((x - y) ** 2 + 4.0 * b2), big)
+            big *= 0.5
+            other = np.zeros(m)
+            np.divide(x * y - b2, big, out=other, where=big != 0.0)
+            d[n - 2], d[n - 1] = big, other
+    lam = d.T.copy()
+    lam.sort(axis=1)
+    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
+    if bad.size:
+        raise np.linalg.LinAlgError(f"tridiagonal QL: rows {bad.tolist()} have non-finite eigenvalues")
+    return lam
+
+
+def _ql_converged(d, e2):
+    """Whether each matrix's leading sub-diagonal is negligible (dsterf's test)."""
+    return e2[0] <= _EPS2 * np.abs(d[0] * d[1])
 
 
 def gas_sample(params, p, budget, seed, mcmc_kwargs=None):
@@ -382,11 +506,13 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
 
     The flat coordinates are a Euclidean isometry there, so Gaussian
     directions scaled to unit length and then by a radius u^(1/dim), u
-    uniform, sample the ball exactly.  The draws come from _map_chunks: each
-    chunk draws its standard normal rows into its own rows of the result,
-    then its uniforms, and scales the rows in place, so the draws do not
-    depend on the core count.  A chunk allocates no array: its norms and
-    radii go to its rows of one scratch array of one value per draw.
+    uniform, sample the ball exactly.  The chunks come from _map_chunks and
+    run on a thread pool with one worker per core the process may use (no
+    pool at one core or one chunk): each chunk draws its standard normal
+    rows into its own rows of the result, then its uniforms, and scales the
+    rows in place, so the draws do not depend on the core count.  A chunk
+    allocates no array: its norms and radii go to its rows of one scratch
+    array of one value per draw.
     """
     if spec.subspace != "Full" or spec.p != 2:
         raise SamplerUnavailable("exact ball sampling needs p=2 on a Full subspace")
@@ -405,5 +531,17 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
     # the worker threads, their malloc arenas kept memory, and the peak RSS
     # of perfbench's gauss-exact workload rose by about 10 MB.
     points, scratch = np.empty((n_samples, dim)), np.empty(n_samples)
-    _map_chunks(fill, seed, points, scratch)
+    workers = min(_cores(), -(-n_samples // _CHUNK))
+    if workers > 1:
+        # imported here: concurrent.futures imports logging, which would
+        # add to every `import schattenlab`
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            runs = []
+            _map_chunks(lambda *chunk: runs.append(pool.submit(fill, *chunk)), seed, points, scratch)
+            for run in runs:
+                run.result()  # re-raises a worker's exception
+    else:
+        _map_chunks(fill, seed, points, scratch)
     return SampleBatch(points=points, diagnostics={"method": "exact-ball", "chains": 1})

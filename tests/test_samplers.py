@@ -314,6 +314,113 @@ def test_hermite_chunk_matches_dense_tridiagonal(b, n):
         assert np.max(np.abs(x[rows] - y)) <= 1e-12 * np.max(np.abs(y))
 
 
+def _dense_tridiagonal(d, e):
+    """The dense symmetric tridiagonal matrices with diagonals d (m, n) and
+    sub-diagonals e (m, n-1)."""
+    m, n = d.shape
+    t = np.zeros((m, n, n))
+    idx = np.arange(n)
+    t[:, idx, idx] = d
+    j = np.arange(n - 1)
+    t[:, j + 1, j] = t[:, j, j + 1] = e
+    return t
+
+
+def _tridiagonal_cases(n, m=64):
+    """Named (diagonals, sub-diagonals) batches of the kernel's test inputs."""
+    rng = np.random.default_rng(100 + n)
+    hermite, hermite_sq, _ = sp._hermite_draws(EnsembleParams(1, 2, 0, n), m, rng)
+    laguerre, laguerre_sq, _ = sp._laguerre_draws(EnsembleParams(2, 4, 3, n), m, rng)
+    diag = rng.standard_normal((m, n))
+    graded = np.tile(np.logspace(-8, 8, n), (m, 1))
+    return {
+        "hermite": (hermite, np.sqrt(hermite_sq)),
+        "laguerre": (laguerre, np.sqrt(laguerre_sq)),
+        "split": (diag, np.zeros((m, n - 1))),  # eigenvalues: the sorted diagonal
+        "sub-diagonal 1e-200": (diag, np.full((m, n - 1), 1e-200)),  # squares to 0
+        "sub-diagonal 1e-100": (diag, np.full((m, n - 1), 1e-100)),
+        "equal diagonal": (np.full((m, n), 1.5), rng.random((m, n - 1))),
+        "zero diagonal": (np.zeros((m, n)), rng.random((m, n - 1))),
+        "multiple of I": (np.full((m, n), -2.0), np.zeros((m, n - 1))),
+        "zero": (np.zeros((m, n)), np.zeros((m, n - 1))),
+        "graded": (graded, rng.random((m, n - 1))),
+        "graded reversed": (graded[:, ::-1], rng.random((m, n - 1))),
+    }
+
+
+def _cases_missing_eigvalsh(n):
+    """Names of the cases at size n where the kernel, given the squared
+    sub-diagonals, misses eigvalsh of the dense matrices by more than 1e-13
+    of a matrix's largest |eigenvalue|, or changes its inputs."""
+    missed = []
+    for name, (d, e) in _tridiagonal_cases(n).items():
+        ref = np.linalg.eigvalsh(_dense_tridiagonal(d, e))
+        d_in, e2_in = d.copy(), e * e
+        lam = sp._tridiagonal_eigvalsh(d_in, e2_in)
+        close = np.abs(lam - ref) <= 1e-13 * np.max(np.abs(ref), axis=1, keepdims=True)
+        if not (close.all() and np.array_equal(d_in, d) and np.array_equal(e2_in, e * e)):
+            missed.append(name)
+    return missed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+def test_tridiagonal_kernel_meets_eigvalsh(n):
+    assert _cases_missing_eigvalsh(n) == []
+
+
+def _rows_depend_on_their_batch(abc):
+    """Whether any of 4096 n=16 models of the gas abc gets eigenvalue bits in
+    the whole batch other than in the batch reversed, in blocks of 64, or
+    alone (every 97th matrix)."""
+    draw = sp._hermite_draws if abc[0] == 1 else sp._laguerre_draws
+    d, e2, _ = draw(EnsembleParams(*abc, 16), 4096, np.random.default_rng(7))
+    lam = sp._tridiagonal_eigvalsh(d, e2)
+    others = [sp._tridiagonal_eigvalsh(d[::-1], e2[::-1])[::-1],
+              np.concatenate([sp._tridiagonal_eigvalsh(d[j : j + 64], e2[j : j + 64])
+                              for j in range(0, 4096, 64)])]
+    alone = [sp._tridiagonal_eigvalsh(d[j : j + 1], e2[j : j + 1]) for j in range(0, 4096, 97)]
+    return not (all(np.array_equal(lam, o) for o in others)
+                and np.array_equal(lam[::97], np.concatenate(alone)))
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 0), (2, 4, 3)])
+def test_tridiagonal_kernel_rows_do_not_depend_on_their_batch(abc):
+    # so the gas draws are prefix-stable whatever group a chunk is solved in
+    assert not _rows_depend_on_their_batch(abc)
+
+
+def _fixed_sweeps_only(d, e2):
+    """A planted fault in samplers._ql_converged: every matrix passes, so no
+    matrix takes sweeps of its own after the fixed ones."""
+    return np.ones(d.shape[1], dtype=bool)
+
+
+def _batch_converged(d, e2, converged=sp._ql_converged):
+    """A planted fault in samplers._ql_converged: a matrix passes only when
+    every matrix of its batch does, so all are swept until the batch has
+    converged."""
+    passed = converged(d, e2)
+    return np.full(passed.shape, passed.all())
+
+
+def test_tridiagonal_kernel_faults_are_caught(monkeypatch):
+    monkeypatch.setattr(sp, "_ql_converged", _fixed_sweeps_only)
+    assert _cases_missing_eigvalsh(16) and _cases_missing_eigvalsh(32)
+    monkeypatch.setattr(sp, "_ql_converged", _batch_converged)
+    assert _rows_depend_on_their_batch((2, 4, 3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("n, entry", [(1, "diagonal"), (2, "diagonal"), (2, "sub-diagonal"),
+                                      (16, "diagonal"), (16, "sub-diagonal")])
+def test_tridiagonal_kernel_raises_on_a_non_finite_row(bad, n, entry):
+    # a NaN never passes the convergence test: the sweep cap must end it
+    d, e2, _ = sp._hermite_draws(EnsembleParams(1, 1, 0, n), 8, np.random.default_rng(3))
+    (d if entry == "diagonal" else e2)[5, n // 2 - 1] = bad
+    with pytest.raises(np.linalg.LinAlgError, match=r"rows \[5\]"):
+        sp._tridiagonal_eigvalsh(d, e2)
+
+
 def _exact_sampler(abc, n):
     """(draw(budget, seed) -> points, row width) of the exact sampler that abc
     names: a gas ensemble (a, b, c), or, as a field letter, the Full
@@ -379,7 +486,10 @@ def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
                 assert serial.shape == (budget, width)
                 assert np.array_equal(serial, threaded)
                 n_chunks = -(-budget // chunk)
-                assert pools == ([min(3, n_chunks)] if n_chunks > 1 else [])
+                # the gas sampler starts no pool at any core count; the ball
+                # maps its chunks over one
+                pooled = isinstance(abc, str) and n_chunks > 1
+                assert pools == ([min(3, n_chunks)] if pooled else [])
     finally:
         sys.setswitchinterval(interval)
 
