@@ -5,17 +5,14 @@ exact tridiagonal ensemble samplers for the Gaussian (p=2) weight.  A
 hit-and-run walk on the matrix subspace itself gives an independent route to
 the uniform ball measure.  Metropolis and hit-and-run share one lockstep
 chain loop, _run_chains.  Both exact p=2 samplers, of the gas and of the
-Frobenius ball, draw in fixed chunks with one child seed stream per chunk
-through one chunk map, _map_chunks, so their draws are prefix-stable (the
-first full chunks of any budget agree) and do not depend on the core count.
-The gas sampler solves its tridiagonal models with a batched root-free QL
-kernel, _tridiagonal_eigvalsh, on the calling thread; the ball sampler maps
-its self-contained chunks over a thread pool with one worker per core (one
-core runs serially).
+Frobenius ball, loop over the same fixed chunks, each with its own child seed
+stream (_chunk_streams), so their draws are prefix-stable: the first full
+chunks of any budget agree.  The gas sampler solves its tridiagonal models
+with a batched root-free QL kernel, _tridiagonal_eigvalsh.  Everything runs
+on the calling thread: the package starts no threads.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,26 +196,16 @@ def mcmc_sample(params, p, n_chains=4, n_samples=20_000, seed=0, burn_in=None,
 _CHUNK = 1024  # draws per chunk, each from its own child stream; it fixes every draw
 
 
-def _cores():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _map_chunks(fill, seed, *arrays):
-    """Fill arrays of one length chunk by chunk, in row order on the calling
-    thread: fill(rng, *rows) for each chunk of _CHUNK rows (the last one may
-    be short), rows being the chunk's rows of each array and rng a generator
-    on child j of SeedSequence(seed).spawn(n_chunks) for chunk j, so for one
+def _chunk_streams(seed, n_samples):
+    """Yield (rows, rng) for each chunk of an n_samples-draw run: chunk j
+    covers the rows slice [j*_CHUNK, min((j+1)*_CHUNK, n_samples)) and rng is
+    a generator on child j of SeedSequence(seed).spawn(n_chunks), so for one
     seed the first k full chunks of any budget are the same draws.  This is
     the one chunk-to-stream rule of both exact p=2 samplers.
     """
-    n_chunks = -(-len(arrays[0]) // _CHUNK)
+    n_chunks = -(-n_samples // _CHUNK)
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        rows = slice(j * _CHUNK, (j + 1) * _CHUNK)
-        fill(np.random.default_rng(child), *(a[rows] for a in arrays))
+        yield slice(j * _CHUNK, min((j + 1) * _CHUNK, n_samples)), np.random.default_rng(child)
 
 
 # Chunks per _tridiagonal_eigvalsh call: a call's fixed cost (a few thousand
@@ -235,12 +222,13 @@ def exact_p2_sample(params, n_samples, seed=0):
     eigenvalues; the Laguerre shape is chosen so the substitution y = x^2
     reproduces the gas exactly.  Anything else raises SamplerUnavailable.
 
-    Everything runs on the calling thread; no pool starts.  _map_chunks draws
-    each chunk's variates from its own child stream, and every _GROUP chunks
-    (then the last, shorter group) go to one _tridiagonal_eigvalsh call,
-    whose eigenvalues are mapped into the chunks' rows.  A matrix's
-    eigenvalues do not depend on the group it is solved in, so the draws are
-    prefix-stable and the same at any core count.
+    The draws come chunk by chunk from _chunk_streams, each chunk's variates
+    from its own child stream; every _GROUP chunks (then the last, shorter
+    group) go to one _tridiagonal_eigvalsh call, whose eigenvalues are mapped
+    into the chunks' rows.  A matrix's eigenvalues do not depend on the group
+    it is solved in, so the draws are prefix-stable.  Each kernel call has a
+    fixed cost, a few thousand small numpy operations (about 2.7 ms at
+    n=16), so a budget of one draw costs about that much.
     """
     _check_budget(n_samples)
     n, a, b, c = params.n, params.a, params.b, params.c
@@ -250,32 +238,27 @@ def exact_p2_sample(params, n_samples, seed=0):
         draw = _laguerre_draws
     else:
         raise SamplerUnavailable(f"no exact p=2 sampler for (a,b,c)=({a},{b},{c})")
-    group = []  # (rows, diag, squared sub-diagonal, finish) of each chunk not yet solved
-
-    def solve():
-        rows, diags, subs_sq, finishes = zip(*group)
+    points = np.empty((n_samples, n))
+    group = []  # (its rows of points, diag, squared sub-diagonal, finish) per unsolved chunk
+    for rows, rng in _chunk_streams(seed, n_samples):
+        group.append((points[rows], *draw(params, rows.stop - rows.start, rng)))
+        if len(group) < _GROUP and rows.stop < n_samples:
+            continue
         # Each matrix goes in reversed, which keeps its eigenvalues.  The
         # models' chi-square degrees of freedom fall down the matrix, so
         # their entries shrink toward the last row, and QL, which deflates
         # at the first row, converges in fewer sweeps from that end.
-        lam = _tridiagonal_eigvalsh(np.concatenate([d[:, ::-1] for d in diags]),
-                                    np.concatenate([e[:, ::-1] for e in subs_sq]))
+        lam = _tridiagonal_eigvalsh(np.concatenate([d[:, ::-1] for _, d, _, _ in group]),
+                                    np.concatenate([e[:, ::-1] for _, _, e, _ in group]))
         start = 0
-        for chunk, finish in zip(rows, finishes):
+        for chunk, _, _, finish in group:
             chunk[:] = lam[start : start + len(chunk)]
             finish(chunk)
             start += len(chunk)
+        # free the group before the next one is drawn, so the peak memory
+        # holds one group's arrays
+        del lam
         group.clear()
-
-    def fill(rng, lam):
-        group.append((lam, *draw(params, len(lam), rng)))
-        if len(group) == _GROUP:
-            solve()
-
-    points = np.empty((n_samples, n))
-    _map_chunks(fill, seed, points)
-    if group:
-        solve()
     return SampleBatch(points=points, diagnostics={"method": "exact-p2", "chains": 1})
 
 
@@ -506,42 +489,21 @@ def exact_p2_matrix_sample(spec, n_samples, seed=0):
 
     The flat coordinates are a Euclidean isometry there, so Gaussian
     directions scaled to unit length and then by a radius u^(1/dim), u
-    uniform, sample the ball exactly.  The chunks come from _map_chunks and
-    run on a thread pool with one worker per core the process may use (no
-    pool at one core or one chunk): each chunk draws its standard normal
-    rows into its own rows of the result, then its uniforms, and scales the
-    rows in place, so the draws do not depend on the core count.  A chunk
-    allocates no array: its norms and radii go to its rows of one scratch
-    array of one value per draw.
+    uniform, sample the ball exactly.  Chunk by chunk from _chunk_streams,
+    on the calling thread, each chunk draws its standard normal rows into its
+    own rows of the result, then its uniforms, and scales the rows in place.
     """
     if spec.subspace != "Full" or spec.p != 2:
         raise SamplerUnavailable("exact ball sampling needs p=2 on a Full subspace")
     _check_budget(n_samples)
     dim = spec.dim
-
-    def fill(rng, g, r):
+    points = np.empty((n_samples, dim))
+    for rows, rng in _chunk_streams(seed, n_samples):
+        g = points[rows]
         rng.standard_normal(out=g)
-        np.einsum("ij,ij->i", g, g, out=r)
+        r = np.einsum("ij,ij->i", g, g)
         g /= np.sqrt(r, out=r)[:, None]
         rng.random(out=r)
         r **= 1.0 / dim
         g *= r[:, None]
-
-    # Both made on the calling thread: with the chunks' small arrays made in
-    # the worker threads, their malloc arenas kept memory, and the peak RSS
-    # of perfbench's gauss-exact workload rose by about 10 MB.
-    points, scratch = np.empty((n_samples, dim)), np.empty(n_samples)
-    workers = min(_cores(), -(-n_samples // _CHUNK))
-    if workers > 1:
-        # imported here: concurrent.futures imports logging, which would
-        # add to every `import schattenlab`
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            runs = []
-            _map_chunks(lambda *chunk: runs.append(pool.submit(fill, *chunk)), seed, points, scratch)
-            for run in runs:
-                run.result()  # re-raises a worker's exception
-    else:
-        _map_chunks(fill, seed, points, scratch)
     return SampleBatch(points=points, diagnostics={"method": "exact-ball", "chains": 1})

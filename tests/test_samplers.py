@@ -1,7 +1,8 @@
-import concurrent.futures
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -424,7 +425,7 @@ def test_tridiagonal_kernel_raises_on_a_non_finite_row(bad, n, entry):
 def _exact_sampler(abc, n):
     """(draw(budget, seed) -> points, row width) of the exact sampler that abc
     names: a gas ensemble (a, b, c), or, as a field letter, the Full
-    Frobenius ball over that field.  Both run on samplers._map_chunks."""
+    Frobenius ball over that field.  Both loop over samplers._chunk_streams."""
     if isinstance(abc, str):
         spec = SchattenSpec(abc, "Full", n, 2.0)
         return (lambda budget, seed: sp.exact_p2_matrix_sample(spec, budget, seed).points), spec.dim
@@ -456,42 +457,24 @@ def test_exact_ball_chunks_follow_their_child_streams(field, n):
 
 @pytest.mark.parametrize("abc", [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 4, 3), "R", "C"])
 def test_exact_p2_draws_do_not_depend_on_the_core_count(abc, monkeypatch):
+    # neither sampler may read the core count or start a thread, so with all
+    # three made to raise every budget still draws, and draws the same
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact sampler read the core count or started a thread")
+
     chunk = sp._CHUNK
     budgets = (1, chunk - 1, chunk, chunk + 1, 10_000)
-    pools = []
-    pool_cls = concurrent.futures.ThreadPoolExecutor
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started at one core")
-
-    def counted_pool(workers):
-        pools.append(workers)
-        return pool_cls(workers)
-
-    # more workers than this host may have cores, switching threads often,
-    # so workers sharing a matrix buffer or rows would show as changed draws
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for n in (1, 2, 16):
-            draw, width = _exact_sampler(abc, n)
-            for budget in budgets:
-                monkeypatch.setattr(sp, "_cores", lambda: 1)
-                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-                serial = draw(budget, budget)
-                monkeypatch.setattr(sp, "_cores", lambda: 3)
-                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
-                pools.clear()
-                threaded = draw(budget, budget)
-                assert serial.shape == (budget, width)
-                assert np.array_equal(serial, threaded)
-                n_chunks = -(-budget // chunk)
-                # the gas sampler starts no pool at any core count; the ball
-                # maps its chunks over one
-                pooled = isinstance(abc, str) and n_chunks > 1
-                assert pools == ([min(3, n_chunks)] if pooled else [])
-    finally:
-        sys.setswitchinterval(interval)
+    for n in (1, 2, 16):
+        draw, width = _exact_sampler(abc, n)
+        free = [draw(budget, budget) for budget in budgets]
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", forbidden, raising=False)
+            m.setattr(os, "cpu_count", forbidden)
+            m.setattr(threading.Thread, "start", forbidden)
+            for budget, want in zip(budgets, free):
+                points = draw(budget, budget)
+                assert points.shape == (budget, width)
+                assert np.array_equal(points, want)
 
 
 def _prefix_stable(abc, n):
@@ -508,28 +491,28 @@ def test_exact_p2_draws_are_prefix_stable(abc, n):
     assert _prefix_stable(abc, n)
 
 
-def _reversed_streams(fill, seed, *arrays):
-    """A planted fault in samplers._map_chunks: chunk j draws from child
+def _reversed_streams(seed, n_samples):
+    """A planted fault in samplers._chunk_streams: chunk j draws from child
     n_chunks - 1 - j of the seed."""
-    children = np.random.SeedSequence(seed).spawn(-(-len(arrays[0]) // sp._CHUNK))
+    children = np.random.SeedSequence(seed).spawn(-(-n_samples // sp._CHUNK))
     for j, child in enumerate(reversed(children)):
-        rows = slice(j * sp._CHUNK, (j + 1) * sp._CHUNK)
-        fill(np.random.default_rng(child), *(a[rows] for a in arrays))
+        rows = slice(j * sp._CHUNK, min((j + 1) * sp._CHUNK, n_samples))
+        yield rows, np.random.default_rng(child)
 
 
-def _shared_stream(fill, seed, *arrays):
-    """A planted fault in samplers._map_chunks: every chunk draws, in order,
-    from one stream of the seed."""
+def _shared_stream(seed, n_samples):
+    """A planted fault in samplers._chunk_streams: every chunk draws, in
+    order, from one stream of the seed."""
     rng = np.random.default_rng(seed)
-    for start in range(0, len(arrays[0]), sp._CHUNK):
-        fill(rng, *(a[start : start + sp._CHUNK] for a in arrays))
+    for start in range(0, n_samples, sp._CHUNK):
+        yield slice(start, min(start + sp._CHUNK, n_samples)), rng
 
 
 @pytest.mark.parametrize("fault", [_reversed_streams, _shared_stream])
 def test_exact_p2_stream_faults_are_caught(fault, monkeypatch):
     # either fault breaks the chunk-to-child-stream law; reversed streams
     # also break prefix stability (a shared stream run in order keeps it)
-    monkeypatch.setattr(sp, "_map_chunks", fault)
+    monkeypatch.setattr(sp, "_chunk_streams", fault)
     spec = SchattenSpec("R", "Full", 4, 2.0)
     m = 2 * sp._CHUNK + 200
     assert not _ball_chunks_follow_their_streams(spec, sp.exact_p2_matrix_sample(spec, m, 51).points, 51)
@@ -538,10 +521,8 @@ def test_exact_p2_stream_faults_are_caught(fault, monkeypatch):
         assert not _prefix_stable("C", 2)
 
 
-@pytest.mark.parametrize("cores", [3, 1])
-def test_exact_p2_worker_exception_reaches_the_caller(cores, monkeypatch):
-    # only the short last chunk raises; pooled or serial, its error must
-    # reach the caller and not be lost with the worker's result
+def test_exact_p2_worker_exception_reaches_the_caller(monkeypatch):
+    # only the short last chunk raises; its error must reach the caller
     draws, einsum = sp._laguerre_draws, np.einsum
 
     def failing(params, m, rng):
@@ -556,18 +537,15 @@ def test_exact_p2_worker_exception_reaches_the_caller(cores, monkeypatch):
 
     monkeypatch.setattr(sp, "_laguerre_draws", failing)
     monkeypatch.setattr(np, "einsum", failing_einsum)
-    monkeypatch.setattr(sp, "_cores", lambda: cores)
     for abc in ((2, 1, 0), "R"):
         draw, _ = _exact_sampler(abc, 4)
         with pytest.raises(RuntimeError, match="last chunk"):
             draw(2 * sp._CHUNK + 5, 0)
 
 
-def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget(monkeypatch):
-    # past the draws, only the running chunks' temporaries remain (and, for
-    # the ball, one scratch value per draw: 1/16 of the draws here), so the
+def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget():
+    # past the draws, only the running chunks' temporaries remain, so the
     # peak beyond the draws barely moves between 4 and 64 chunks
-    monkeypatch.setattr(sp, "_cores", lambda: 2)
     for abc, n in (((2, 4, 3), 16), ("R", 4)):
         draw, _ = _exact_sampler(abc, n)
         draw(2 * sp._CHUNK, 0)  # first-call costs are not the budget's
@@ -584,13 +562,18 @@ def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget(monkeypatch)
 
 
 def test_import_starts_no_pool_machinery():
-    # concurrent.futures imports logging; the exact sampler imports it only
-    # when it starts a pool, so it never adds to the import time
-    code = ("import sys, schattenlab, schattenlab.cli; "
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    # concurrent.futures imports logging; neither import nor three chunks of
+    # either exact sampler may load them or leave a thread beside the main one
+    code = ("import sys, threading, schattenlab, schattenlab.cli\n"
+            "from schattenlab import samplers as sp\n"
+            "from schattenlab.ensembles import EnsembleParams, SchattenSpec\n"
+            "sp.exact_p2_sample(EnsembleParams(2, 4, 3, 4), 3 * sp._CHUNK, 0)\n"
+            "sp.exact_p2_matrix_sample(SchattenSpec('R', 'Full', 4, 2.0), 3 * sp._CHUNK, 0)\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)), "
+            "threading.active_count())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 1"
 
 
 def test_mcmc_reports_burn_in_share():
