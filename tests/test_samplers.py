@@ -521,8 +521,10 @@ def test_exact_p2_stream_faults_are_caught(fault, monkeypatch):
         assert not _prefix_stable("C", 2)
 
 
-def test_exact_p2_worker_exception_reaches_the_caller(monkeypatch):
-    # only the short last chunk raises; its error must reach the caller
+@pytest.mark.parametrize("full_chunks", [3, 1])
+def test_exact_p2_worker_exception_reaches_the_caller(full_chunks, monkeypatch):
+    # only the short chunk after `full_chunks` full ones raises; its error
+    # must reach the caller and not be lost with the chunks before it
     draws, einsum = sp._laguerre_draws, np.einsum
 
     def failing(params, m, rng):
@@ -540,7 +542,7 @@ def test_exact_p2_worker_exception_reaches_the_caller(monkeypatch):
     for abc in ((2, 1, 0), "R"):
         draw, _ = _exact_sampler(abc, 4)
         with pytest.raises(RuntimeError, match="last chunk"):
-            draw(2 * sp._CHUNK + 5, 0)
+            draw(full_chunks * sp._CHUNK + 5, 0)
 
 
 def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget():
