@@ -32,7 +32,6 @@ __all__ = [
     "norm_sq",
     "norm_sq_sq",
     "abs_pow_sum",
-    "norm_sq_times_abs_pow",
     "pair_ratio",
     "p_norm_power_times",
     "product_of",
@@ -97,15 +96,6 @@ def abs_pow_sum(xi):
     """sum_i |x_i|^xi, i.e. the xi-th power of the l_xi norm."""
     xi = float(xi)
     return Functional(f"normpow{xi:g}", xi, lambda x: np.sum(np.abs(x) ** xi, axis=1))
-
-
-def norm_sq_times_abs_pow(xi):
-    xi = float(xi)
-
-    def fn(x):
-        return np.sum(x**2, axis=1) * np.sum(np.abs(x) ** xi, axis=1)
-
-    return Functional(f"norm2_sq*normpow{xi:g}", 2.0 + xi, fn)
 
 
 def pair_ratio(a, xi):
@@ -181,7 +171,7 @@ def resolve_functional(fid):
     if parts[0] == "normpow":
         return abs_pow_sum(float(parts[1]))
     if parts[0] == "norm2_sq*normpow":
-        return norm_sq_times_abs_pow(float(parts[1]))
+        return product_of(norm_sq(), abs_pow_sum(float(parts[1])))
     if parts[0] == "pair_ratio":
         return pair_ratio(int(parts[1]), int(parts[2]))
     raise ValueError(f"unknown functional id {fid!r}")
@@ -465,6 +455,8 @@ class VarMpEstimate:
     combination = term_quartic + term_cross - term_square, estimated jointly
     on shared draws with a covariance-aware standard error.  method names the
     route: the gas batch's method, or an "exact-" one with every error bar 0.
+    At n=1 the gas has no pair: term_cross is 0, and cross_gap and
+    cross_gap_se are NaN.
     """
 
     term_quartic: float
@@ -497,14 +489,8 @@ def var_mp_pipeline(params, p, budget=100_000, seed=0, mcmc_kwargs=None, gas=Non
     if gas is None:
         gas = samplers.gas_sample(params, p, budget, seed, mcmc_kwargs=mcmc_kwargs)
     x = gas.points
-    t4 = np.mean(x**4, axis=1)
-    m2 = np.mean(x**2, axis=1)
-    if n > 1:
-        s2 = np.sum(x**2, axis=1)
-        cross = (s2**2 - np.sum(x**4, axis=1)) / (n * (n - 1))
-    else:
-        cross = np.zeros(len(x))
-    joint = np.stack([t4, cross, m2], axis=1)
+    cross = pair_sq().fn(x) if n > 1 else np.zeros(len(x))
+    joint = np.stack([coord_pow(4).fn(x), cross, coord_pow(2).fn(x)], axis=1)
     means, cov, eff = batch_means_cov(joint)
     return _var_mp_estimate(n, means, cov, eff, gas.diagnostics["method"])
 
@@ -522,8 +508,8 @@ def _var_mp_estimate(n, means, cov, eff, method):
         term_square=float(term_square),
         combination=float(combination),
         std_err=delta_se([n, n * (n - 1), -2.0 * n**2 * e2], cov),
-        cross_gap=float(ec - e2**2),
-        cross_gap_se=delta_se([0.0, 1.0, -2.0 * e2], cov),
+        cross_gap=float(ec - e2**2) if n > 1 else math.nan,
+        cross_gap_se=delta_se([0.0, 1.0, -2.0 * e2], cov) if n > 1 else math.nan,
         coord_sq_mean=float(e2),
         coord_sq_se=delta_se([0.0, 0.0, 1.0], cov),
         quart_ratio=float(e4 / e2**2),

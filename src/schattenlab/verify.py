@@ -4,6 +4,7 @@ suite runner aggregates them for the CLI, which alone writes them as records.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,7 +78,8 @@ def _identity_sides(params, p, which):
         rhs = [(p, mo.abs_pow_sum(p + 2))]
     elif which == 2:
         lhs = [((2 * d + (1 - c) * n) / n, mo.norm_sq_sq())]
-        rhs = [(p, mo.norm_sq_times_abs_pow(p + 2)), (-2.0, mo.abs_pow_sum(4))]
+        rhs = [(p, mo.product_of(mo.norm_sq(), mo.abs_pow_sum(p + 2))),
+               (-2.0, mo.abs_pow_sum(4))]
     else:
         lhs = [((2 * d + (3 - c) * n) / n, mo.abs_pow_sum(4))]
         rhs = [(p, mo.abs_pow_sum(p + 4)), (-(d - (c + 1) * n), mo.pair_sq())]
@@ -195,22 +197,20 @@ def check_int_by_parts(params, p, xi=2, f_id="one", tol=1e-5):
     if math.isinf(p):
         raise ValueError("undefined at p = inf")
     claim = f"int-by-parts[{_ens_tag(params)},p={_p_tag(p)},xi={xi},f={f_id}]"
-    n, c, a, b = params.n, params.c, params.a, params.b
+    c, a, b = params.c, params.a, params.b
     pr = mo.pair_ratio(a, xi)
     if f_id == "one":
         lhs_f = mo.abs_pow_sum(xi)
         rhs_terms = [(p, mo.abs_pow_sum(xi + p)), (-a * b, pr)]
     elif f_id == "norm2_sq":
-        lhs_f = mo.norm_sq_times_abs_pow(xi)
+        lhs_f = mo.product_of(mo.norm_sq(), mo.abs_pow_sum(xi))
         rhs_terms = [
-            (p, mo.norm_sq_times_abs_pow(xi + p)),
+            (p, mo.product_of(mo.norm_sq(), mo.abs_pow_sum(xi + p))),
             (-2.0, mo.abs_pow_sum(xi + 2)),
             (-a * b, mo.product_of(pr, mo.norm_sq())),
         ]
     else:
         raise ValueError("f_id must be 'one' or 'norm2_sq'")
-    if n == 1:
-        rhs_terms = [t for t in rhs_terms if not t[1].name.startswith("pair_ratio")]
     return _relation_reports(params, p, [(claim, [(xi + c + 1, lhs_f)], rhs_terms)], tol)[0]
 
 
@@ -754,28 +754,16 @@ _IDENTITY_ENSEMBLES = ((2, 1, 0), (2, 2, 1), (2, 4, 3), (2, 1, 1), (2, 2, 0), (2
 
 def _suite_identities(budget_scale=1.0, seed=0, only=None, tol=None):
     tol = 1e-5 if tol is None else tol
-    out = []
-    narrowed = only is not None
-
-    def _selected(abc, n, p):
-        if not narrowed:
-            return True
+    configs = itertools.product(_IDENTITY_ENSEMBLES, (2, 3), (1.0, 2.0, 4.0))
+    if only is not None:
         want_abc, want_n, want_p = only
-        return (
-            (want_abc is None or tuple(want_abc) == abc)
-            and (want_n is None or want_n == n)
-            and (want_p is None or want_p == p)
-        )
-
-    for abc in _IDENTITY_ENSEMBLES:
-        for n in (2, 3):
-            params = EnsembleParams(*abc, n)
-            for p in (1.0, 2.0, 4.0):
-                if _selected(abc, n, p):
-                    out.extend(identity_suite_for(params, p, tol=tol))
-    if narrowed:
-        if not out:
+        want = (None if want_abc is None else tuple(want_abc), want_n, want_p)
+        configs = [cfg for cfg in configs if all(w in (None, v) for w, v in zip(want, cfg))]
+        if not configs:
             raise ValueError(f"no identity configuration matches (ensemble, n, p) = {only}")
+    out = [rep for abc, n, p in configs
+           for rep in identity_suite_for(EnsembleParams(*abc, n), p, tol=tol)]
+    if only is not None:
         return out
     params = EnsembleParams(2, 1, 0, 2)
     out.append(check_int_by_parts(params, 2.0, xi=2, f_id="one", tol=tol))
@@ -783,7 +771,7 @@ def _suite_identities(budget_scale=1.0, seed=0, only=None, tol=None):
     out.append(check_int_by_parts(EnsembleParams(1, 2, 0, 2), 2.0, xi=2, f_id="one", tol=tol))
     out.append(check_int_by_parts(EnsembleParams(1, 1, 0, 1), 2.0, xi=2, f_id="one", tol=tol))
     for p in (1.0, 2.0, 4.0):
-        for l in (2.0, p, p + 2.0):
+        for l in dict.fromkeys((2.0, p, p + 2.0)):  # distinct, in order: at p=2, l=p is l=2
             out.append(check_homogeneous_moment(EnsembleParams(2, 2, 1, 2), p, l))
     out.append(check_zeta_bounds(2, 2, seed=seed))
     out.append(check_zeta_bounds(2, 4, seed=seed + 1))

@@ -163,6 +163,23 @@ def test_sweep_emits_grid(tmp_path):
     assert all("combination" in r for r in recs)
 
 
+def test_sweep_writes_no_cross_gap_without_a_pair(tmp_path):
+    out = tmp_path / "w.jsonl"
+    code = run_main("sweep", "--ensembles", "2,1,0", "--n-list", "1,2", "--p-list", "2",
+                    "--samples", "1", "--out", str(out))
+    assert code == cli.EXIT_OK
+    one, two = (json.loads(ln) for ln in data_lines(out))
+    assert (one["cross_gap"], one["cross_gap_se"], one["term_cross"]) == ("nan", "nan", 0.0)
+    assert two["cross_gap"] < 0.0 and two["cross_gap_se"] == 0.0
+
+
+def test_gamma_grid_rows_are_strict_json(capsys):
+    assert run_main("gamma", "--grid") == cli.EXIT_OK
+    head, *rows = (_strict_json(ln) for ln in capsys.readouterr().out.splitlines())
+    assert head["record"] == "header"
+    assert len(rows) == 225 and all(r["record"] == "gamma" for r in rows)
+
+
 def test_verify_narrowed_identities(tmp_path):
     out = tmp_path / "n.jsonl"
     code = run_main("verify", "--suite", "identities", "--ensemble", "2,1,0",
@@ -184,6 +201,8 @@ def test_usage_errors():
     for args in (("sample", "gas"), ("estimate", "var"), ("estimate", "sigma")):
         assert run_main(*args, "--thinning", "2") == cli.EXIT_USAGE, args
     assert run_main("sample", "matrix", "--samples", "0") == cli.EXIT_USAGE
+    assert run_main("estimate", "var", "--ensemble", "1,2") == cli.EXIT_USAGE
+    assert run_main("estimate", "sigma", "--subspace", "bogus") == cli.EXIT_USAGE
     assert run_main("estimate", "sigma", "--sampler", "hit_and_run",
                     "--samples", "0") == cli.EXIT_USAGE
     # the exact routes draw nothing, yet still refuse an empty budget

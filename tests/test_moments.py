@@ -588,6 +588,18 @@ def test_var_mp_pipeline_terms():
     assert est.combination == pytest.approx(float(np.var(v)), rel=1e-9)
 
 
+def test_var_mp_cross_gap_is_nan_without_a_pair():
+    # a one-coordinate gas has no pair: 0 - (E x1^2)^2 with a finite error
+    # bar would read as a strong negative correlation, on either route
+    params = EnsembleParams(2, 1, 0, 1)
+    drawn = mo.var_mp_pipeline(params, 1.0, budget=3000, seed=0)
+    for est, method in ((mo.var_mp_pipeline(params, 2.0), "exact-gaussian"), (drawn, "mcmc")):
+        assert est.method == method
+        assert math.isnan(est.cross_gap) and math.isnan(est.cross_gap_se)
+        assert est.term_cross == 0.0
+        assert math.isfinite(est.combination) and math.isfinite(est.std_err)
+
+
 def test_functional_registry_resolution():
     f = mo.resolve_functional("pair_ratio:2:2")
     pts = np.array([[1.0, 2.0]])

@@ -158,6 +158,18 @@ def test_exact_p2_replay_and_unavailable():
         sp.exact_p2_sample(EnsembleParams(3, 1, 0, 3), 10)
 
 
+def test_gas_sample_falls_back_to_metropolis_at_p2():
+    # no exact p=2 model for (1,1,1): the router must hand the chain kwargs
+    # to Metropolis and return its draws unchanged
+    params = EnsembleParams(1, 1, 1, 3)
+    kw = {"n_chains": 3, "burn_in": 50}
+    batch = sp.gas_sample(params, 2.0, 500, 7, mcmc_kwargs=kw)
+    ref = sp.mcmc_sample(params, 2.0, n_samples=500, seed=7, **kw)
+    assert (batch.diagnostics["method"], batch.diagnostics["chains"]) == ("mcmc", 3)
+    assert np.array_equal(batch.points, ref.points)
+    assert not np.array_equal(batch.points, sp.gas_sample(params, 2.0, 500, 7).points)
+
+
 def test_exact_p2_samplers_need_a_budget():
     for n_samples in (0, -5):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
@@ -561,6 +573,25 @@ def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget():
                 tracemalloc.stop()
             extra.append(peak - points.nbytes)
         assert abs(extra[1] - extra[0]) < 1e6, (abc, extra)
+
+
+def test_exact_p2_peak_beyond_the_draws_holds_one_group():
+    # a group's draws, their reversed concatenation and the QL kernel's
+    # working arrays come to about 3.7 model arrays (diagonal and
+    # sub-diagonal of one group's matrices); a spent group's arrays kept
+    # alive while the next group is solved add 1.5 to 1.8, its eigenvalues
+    # alone 0.5
+    n = 16
+    draw, _ = _exact_sampler((2, 4, 3), n)
+    draw(2 * sp._CHUNK, 0)  # first-call costs are not the budget's
+    model = sp._GROUP * sp._CHUNK * (2 * n - 1) * 8
+    tracemalloc.start()
+    try:
+        points = draw(8 * sp._CHUNK, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - points.nbytes < 4 * model, (peak - points.nbytes) / model
 
 
 def test_import_starts_no_pool_machinery():

@@ -149,10 +149,13 @@ def test_neg_correlation_p2():
 
 
 def test_antisym_normalization_small():
-    rep = vf.check_antisym_normalization(4, 3.0, budget=6000, seed=8)
-    assert rep.details["pair_worst"] <= 1e-10
-    assert rep.details["norm_worst"] <= 1e-10
-    assert rep.passed
+    # p=inf takes the max-norm comparison and the Gamma factor 1
+    for n, p in ((4, 3.0), (4, math.inf), (5, math.inf)):
+        rep = vf.check_antisym_normalization(n, p, budget=6000, seed=8)
+        assert rep.details["pair_worst"] <= 1e-10
+        assert rep.details["norm_worst"] <= 1e-10
+        assert rep.passed, rep
+        assert (rep.details["gamma_factor"] == 1.0) == math.isinf(p)
 
 
 def test_entry_correlations_p2():
@@ -296,6 +299,24 @@ def test_run_suite_needs_a_finite_positive_scale_and_tol():
             vf.run_suite("entries", budget_scale=bad)
         with pytest.raises(ValueError, match="finite numbers > 0"):
             vf.run_suite("identities", tol=bad)
+
+
+@pytest.mark.parametrize("name", list(vf.SUITES))
+def test_every_suite_runs_with_distinct_passing_claims(name):
+    # orders-of-magnitude carries A10's red cells; its verdict is A10's
+    reports = vf.run_suite(name, budget_scale=0.01, seed=0)
+    ids = [r.claim_id for r in reports]
+    assert reports and len(set(ids)) == len(ids)
+    assert all(r.passed for r in reports if r.claim_id != "orders-of-magnitude"), [
+        r.claim_id for r in reports if not r.passed]
+
+
+def test_run_suite_all_runs_every_suite_in_order(monkeypatch):
+    stubs = {name: lambda scale, seed, name=name: [(name, scale, seed)] for name in vf.SUITES}
+    monkeypatch.setattr(vf, "SUITES", stubs)
+    assert vf.run_suite("all", budget_scale=0.5, seed=3) == [
+        (name, 0.5, 3)
+        for name in ("identities", "gamma", "entries", "negcorr", "thinshell", "hermitian-split")]
 
 
 def test_suite_gamma():
