@@ -8,10 +8,11 @@ chain loop, _run_chains.  Both exact p=2 samplers, of the gas and of the
 Frobenius ball, loop over the same fixed chunks, each with its own child seed
 stream (_chunk_streams), so their draws are prefix-stable: the first full
 chunks of any budget agree.  The gas sampler solves its tridiagonal models
-with a batched root-free QL kernel, _tridiagonal_eigvalsh.  Everything runs
+in place with a batched root-free QL kernel, _ql_solve.  Everything runs
 on the calling thread: the package starts no threads.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -208,10 +209,11 @@ def _chunk_streams(seed, n_samples):
         yield slice(j * _CHUNK, min((j + 1) * _CHUNK, n_samples)), np.random.default_rng(child)
 
 
-# Chunks per _tridiagonal_eigvalsh call: a call's fixed cost (a few thousand
-# small numpy operations) is shared by up to 4096 matrices, and its
-# temporaries, a few MB, stay the same whatever the budget.
-_GROUP = 4
+# Chunks per _ql_solve call: a call's fixed cost (a few thousand small numpy
+# operations, about 2.7 ms at n=16) is shared by up to 10,240 matrices, so a
+# 10,000-draw budget is one call; its buffers and temporaries, a few MB, stay
+# the same whatever the budget.
+_GROUP = 10
 
 
 def exact_p2_sample(params, n_samples, seed=0):
@@ -223,12 +225,15 @@ def exact_p2_sample(params, n_samples, seed=0):
     reproduces the gas exactly.  Anything else raises SamplerUnavailable.
 
     The draws come chunk by chunk from _chunk_streams, each chunk's variates
-    from its own child stream; every _GROUP chunks (then the last, shorter
-    group) go to one _tridiagonal_eigvalsh call, whose eigenvalues are mapped
-    into the chunks' rows.  A matrix's eigenvalues do not depend on the group
-    it is solved in, so the draws are prefix-stable.  Each kernel call has a
-    fixed cost, a few thousand small numpy operations (about 2.7 ms at
-    n=16), so a budget of one draw costs about that much.
+    from its own child stream.  Every _GROUP chunks (then the last, shorter
+    group) are written straight into one (n, m) diagonal and one (n-1, m)
+    squared sub-diagonal buffer, a chunk's matrices in its own columns, and
+    solved in place by one _ql_solve call; the eigenvalues go to the chunks'
+    rows, are sorted there and mapped to the gas.  A matrix's eigenvalues do
+    not depend on the group it is solved in, so the draws are prefix-stable.
+    Each kernel call has a fixed cost, a few thousand small numpy operations
+    (about 2.7 ms at n=16), so a budget of one draw costs about that much;
+    up to 10 chunks share one call.
     """
     _check_budget(n_samples)
     n, a, b, c = params.n, params.a, params.b, params.c
@@ -239,26 +244,31 @@ def exact_p2_sample(params, n_samples, seed=0):
     else:
         raise SamplerUnavailable(f"no exact p=2 sampler for (a,b,c)=({a},{b},{c})")
     points = np.empty((n_samples, n))
-    group = []  # (its rows of points, diag, squared sub-diagonal, finish) per unsolved chunk
-    for rows, rng in _chunk_streams(seed, n_samples):
-        group.append((points[rows], *draw(params, rows.stop - rows.start, rng)))
-        if len(group) < _GROUP and rows.stop < n_samples:
-            continue
-        # Each matrix goes in reversed, which keeps its eigenvalues.  The
-        # models' chi-square degrees of freedom fall down the matrix, so
-        # their entries shrink toward the last row, and QL, which deflates
-        # at the first row, converges in fewer sweeps from that end.
-        lam = _tridiagonal_eigvalsh(np.concatenate([d[:, ::-1] for _, d, _, _ in group]),
-                                    np.concatenate([e[:, ::-1] for _, _, e, _ in group]))
-        start = 0
-        for chunk, _, _, finish in group:
-            chunk[:] = lam[start : start + len(chunk)]
+    streams = _chunk_streams(seed, n_samples)
+    for start in range(0, n_samples, _GROUP * _CHUNK):
+        width = min(_GROUP * _CHUNK, n_samples - start)
+        d, e2, finishes = np.empty((n, width)), np.empty((n - 1, width)), []
+        for rows, rng in itertools.islice(streams, _GROUP):
+            diag, sub_sq, finish = draw(params, rows.stop - rows.start, rng)
+            # Each matrix goes in reversed, which keeps its eigenvalues.  The
+            # models' chi-square degrees of freedom fall down the matrix, so
+            # their entries shrink toward the last row, and QL, which
+            # deflates at the first row, converges in fewer sweeps from that
+            # end.
+            cols = slice(rows.start - start, rows.stop - start)
+            d[:, cols] = diag[:, ::-1].T
+            e2[:, cols] = sub_sq[:, ::-1].T
+            del diag, sub_sq
+            finishes.append((points[rows], finish))
+        _ql_solve(d, e2)
+        block = points[start : start + width]
+        block[:] = d.T
+        # free the buffers before the next group is drawn, so the peak
+        # memory holds one group's arrays
+        del d, e2
+        block.sort(axis=1)
+        for chunk, finish in finishes:
             finish(chunk)
-            start += len(chunk)
-        # free the group before the next one is drawn, so the peak memory
-        # holds one group's arrays
-        del lam
-        group.clear()
     return SampleBatch(points=points, diagnostics={"method": "exact-p2", "chains": 1})
 
 
@@ -284,13 +294,13 @@ def _laguerre_draws(params, m, rng):
     s_sq = rng.chisquare(b * (n - 1 - np.arange(n - 1)), size=(m, n - 1))
     sub_sq = a_sq[:, :-1] * s_sq
     a_sq[:, 1:] += s_sq  # now the diagonal
-    signs = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
+    neg = rng.integers(0, 2, size=(m, n)) == 0
 
     def finish(y):
         y /= 2.0
         np.maximum(y, 0.0, out=y)
         np.sqrt(y, out=y)
-        y *= signs
+        np.negative(y, out=y, where=neg)
 
     return a_sq, sub_sq, finish
 
@@ -357,23 +367,37 @@ def _tridiagonal_eigvalsh(d, e2):
     """Ascending eigenvalues of m symmetric tridiagonal matrices, as
     np.linalg.eigvalsh gives those of the dense matrices: row j of d (m, n)
     holds matrix j's diagonal and row j of e2 (m, n-1) its squared
-    sub-diagonal (>= 0).  The inputs are not changed.
-
-    The work runs on (n, m) copies, so each step of a sweep (_ql_sweep) is a
-    few numpy operations over all m matrices.  At deflation level l every
-    matrix takes a fixed number of sweeps; then each matrix whose own test
-    e2_l <= eps^2 |d_l d_(l+1)| fails is swept alone, with the others that
-    fail it, until it passes.  The last 2x2 block is solved in closed form.
-    So a matrix's arithmetic depends on that matrix alone: its eigenvalues
-    are the same bits in any batch.  Unlike dsterf it does not scale the
-    matrices, so it is meant for entries well inside 1e-150..1e150 in
-    magnitude.  A matrix that needs more than 30 n sweeps in all (LAPACK's
-    cap), or whose eigenvalues are not finite, as with a NaN or an inf entry,
-    raises np.linalg.LinAlgError naming its rows.
+    sub-diagonal (>= 0).  The inputs are not changed: the work runs on
+    (n, m) copies, solved by _ql_solve, whose errors it raises.
     """
-    m, n = d.shape
     d = np.array(d.T, dtype=float, order="C")
     e2 = np.array(e2.T, dtype=float, order="C")
+    _ql_solve(d, e2)
+    lam = d.T.copy()
+    lam.sort(axis=1)
+    return lam
+
+
+def _ql_solve(d, e2):
+    """Eigenvalues, in place and unsorted, of m symmetric tridiagonal
+    matrices held column-wise: column j of d (n, m) holds matrix j's
+    diagonal and column j of e2 (n-1, m) its squared sub-diagonal (>= 0).
+    On return column j of d holds matrix j's eigenvalues, and e2 is spent.
+    Both are float64; C order keeps each row, one step's operand, contiguous.
+
+    Each step of a sweep (_ql_sweep) is a few numpy operations over all m
+    matrices.  At deflation level l every matrix takes a fixed number of
+    sweeps; then each matrix whose own test e2_l <= eps^2 |d_l d_(l+1)|
+    fails is swept alone, with the others that fail it, until it passes.
+    The last 2x2 block is solved in closed form.  So a matrix's arithmetic
+    depends on that matrix alone: its eigenvalues are the same bits in any
+    batch.  Unlike dsterf it does not scale the matrices, so it is meant for
+    entries well inside 1e-150..1e150 in magnitude.  A matrix that needs
+    more than 30 n sweeps in all (LAPACK's cap), or whose eigenvalues are
+    not finite, as with a NaN or an inf entry, raises np.linalg.LinAlgError
+    naming its rows: matrix j is row j of _tridiagonal_eigvalsh's inputs.
+    """
+    n, m = d.shape
     cap, sweeps = 30 * n, np.zeros(m, dtype=np.int64)
     d_rows, e2_rows = list(d), list(e2)  # row views: indexing a list is cheaper
     work = [np.empty(m) for _ in range(8)]
@@ -409,12 +433,9 @@ def _tridiagonal_eigvalsh(d, e2):
             other = np.zeros(m)
             np.divide(x * y - b2, big, out=other, where=big != 0.0)
             d[n - 2], d[n - 1] = big, other
-    lam = d.T.copy()
-    lam.sort(axis=1)
-    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(d).all(axis=0))
     if bad.size:
         raise np.linalg.LinAlgError(f"tridiagonal QL: rows {bad.tolist()} have non-finite eigenvalues")
-    return lam
 
 
 def _ql_converged(d, e2):

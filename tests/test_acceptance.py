@@ -50,7 +50,7 @@ def test_a2_identity_suite():
     reports.append(vf.check_int_by_parts(EnsembleParams(1, 1, 0, 1), 2.0, xi=2, f_id="one"))
     # homogeneous-moment closed form
     for p in (1.0, 2.0, 4.0):
-        for l in (2.0, p, p + 2.0):
+        for l in dict.fromkeys((2.0, p, p + 2.0)):  # distinct, in order: at p=2, l=p is l=2
             reports.append(vf.check_homogeneous_moment(EnsembleParams(2, 2, 1, 2), p, l))
     elapsed = time.perf_counter() - t0
     bad = [r for r in reports if not r.passed]

@@ -558,13 +558,14 @@ def test_exact_p2_worker_exception_reaches_the_caller(full_chunks, monkeypatch):
 
 
 def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget():
-    # past the draws, only the running chunks' temporaries remain, so the
-    # peak beyond the draws barely moves between 4 and 64 chunks
+    # past the draws, only the running group's buffers and temporaries
+    # remain, so the peak beyond the draws barely moves between one full
+    # group (_GROUP chunks) and 64 chunks
     for abc, n in (((2, 4, 3), 16), ("R", 4)):
         draw, _ = _exact_sampler(abc, n)
         draw(2 * sp._CHUNK, 0)  # first-call costs are not the budget's
         extra = []
-        for k in (4, 64):
+        for k in (sp._GROUP, 64):
             tracemalloc.start()
             try:
                 points = draw(k * sp._CHUNK, 0)
@@ -576,22 +577,74 @@ def test_exact_p2_memory_beyond_the_draws_does_not_grow_with_budget():
 
 
 def test_exact_p2_peak_beyond_the_draws_holds_one_group():
-    # a group's draws, their reversed concatenation and the QL kernel's
-    # working arrays come to about 3.7 model arrays (diagonal and
-    # sub-diagonal of one group's matrices); a spent group's arrays kept
-    # alive while the next group is solved add 1.5 to 1.8, its eigenvalues
-    # alone 0.5
+    # at n=16 a full group's diagonal and sub-diagonal buffers, the QL
+    # kernel's working arrays and one chunk's draws come to about 3.7 model
+    # arrays, a model array being the diagonal and sub-diagonal of 4096
+    # matrices; a spent group's buffers kept alive while the next group is
+    # solved add about 2.5.  The bound is in bytes, whatever _GROUP is, and
+    # the budget spans two full groups.
     n = 16
     draw, _ = _exact_sampler((2, 4, 3), n)
     draw(2 * sp._CHUNK, 0)  # first-call costs are not the budget's
-    model = sp._GROUP * sp._CHUNK * (2 * n - 1) * 8
+    model = 4 * sp._CHUNK * (2 * n - 1) * 8
     tracemalloc.start()
     try:
-        points = draw(8 * sp._CHUNK, 0)
+        points = draw(2 * sp._GROUP * sp._CHUNK, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - points.nbytes < 4 * model, (peak - points.nbytes) / model
+
+
+def _chunkwise_draws(abc, n, m, seed):
+    """Exact p=2 gas draws with each chunk solved alone: the chunk's own
+    models, reversed, through _tridiagonal_eigvalsh, then its finish."""
+    params = EnsembleParams(*abc, n)
+    draw = sp._hermite_draws if abc[0] == 1 else sp._laguerre_draws
+    out = np.empty((m, n))
+    for rows, rng in _chunk_streams(seed, m):
+        d, e2, finish = draw(params, rows.stop - rows.start, rng)
+        out[rows] = sp._tridiagonal_eigvalsh(d[:, ::-1], e2[:, ::-1])
+        finish(out[rows])
+    return out
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 0), (2, 4, 3)])
+@pytest.mark.parametrize("n", [2, 16])
+def test_exact_p2_groups_draw_what_each_chunk_draws_alone(abc, n):
+    # the group buffers hold each chunk's models in its own columns, so the
+    # draws are those of every chunk solved on its own, byte for byte
+    params = EnsembleParams(*abc, n)
+    for m in (sp._GROUP * sp._CHUNK, sp._GROUP * sp._CHUNK + 1, 2 * sp._GROUP * sp._CHUNK + 5):
+        x = sp.exact_p2_sample(params, m, seed=m).points
+        assert x.tobytes() == _chunkwise_draws(abc, n, m, m).tobytes(), m
+
+
+def _ql_widths(monkeypatch, budget):
+    """The matrix count of each _ql_solve call of an n=4 (2,4,3) gas run of
+    budget draws."""
+    widths, solve = [], sp._ql_solve
+
+    def counted(d, e2):
+        widths.append(d.shape[1])
+        solve(d, e2)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sp, "_ql_solve", counted)
+        sp.exact_p2_sample(EnsembleParams(2, 4, 3, 4), budget, 0)
+    return widths
+
+
+def _solves_ten_chunks_per_call(monkeypatch):
+    group = 10 * sp._CHUNK
+    return (_ql_widths(monkeypatch, 10_000) == [10_000]
+            and _ql_widths(monkeypatch, 2 * group + 1) == [group, group, 1])
+
+
+def test_exact_p2_solves_ten_thousand_draws_in_one_call(monkeypatch):
+    assert _solves_ten_chunks_per_call(monkeypatch)
+    monkeypatch.setattr(sp, "_GROUP", 4)  # a planted fault: the old group size
+    assert not _solves_ten_chunks_per_call(monkeypatch)
 
 
 def test_import_starts_no_pool_machinery():
