@@ -67,6 +67,8 @@ class SchattenSpec:
             raise ValueError(f"{self.subspace} requires field C, got {self.field}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.subspace == "AntiSymHermitian" and self.n < 2:
+            raise ValueError("AntiSymHermitian needs n >= 2")
         if not (self.p >= 1):
             raise ValueError("p must satisfy p >= 1")
 
@@ -112,6 +114,4 @@ def ensemble_of(spec):
         return GasMapping(EnsembleParams(a=2, b=1, c=1, n=n), 1)
     # AntiSymHermitian: i * (real antisymmetric); singular values pair up.
     s, r = divmod(n, 2)
-    if s < 1:
-        raise ValueError("AntiSymHermitian needs n >= 2")
     return GasMapping(EnsembleParams(a=2, b=2, c=2 * r, n=s), 2)

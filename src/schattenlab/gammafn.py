@@ -12,9 +12,6 @@ __all__ = ["gamma_ratio", "gamma_gap", "GammaRatio"]
 class GammaRatio:
     """Gamma(1 + d/p) / Gamma(1 + (d+q)/p) together with its power-law approximant."""
 
-    d: float
-    p: float
-    q: float
     value: float
     approximant: float
     discrepancy: float
@@ -32,7 +29,7 @@ def gamma_ratio(d, p, q):
     value = math.exp(log_value)
     approximant = ((d + p + q) / p) ** (-q / p)
     discrepancy = math.exp(log_value + (q / p) * math.log((d + p + q) / p))
-    return GammaRatio(d=d, p=p, q=q, value=value, approximant=approximant, discrepancy=discrepancy)
+    return GammaRatio(value=value, approximant=approximant, discrepancy=discrepancy)
 
 
 # 6-point Gauss-Legendre rule on [-1, 1] as plain floats: numpy scalars make

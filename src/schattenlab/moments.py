@@ -73,10 +73,13 @@ def coord_pow(k):
 
 
 def pair_sq():
-    """Symmetrized pair moment sum_{i != j} x_i^2 x_j^2 / (n(n-1))."""
+    """Symmetrized pair moment sum_{i != j} x_i^2 x_j^2 / (n(n-1)); a point
+    with n < 2 coordinates has no pair, so its evaluation raises ValueError."""
 
     def fn(x):
         n = x.shape[1]
+        if n < 2:
+            raise ValueError(f"x1sq_x2sq needs a pair of coordinates, n >= 2, got n={n}")
         s2 = np.sum(x**2, axis=1)
         s4 = np.sum(x**4, axis=1)
         return (s2**2 - s4) / (n * (n - 1))

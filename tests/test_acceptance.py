@@ -25,7 +25,7 @@ def _line(tag, ok, elapsed, detail=""):
 
 def test_a1_entry_identities():
     t0 = time.perf_counter()
-    rep = vf.check_entry_identities(per_field=1000, n_range=(2, 8), tol=1e-9, seed=101)
+    rep = vf.check_entry_identities(per_field=1000, seed=101)
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 10.0
     _line("A1", ok, elapsed, f"worst rel residual {rep.lhs:.2e} over {rep.details['matrices']} matrices")
@@ -115,8 +115,8 @@ def test_a4_sampler_cross_validation():
 
 def test_a5_thinshell_infinite_p():
     t0 = time.perf_counter()
-    rep1 = vf.check_thinshell_large_p(1, n_grid=(8, 16))
-    rep2 = vf.check_thinshell_large_p(2, n_grid=(8, 16))
+    rep1 = vf.check_thinshell_large_p(1)
+    rep2 = vf.check_thinshell_large_p(2)
     elapsed = time.perf_counter() - t0
     ok = rep1.passed and rep2.passed and elapsed < 1200.0
     det = {b: [(e["n"], round(e["var"], 4)) for e in rep.details["estimates"]]
@@ -174,7 +174,7 @@ def test_a8_hermitian_split():
     for n in (2, 3):
         for p in (2.0, math.inf):
             for xi in (2, 4):
-                reports.append(vf.check_hermitian_split(n, p, xi=xi, tol=1e-4))
+                reports.append(vf.check_hermitian_split(n, p, xi=xi))
     elapsed = time.perf_counter() - t0
     bad = [r.claim_id for r in reports if not r.passed]
     ok = not bad and elapsed < 300.0

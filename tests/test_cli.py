@@ -236,6 +236,27 @@ def test_usage_errors():
                         "--tol", tol) == cli.EXIT_USAGE, tol
 
 
+_ANTISYM_1 = ("--field", "C", "--subspace", "antisymhermitian", "--n", "1", "--p", "2")
+_PAIR_1 = ("estimate", "moment", "--ensemble", "2,1,0", "--n", "1", "--p", "2",
+           "--functional", "x1sq_x2sq", "--samples", "100")
+
+
+@pytest.mark.parametrize("args", [
+    ("estimate", "sigma", *_ANTISYM_1),
+    ("sample", "matrix", *_ANTISYM_1, "--samples", "3"),
+    ("estimate", "sigma", *_ANTISYM_1, "--sampler", "hit_and_run"),
+    (*_PAIR_1, "--method", "quadrature"),
+    (*_PAIR_1, "--method", "mc"),
+], ids=["sigma-exact", "sample-matrix", "sigma-hit-and-run", "pair-quadrature", "pair-mc"])
+def test_a_ball_or_moment_without_a_pair_is_a_usage_error(capsys, args):
+    # the 1 x 1 anti-Hermitian ball has dimension 0 and the one-coordinate
+    # gas has no pair: each run names n and writes nothing, not even a header
+    assert run_main(*args) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "n >= 2" in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "--suite", "entries", "--budget-scale", "inf"),
     ("verify", "--suite", "gamma", "--tol", "1e-3"),

@@ -121,6 +121,10 @@ def test_illegal_specs():
         SchattenSpec("R", "Full", 2, 0.5)
     with pytest.raises(ValueError):
         SchattenSpec("Q", "Full", 2, 2.0)
+    # the 1 x 1 anti-Hermitian ball has dimension 0: no spec, whatever p
+    for p in (1.0, 2.0, 3.0, math.inf):
+        with pytest.raises(ValueError, match="n >= 2"):
+            SchattenSpec("C", "AntiSymHermitian", 1, p)
 
 
 def test_p_infinity_is_exact():
