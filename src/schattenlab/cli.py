@@ -26,21 +26,13 @@ from . import __version__
 from . import moments as mo
 from . import samplers as sp
 from . import verify as vf
-from .ensembles import EnsembleParams, SchattenSpec
+from .ensembles import FIELDS, SUBSPACES, EnsembleParams, SchattenSpec
 from .gammafn import gamma_gap, gamma_ratio, gamma_grid
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ORACLE = 3
-
-_SUBSPACE_ALIASES = {
-    "full": "Full",
-    "selfadjoint": "SelfAdjoint",
-    "antisymhermitian": "AntiSymHermitian",
-    "complexsymmetric": "ComplexSymmetric",
-}
-
 
 def _parse_p(text):
     if text.strip().lower() == "inf":
@@ -69,9 +61,10 @@ def _parse_ensemble(text):
 
 def _parse_subspace(text):
     key = text.strip().lower()
-    if key not in _SUBSPACE_ALIASES:
-        raise argparse.ArgumentTypeError(f"unknown subspace {text!r}")
-    return _SUBSPACE_ALIASES[key]
+    for name in SUBSPACES:
+        if name.lower() == key:
+            return name
+    raise argparse.ArgumentTypeError(f"unknown subspace {text!r}")
 
 
 def _jsonable(v):
@@ -181,12 +174,13 @@ def _cmd_estimate(args, writer):
         kind = "var_mp"
     else:
         params = EnsembleParams(*args.ensemble, args.n)
+        functional = mo.resolve_functional(args.functional)  # a malformed id draws nothing
         if args.method == "quadrature":
-            est = mo.quadrature_moment(params, args.p, args.functional)
+            est = mo.quadrature_moment(params, args.p, functional)
         else:
             batch = sp.gas_sample(params, args.p, args.samples, args.seed,
                                   mcmc_kwargs=mcmc_kwargs)
-            est = mo.estimate_moment(batch, args.functional)
+            est = mo.estimate_moment(batch, functional)
         kind, context["functional"] = "moment", args.functional
     writer.record(est, record=kind, **context)
     return EXIT_OK
@@ -217,9 +211,7 @@ def _cmd_sweep(args, writer):
 
 def _cmd_gamma(args, writer):
     if args.grid:
-        ds = np.unique(np.round(np.geomspace(4, 10_000, 15)).astype(int))
-        ps = np.geomspace(1.0, 10_000.0, 15)
-        for row in gamma_grid(ds, ps):
+        for row in gamma_grid(15):
             writer.record(row, record="gamma")
     else:
         r = gamma_ratio(args.d, args.p, args.q)
@@ -239,7 +231,7 @@ def _mcmc_kwargs(args):
 def _add_draw_args(sub):
     """The arguments estimate and sample share: what to draw and how."""
     sub.add_argument("--ensemble", type=_parse_ensemble, default=(2, 1, 0))
-    sub.add_argument("--field", default="R", choices=("R", "C", "H"))
+    sub.add_argument("--field", default="R", choices=FIELDS)
     sub.add_argument("--subspace", type=_parse_subspace, default="Full")
     sub.add_argument("--n", type=int, default=2)
     sub.add_argument("--p", type=_parse_p, default=2.0)
@@ -279,7 +271,7 @@ def build_parser():
     e = subs.add_parser("estimate", help="print moment / variance / sigma estimates")
     e.add_argument("quantity", choices=("sigma", "var", "moment"))
     _add_draw_args(e)
-    e.add_argument("--sampler", default="auto", choices=("auto", "hit_and_run"))
+    e.add_argument("--sampler", default="auto", choices=mo.SIGMA_SAMPLERS)
     e.add_argument("--functional", default="x1_sq")
     e.add_argument("--method", default="mc", choices=("mc", "quadrature"))
     e.add_argument("--samples", type=int, default=50_000)

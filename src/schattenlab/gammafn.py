@@ -88,11 +88,13 @@ def gamma_gap(d, p):
     return math.exp(-log_ratio) * math.expm1(second)
 
 
-def gamma_grid(d_values, p_values):
-    """Tabulate ratio/gap quantities over a (d, p) grid; returns a list of dicts."""
+def gamma_grid(k):
+    """Ratio/gap rows (dicts) over the k-point (d, p) grid, d-major: d the distinct
+    integers nearest geomspace(4, 1e4, k), p = geomspace(1, 1e4, k)."""
     rows = []
-    for d in np.atleast_1d(d_values):
-        for p in np.atleast_1d(p_values):
+    ps = np.geomspace(1.0, 10_000.0, k)
+    for d in np.unique(np.round(np.geomspace(4, 10_000, k)).astype(int)):
+        for p in ps:
             gap = gamma_gap(d, p)
             r2 = gamma_ratio(d, p, 2.0)
             r4 = gamma_ratio(d, p, 4.0)

@@ -96,8 +96,10 @@ def norm_sq_sq():
 
 
 def abs_pow_sum(xi):
-    """sum_i |x_i|^xi, i.e. the xi-th power of the l_xi norm."""
+    """sum_i |x_i|^xi, i.e. the xi-th power of the l_xi norm (xi finite, >= 0)."""
     xi = float(xi)
+    if not 0 <= xi < math.inf:
+        raise ValueError(f"abs_pow_sum needs a finite xi >= 0, got {xi:g}")
     return Functional(f"normpow{xi:g}", xi, lambda x: np.sum(np.abs(x) ** xi, axis=1))
 
 
@@ -147,37 +149,38 @@ def product_of(f1, f2):
                       lambda x: f1.fn(x) * f2.fn(x))
 
 
-_SIMPLE = {
-    "one": one,
-    "x1_sq": lambda: coord_pow(2),
-    "x1_pow4": lambda: coord_pow(4),
-    "x1_pow6": lambda: coord_pow(6),
-    "x1_pow8": lambda: coord_pow(8),
-    "x1sq_x2sq": pair_sq,
-    "norm2_sq": norm_sq,
-    "norm2_4": norm_sq_sq,
-    "norm4_4": lambda: abs_pow_sum(4),
+# functional id head -> (factory, one converter per ':'-separated argument)
+_FUNCTIONALS = {
+    "one": (one, ()),
+    "x1_sq": (lambda: coord_pow(2), ()),
+    "x1_pow4": (lambda: coord_pow(4), ()),
+    "x1_pow6": (lambda: coord_pow(6), ()),
+    "x1_pow8": (lambda: coord_pow(8), ()),
+    "x1sq_x2sq": (pair_sq, ()),
+    "norm2_sq": (norm_sq, ()),
+    "norm2_4": (norm_sq_sq, ()),
+    "norm4_4": (lambda: abs_pow_sum(4), ()),
+    "normpow": (abs_pow_sum, (float,)),
+    "norm2_sq*normpow": (lambda xi: product_of(norm_sq(), abs_pow_sum(xi)), (float,)),
+    "pair_ratio": (pair_ratio, (int, int)),
 }
 
 
 def resolve_functional(fid):
-    """Resolve a registered functional id; ':'-parameterized ids carry arguments.
+    """Resolve a functional id: a head, then exactly the ':'-separated arguments it takes.
 
     Examples: "one", "x1_sq", "x1sq_x2sq", "normpow:4", "norm2_sq*normpow:6",
     "pair_ratio:2:2".
     """
     if isinstance(fid, Functional):
         return fid
-    if fid in _SIMPLE:
-        return _SIMPLE[fid]()
-    parts = fid.split(":")
-    if parts[0] == "normpow":
-        return abs_pow_sum(float(parts[1]))
-    if parts[0] == "norm2_sq*normpow":
-        return product_of(norm_sq(), abs_pow_sum(float(parts[1])))
-    if parts[0] == "pair_ratio":
-        return pair_ratio(int(parts[1]), int(parts[2]))
-    raise ValueError(f"unknown functional id {fid!r}")
+    head, *args = fid.split(":")
+    if head not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional id {fid!r}")
+    factory, converters = _FUNCTIONALS[head]
+    if len(args) != len(converters):
+        raise ValueError(f"functional id {fid!r}: {head} takes {len(converters)} argument(s)")
+    return factory(*(convert(arg) for convert, arg in zip(converters, args)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +427,10 @@ def _sigma_estimate(d, m, m2, cov, eff, method):
     )
 
 
+# the samplers sigma_pipeline accepts, in the order the CLI offers them
+SIGMA_SAMPLERS = ("auto", "hit_and_run")
+
+
 def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=None):
     """Estimate the thin-shell statistic of K_{p,E} from the singular-value law.
 
@@ -434,8 +441,9 @@ def sigma_pipeline(spec, sampler="auto", budget=100_000, seed=0, mcmc_kwargs=Non
     draws nothing (budget must still be >= 1) and names its method "exact-"
     + route.  Other samplers raise ValueError.
     """
-    if sampler not in ("auto", "hit_and_run"):
-        raise ValueError(f"sampler must be 'auto' or 'hit_and_run', got {sampler!r}")
+    if sampler not in SIGMA_SAMPLERS:
+        raise ValueError(f"sampler must be {' or '.join(map(repr, SIGMA_SAMPLERS))}, "
+                         f"got {sampler!r}")
     if sampler == "hit_and_run":
         mats = samplers.matrix_hit_and_run(spec, n_samples=budget, seed=seed,
                                            **(mcmc_kwargs or {}))

@@ -46,9 +46,6 @@ class SampleBatch:
     points: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return self.points.shape[0]
-
 
 def _check_budget(n_samples):
     if n_samples < 1:

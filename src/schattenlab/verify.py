@@ -14,7 +14,7 @@ from . import exact
 from . import matrixlab as ml
 from . import moments as mo
 from . import samplers as sp
-from .ensembles import BETA, EnsembleParams, SchattenSpec, ensemble_of
+from .ensembles import BETA, FIELDS, EnsembleParams, SchattenSpec, ensemble_of
 from .gammafn import gamma_grid, gamma_ratio
 from .util import batch_means, batch_means_cov, delta_se
 
@@ -300,10 +300,9 @@ def check_holder_band(trials=100_000, seed=0):
 def _gamma_table():
     """gammafn.gamma_grid over the grid of the Gamma checks, each quantity as
     a (d, p) array: d runs down the rows, p across the columns."""
-    ds = np.unique(np.round(np.geomspace(4, 10_000, 25)).astype(int))
-    ps = np.geomspace(1.0, 10_000.0, 25)
-    rows = gamma_grid(ds, ps)
-    return {key: np.array([r[key] for r in rows]).reshape(len(ds), len(ps)) for key in rows[0]}
+    k = 25
+    rows = gamma_grid(k)
+    return {key: np.array([r[key] for r in rows]).reshape(-1, k) for key in rows[0]}
 
 
 def check_gamma_gap_positive():
@@ -376,7 +375,7 @@ def check_entry_identities(per_field=1000, seed=0):
     worst = 0.0
     counts = 0
     ns = range(2, 9)
-    for fld in ("R", "C", "H"):
+    for fld in FIELDS:
         groups = {}
         for m in range(per_field):
             n = ns[m % len(ns)]

@@ -11,7 +11,7 @@ from schattenlab import cli
 from schattenlab import moments as mo
 from schattenlab import samplers as sp
 from schattenlab import verify as vf
-from schattenlab.ensembles import SchattenSpec
+from schattenlab.ensembles import FIELDS, SUBSPACES, SchattenSpec
 
 
 def run_cli(*args):
@@ -255,6 +255,52 @@ def test_a_ball_or_moment_without_a_pair_is_a_usage_error(capsys, args):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and "n >= 2" in err and err.count("\n") == 1, err
+
+
+_MOMENT = ("estimate", "moment", "--n", "2", "--p", "2", "--samples", "2000", "--functional")
+
+
+@pytest.mark.parametrize("args,reason", [
+    ((*_MOMENT, "pair_ratio:2"), "takes 2 argument(s)"),
+    ((*_MOMENT, "norm2_sq*normpow"), "takes 1 argument(s)"),
+    ((*_MOMENT, "normpow:4:9"), "takes 1 argument(s)"),
+    ((*_MOMENT, "normpow:nan"), "finite xi >= 0"),
+    ((*_MOMENT, "normpow:nan", "--method", "quadrature"), "finite xi >= 0"),
+    ((*_MOMENT, "normpow:inf"), "finite xi >= 0"),
+    ((*_MOMENT, "normpow:-2"), "finite xi >= 0"),
+], ids=["pair-ratio-1-arg", "product-0-args", "normpow-2-args", "normpow-nan-mc",
+        "normpow-nan-quadrature", "normpow-inf", "normpow-negative"])
+def test_a_malformed_functional_id_is_a_usage_error(capsys, monkeypatch, args, reason):
+    # a wrong argument count or an exponent that is not finite and >= 0 writes
+    # nothing (no traceback, no NaN or divergent moment) and draws nothing
+    monkeypatch.setattr(sp, "gas_sample", lambda *a, **kw: pytest.fail("drew before the id"))
+    assert run_main(*args) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and reason in err and err.count("\n") == 1, err
+
+
+_C_ONLY = ("AntiSymHermitian", "ComplexSymmetric")
+
+
+@pytest.mark.parametrize("flags,expected", [
+    *((("--field", "C" if s in _C_ONLY else "R", "--subspace", spelled),
+       ("C" if s in _C_ONLY else "R", s, "exact-radial"))
+      for s in SUBSPACES for spelled in (s.lower(), s.upper(), s)),
+    *((("--field", f), (f, "Full", "exact-radial")) for f in FIELDS),
+    (("--sampler", "auto"), ("R", "Full", "exact-radial")),
+    (("--sampler", "hit_and_run", "--samples", "200"), ("R", "Full", "hit_and_run")),
+    *((("--sampler", s), None) for s in ("Auto", "hit-and-run", "metropolis", "exact")),
+], ids=lambda v: " ".join(v) if v and v[0].startswith("--") else None)
+def test_every_field_subspace_and_sampler_name_is_accepted(capsys, flags, expected):
+    # the subspace names in any letter case, every field, and exactly the two samplers
+    code = run_main("estimate", "sigma", "--n", "2", "--p", "2", *flags)
+    if expected is None:
+        assert code == cli.EXIT_USAGE
+        return
+    assert code == cli.EXIT_OK
+    rec = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert (rec["field"], rec["subspace"], rec["method"]) == expected
 
 
 @pytest.mark.parametrize("args", [

@@ -609,3 +609,13 @@ def test_functional_registry_resolution():
         mo.resolve_functional("nonsense")
     with pytest.raises(ValueError):
         mo.pair_ratio(2, 3)
+    # the oracle results and the benchmark key functionals by these names
+    assert {fid: mo.resolve_functional(fid).name for fid in _REGISTERED + ("one",)} == {
+        "x1_sq": "x1_pow2", "x1_pow4": "x1_pow4", "x1sq_x2sq": "x1sq_x2sq",
+        "norm2_sq": "norm2_sq", "norm2_4": "norm2_4", "norm4_4": "normpow4",
+        "normpow:4": "normpow4", "norm2_sq*normpow:4": "norm2_sq*normpow4", "one": "one"}
+    # a wrong argument count, or an exponent that is not finite and >= 0
+    for fid in ("pair_ratio:2", "norm2_sq*normpow", "normpow:4:9", "x1_sq:2",
+                "normpow:nan", "normpow:inf", "normpow:-2", "norm2_sq*normpow:-1"):
+        with pytest.raises(ValueError):
+            mo.resolve_functional(fid)
