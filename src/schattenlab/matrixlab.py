@@ -4,9 +4,11 @@ norms and the exact fourth-moment identities between entries and singular values
 This is the one module that turns subspace coordinates into entries, a
 (..., n, n) real or complex array or a (..., n, n, 4) component array over H,
 and entries, with any leading batch axes, into |a_ij|^2, the complex
-embedding, singular values, Schatten norms and entry sums.  Quaternion
-matrices are reduced to a 2n x 2n complex matrix for spectral work; the
-embedded singular values come in equal pairs and are returned once each.
+embedding, singular values, Schatten norms and entry sums; no other module
+reads an entries array.  Quaternion matrices are reduced to a 2n x 2n complex
+matrix, the package's one quaternion form, for spectral work and the Gram
+matrix; the embedded singular values come in equal pairs and are returned
+once each.
 Every singular value comes from one batched library SVD, `singular_values`.
 """
 
@@ -62,15 +64,12 @@ def _qconj(p):
     return out
 
 
-def _halves(entries):
-    """Complex halves (A, B) of a quaternion matrix T = A + B j."""
-    return entries[..., 0] + 1j * entries[..., 1], entries[..., 2] + 1j * entries[..., 3]
-
-
 def _embed(entries):
     """Complex adjoint embedding of quaternion matrices (..., n, n, 4):
-    T = A + B j maps to [[A, B], [-conj(B), conj(A)]]."""
-    a, b = _halves(entries)
+    T = A + B j maps to [[A, B], [-conj(B), conj(A)]], and T T^* to
+    _embed(T) _embed(T)^*."""
+    a = entries[..., 0] + 1j * entries[..., 1]
+    b = entries[..., 2] + 1j * entries[..., 3]
     return np.block([[a, b], [-b.conj(), a.conj()]])
 
 
@@ -170,10 +169,10 @@ class EntrySums:
 
     With q_ij = |a_ij|^2: frobenius_sq = sum q_ij, sum_abs4 = sum q_ij^2,
     row_cross = sum_i sum_{j != k} q_ij q_ik, col_cross the same over columns,
-    pair_cross = sum over i != l, j != k of q_ij q_lk, and quartic_cross =
-    sum over i != l, j != k of scalar(a_ij conj(a_lj) a_lk conj(a_ik)), its
-    factors multiplied in this order; quartic_cross_vector is the summed
-    magnitude of the discarded (provably vanishing) non-scalar part.
+    pair_cross = sum over i != l, j != k of q_ij q_lk, quartic_cross =
+    sum over i != l, j != k of scalar(a_ij conj(a_lj) a_lk conj(a_ik)), and
+    diag_real_cross = sum_{i != j} re a_ii re a_jj, where re is the real part
+    (the scalar part over H).
     """
 
     frobenius_sq: np.ndarray
@@ -182,31 +181,19 @@ class EntrySums:
     col_cross: np.ndarray
     pair_cross: np.ndarray
     quartic_cross: np.ndarray
-    quartic_cross_vector: np.ndarray
+    diag_real_cross: np.ndarray
 
 
-def _gram_quartic(field, entries):
-    """Scalar part and non-scalar magnitude of gram_il * gram_li, gram = T T^*.
-
-    The double sum over j, k of a_ij conj(a_lj) a_lk conj(a_ik) factorizes as
-    gram[i, l] * gram[l, i] with the original factor order.
-    """
+def _gram_sq(field, entries):
+    """|gram_il|^2 of gram = T T^*, the scalar part of gram_il gram_li since
+    gram is Hermitian.  Over H gram = G_a + G_b j, and the first n rows of the
+    embedded Gram are [G_a, G_b], so |gram_il|^2 = |G_a,il|^2 + |G_b,il|^2."""
     if field == "H":
-        a, b = _halves(entries)
-        # T = A + B j has T T^* = (A A^* + B B^*) + (B A^T - A B^T) j, and
-        # (p + q j)(r + s j) = (p r - q conj(s)) + (p s + q conj(r)) j
-        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
-        ga = a @ at.conj() + b @ bt.conj()
-        gb = b @ at - a @ bt
-        ga_t, gb_t = ga.swapaxes(-1, -2), gb.swapaxes(-1, -2)
-        pa = ga * ga_t - gb * gb_t.conj()
-        pb = ga * gb_t + gb * ga_t.conj()
-        return pa.real, np.sqrt(pa.imag**2 + np.abs(pb) ** 2)
-    gram = entries @ entries.conj().swapaxes(-1, -2)
-    prod = gram * gram.swapaxes(-1, -2)
-    if field == "C":
-        return prod.real, np.abs(prod.imag)
-    return prod, None
+        n = entries.shape[-3]
+        big = _embed(entries)
+        sq = abs_sq("C", big[..., :n, :] @ big.conj().swapaxes(-1, -2))
+        return sq[..., :n] + sq[..., n:]
+    return abs_sq(field, entries @ entries.conj().swapaxes(-1, -2))
 
 
 @functools.cache
@@ -228,13 +215,16 @@ def entry_sums(field, entries):
     closed form from the row sums r_i and column sums c_j of q:
 
     row_cross = sum r_i^2 - sum q^2, col_cross = sum c_j^2 - sum q^2,
-    pair_cross = (sum q)^2 - sum r_i^2 - sum c_j^2 + sum q^2, and
-    quartic_cross = sum_{i != l} scalar(gram_il gram_li) - (sum c_j^2 - sum q^2),
-    the last term being sum_{i != l} sum_j q_ij q_lj.  The row sums, column
-    sums and sum q are one product of the flattened squares with
-    _line_selectors(n), a vector-matrix product per matrix, so a matrix's
-    sums do not depend on the batch it is in; each sum over i != l is the
-    full sum minus the trace.
+    pair_cross = (sum q)^2 - sum r_i^2 - sum c_j^2 + sum q^2,
+    quartic_cross = sum_{i != l} |gram_il|^2 - (sum c_j^2 - sum q^2) with
+    gram = T T^* (_gram_sq, one rule for every field), the last term being
+    sum_{i != l} sum_j q_ij q_lj, and diag_real_cross = (sum_i re a_ii)^2 -
+    sum_i (re a_ii)^2.  The row sums, column sums and sum q are one product
+    of the flattened squares with _line_selectors(n), a vector-matrix product
+    per matrix, so a matrix's sums do not depend on the batch it is in, but
+    for diag_real_cross in a one-matrix batch at n >= 8, whose diagonal sum
+    numpy orders another way (a change near 1e-17); each sum over i != l is
+    the full sum minus the trace.
     """
     bsz, n = entries.shape[:2]
     q = abs_sq(field, entries).reshape(bsz, n * n)
@@ -243,15 +233,17 @@ def entry_sums(field, entries):
     col_sq = np.einsum("bj,bj->b", lines[:, n:-1], lines[:, n:-1])
     abs4 = np.einsum("bk,bk->b", q, q)
     total = lines[:, -1]
-    scal, vec = _gram_quartic(field, entries)
+    real = entries[..., 0] if field == "H" else np.real(entries)
+    diag = real[:, np.arange(n), np.arange(n)]
+    dsum = diag.sum(axis=1)
     return EntrySums(
         frobenius_sq=total,
         sum_abs4=abs4,
         row_cross=row_sq - abs4,
         col_cross=col_sq - abs4,
         pair_cross=total**2 - row_sq - col_sq + abs4,
-        quartic_cross=_off_diagonal_sum(scal) - (col_sq - abs4),
-        quartic_cross_vector=np.zeros(bsz) if vec is None else _off_diagonal_sum(vec),
+        quartic_cross=_off_diagonal_sum(_gram_sq(field, entries)) - (col_sq - abs4),
+        diag_real_cross=dsum**2 - (diag**2).sum(axis=1),
     )
 
 
@@ -265,8 +257,10 @@ class EntryIdentityTerms:
     """Both sides of the quartic entry identities.
 
     lhs4 = sum s_i^4 and lhs22 = sum_{i != j} s_i^2 s_j^2 come from the SVD;
-    the remaining fields are entry sums (see EntrySums), and det_cross
-    (R and C only) is twice the summed squared 2 x 2 minors.  Fields are
+    the remaining fields are entry sums (see EntrySums; row_col_cross is
+    row_cross + col_cross), whose combinations rhs4() and rhs22() equal lhs4
+    and lhs22, and det_cross (R and C only) is twice the summed squared
+    2 x 2 minors, a second form of lhs22.  Fields are
     floats for one matrix (entry_identity_terms) and per-matrix arrays for a
     batch (entry_identity_batch).
     """
@@ -275,7 +269,6 @@ class EntryIdentityTerms:
     sum_abs4: float
     row_col_cross: float
     quartic_cross: float
-    quartic_cross_vector: float
     lhs22: float
     pair_cross: float
     det_cross: float | None
@@ -306,7 +299,6 @@ def entry_identity_batch(field, entries):
         sum_abs4=sums.sum_abs4,
         row_col_cross=sums.row_cross + sums.col_cross,
         quartic_cross=sums.quartic_cross,
-        quartic_cross_vector=sums.quartic_cross_vector,
         lhs22=np.sum(s2, axis=1) ** 2 - lhs4,
         pair_cross=sums.pair_cross,
         det_cross=det_cross,

@@ -112,6 +112,8 @@ def pair_ratio(a, xi):
     xi = int(xi)
     if xi < 0 or xi % 2:
         raise ValueError("pair_ratio needs even xi >= 0")
+    if a not in (1, 2):
+        raise ValueError("pair_ratio supports a in {1, 2}")
 
     def fn(x):
         n = x.shape[1]
@@ -122,14 +124,12 @@ def pair_ratio(a, xi):
             for m in range(xi + 1):
                 total += np.sum(u**m * v ** (xi - m), axis=1)
             return total
-        if a == 2:
-            u, v = x[:, iu] ** 2, x[:, ju] ** 2
-            mm = xi // 2 + 1
-            total = np.zeros(x.shape[0])
-            for m in range(mm):
-                total += np.sum(u**m * v ** (mm - 1 - m), axis=1)
-            return total
-        raise ValueError("pair_ratio supports a in {1, 2}")
+        u, v = x[:, iu] ** 2, x[:, ju] ** 2
+        mm = xi // 2 + 1
+        total = np.zeros(x.shape[0])
+        for m in range(mm):
+            total += np.sum(u**m * v ** (mm - 1 - m), axis=1)
+        return total
 
     return Functional(f"pair_ratio_a{a}_xi{xi}", float(xi), fn)
 

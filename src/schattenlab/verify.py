@@ -349,8 +349,8 @@ def check_gamma_discrepancy():
     ok = True
     for q, disc in ((2.0, t["discrepancy_q2"]), (4.0, t["discrepancy_q4"])):
         dev = np.abs(disc ** (1.0 / q) - 1.0)
-        worst = max(worst, float(np.max(dev * d / q)))
-        ok = ok and not np.any(dev > c_const * q / d)
+        worst = float(np.maximum(worst, np.max(dev * d / q)))
+        ok = ok and bool(np.all(dev <= c_const * q / d))
     return CheckReport(
         claim_id="gamma-approximant-band",
         passed=ok,
@@ -384,11 +384,10 @@ def check_entry_identities(per_field=1000, seed=0):
             t = ml.entry_identity_batch(fld, np.stack(mats))
             scale4 = np.maximum(1.0, np.abs(t.lhs4))
             scale22 = np.maximum(1.0, np.abs(t.lhs22))
-            resid = [np.abs(t.lhs4 - t.rhs4()) / scale4, np.abs(t.lhs22 - t.rhs22()) / scale22,
-                     t.quartic_cross_vector / scale4]
+            resid = [np.abs(t.lhs4 - t.rhs4()) / scale4, np.abs(t.lhs22 - t.rhs22()) / scale22]
             if t.det_cross is not None:
                 resid.append(np.abs(t.lhs22 - t.det_cross) / scale22)
-            worst = max(worst, float(np.max(resid)))
+            worst = float(np.maximum(worst, np.max(resid)))
             counts += len(mats)
     return CheckReport(
         claim_id="entry-identities[n=2..8]",
@@ -639,13 +638,14 @@ _ENTRY_BLOCK = 8192
 
 def _entry_statistics(spec, coords):
     """Per-sample symmetrized entry moments used by the correlation checks:
-    (m2, row, col, diag_cross, quart, diag_prod), one value per coordinate row.
+    (m2, row, col, diag_cross, quart, diag_prod), one value per coordinate row,
+    each an EntrySums field divided by its number of terms.
 
     The rows are expanded to entries _ENTRY_BLOCK at a time, so the memory
     beyond the draws does not grow with the budget.  Every statistic is a
     function of one matrix, so the blocks concatenate to the values of one
     batch bit for bit, but for diag_prod in a one-matrix block at n >= 8,
-    whose row sums numpy orders another way (a change near 1e-17).
+    whose diag_real_cross numpy sums in another order (a change near 1e-17).
     """
     blocks = [_entry_block_statistics(spec, coords[i : i + _ENTRY_BLOCK])
               for i in range(0, len(coords), _ENTRY_BLOCK)]
@@ -653,19 +653,15 @@ def _entry_statistics(spec, coords):
 
 
 def _entry_block_statistics(spec, coords):
-    entries = ml.coords_to_entries(spec, coords)
     n = spec.n
-    sums = ml.entry_sums(spec.field, entries)
+    sums = ml.entry_sums(spec.field, ml.coords_to_entries(spec, coords))
     m2 = sums.frobenius_sq / (n * n)
     row = sums.row_cross / (n * n * (n - 1))
     col = sums.col_cross / (n * n * (n - 1))
     diag_cross = sums.pair_cross / (n * n * (n - 1) ** 2)
     quart = sums.quartic_cross / (n * n * (n - 1) ** 2)
     # scalar product of distinct diagonal entries (isotropy: mean must vanish)
-    real = entries[..., 0] if spec.field == "H" else np.real(entries)
-    diag = real[:, np.arange(n), np.arange(n)]
-    dsum = diag.sum(axis=1)
-    diag_prod = (dsum**2 - (diag**2).sum(axis=1)) / (n * (n - 1))
+    diag_prod = sums.diag_real_cross / (n * (n - 1))
     return m2, row, col, diag_cross, quart, diag_prod
 
 

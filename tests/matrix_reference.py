@@ -133,16 +133,23 @@ def entry_sums(field, entries):
     schattenlab.matrixlab.EntrySums, by loops over i, l (rows) and j, k
     (columns) with q_ij = |a_ij|^2: frobenius_sq = sum q_ij, sum_abs4 = sum
     q_ij^2, row_cross = sum over i, j != k of q_ij q_ik, col_cross = sum over
-    j, i != l of q_ij q_lj, pair_cross = sum over i != l, j != k of q_ij q_lk;
+    j, i != l of q_ij q_lj, pair_cross = sum over i != l, j != k of q_ij q_lk,
     quartic_cross sums over i != l the scalar part of the quaternion sum over
-    j != k of a_ij conj(a_lj) a_lk conj(a_ik), and quartic_cross_vector the
-    magnitudes of its non-scalar parts."""
+    j != k of a_ij conj(a_lj) a_lk conj(a_ik), and diag_real_cross = sum over
+    i != l of the scalar parts of a_ii and a_ll multiplied.
+
+    One more key, quartic_cross_vector, is no package field: it sums the
+    magnitudes of the non-scalar parts of those quaternion sums, which vanish
+    because T T^* is Hermitian."""
     a = _as_quaternions(field, entries)
     n = len(a)
     q = [[a[i][j].norm_sq() for j in range(n)] for i in range(n)]
     out = dict.fromkeys(("frobenius_sq", "sum_abs4", "row_cross", "col_cross", "pair_cross",
-                         "quartic_cross", "quartic_cross_vector"), 0.0)
+                         "quartic_cross", "diag_real_cross", "quartic_cross_vector"), 0.0)
     for i in range(n):
+        for l in range(n):
+            if l != i:
+                out["diag_real_cross"] += a[i][i].w * a[l][l].w
         for j in range(n):
             out["frobenius_sq"] += q[i][j]
             out["sum_abs4"] += q[i][j] ** 2

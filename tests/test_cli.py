@@ -268,11 +268,15 @@ _MOMENT = ("estimate", "moment", "--n", "2", "--p", "2", "--samples", "2000", "-
     ((*_MOMENT, "normpow:nan", "--method", "quadrature"), "finite xi >= 0"),
     ((*_MOMENT, "normpow:inf"), "finite xi >= 0"),
     ((*_MOMENT, "normpow:-2"), "finite xi >= 0"),
+    ((*_MOMENT, "pair_ratio:3:2"), "a in {1, 2}"),
+    ((*_MOMENT, "pair_ratio:0:2"), "a in {1, 2}"),
 ], ids=["pair-ratio-1-arg", "product-0-args", "normpow-2-args", "normpow-nan-mc",
-        "normpow-nan-quadrature", "normpow-inf", "normpow-negative"])
+        "normpow-nan-quadrature", "normpow-inf", "normpow-negative", "pair-ratio-a3",
+        "pair-ratio-a0"])
 def test_a_malformed_functional_id_is_a_usage_error(capsys, monkeypatch, args, reason):
-    # a wrong argument count or an exponent that is not finite and >= 0 writes
-    # nothing (no traceback, no NaN or divergent moment) and draws nothing
+    # a wrong argument count, an exponent that is not finite and >= 0 or a
+    # pair_ratio power a outside {1, 2} writes nothing (no traceback, no NaN
+    # or divergent moment) and draws nothing
     monkeypatch.setattr(sp, "gas_sample", lambda *a, **kw: pytest.fail("drew before the id"))
     assert run_main(*args) == cli.EXIT_USAGE
     out, err = capsys.readouterr()

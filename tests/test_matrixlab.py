@@ -175,7 +175,6 @@ def test_entry_identities_random(field):
             assert abs(t.lhs4 - np.sum(ref.svd(field, mat) ** 4)) < 1e-10 * scale4
             assert abs(t.lhs4 - t.rhs4()) < 1e-9 * scale4
             assert abs(t.lhs22 - t.rhs22()) < 1e-9 * max(1.0, abs(t.lhs22))
-            assert t.quartic_cross_vector < 1e-9 * scale4
             if field != "H":
                 assert abs(t.lhs22 - t.det_cross) < 1e-9 * max(1.0, abs(t.lhs22))
             else:
@@ -189,28 +188,53 @@ def _entry_sums_error(sums, field, batch):
     for k, e in enumerate(batch):
         want = ref.entry_sums(field, e)
         scale = want["frobenius_sq"] ** 2
+        # the non-scalar part the package's Gram-modulus rule leaves out vanishes
+        assert want.pop("quartic_cross_vector") <= 1e-12 * scale
         worst = max(worst, *(abs(float(getattr(sums, name)[k]) - v) / scale
                              for name, v in want.items()))
     return worst
 
 
+def _gram_sq_unconjugated(field, entries):
+    """Planted fault: |(T T^t)_il|^2, the Gram without the conjugate."""
+    return ml.abs_sq(field, entries @ entries.swapaxes(-1, -2))
+
+
+def _gram_sq_first_half(field, entries):
+    """Planted fault over H: only the first n columns of the embedded Gram
+    rows, |G_a|^2 without |G_b|^2."""
+    n = entries.shape[-3]
+    big = ml._embed(entries)
+    return ml.abs_sq("C", big[..., :n, :] @ big.conj().swapaxes(-1, -2))[..., :n]
+
+
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_entry_sums_meet_the_brute_force_loops(field, n):
+def test_entry_sums_meet_the_brute_force_loops(field, n, monkeypatch):
     # at n = 1 every sum over i != l or j != k is empty
     rng = np.random.default_rng(30 + n)
     batch = np.stack([ml.random_matrix(field, n, rng) for _ in range(4)])
     sums = ml.entry_sums(field, batch)
     assert _entry_sums_error(sums, field, batch) <= 1e-12
     if n == 1:
-        for name in ("row_cross", "col_cross", "pair_cross", "quartic_cross"):
+        for name in ("row_cross", "col_cross", "pair_cross", "quartic_cross", "diag_real_cross"):
             assert np.all(getattr(sums, name) == 0.0)
-    # planted fault: quartic_cross without its -(sum_j c_j^2 - sum q^2) term,
-    # which is empty at n = 1
+    # planted faults, each caught unless its sums are empty (n = 1):
+    # quartic_cross without its -(sum_j c_j^2 - sum q^2) term
     q = ml.abs_sq(field, batch)
     dropped = (q.sum(axis=1) ** 2).sum(axis=1) - (q**2).sum(axis=(1, 2))
     faulty = dataclasses.replace(sums, quartic_cross=sums.quartic_cross + dropped)
     assert (_entry_sums_error(faulty, field, batch) > 1e-3) == (n > 1)
+    # diag_real_cross read from the imaginary part (component 1 over H)
+    imag = batch[..., 1] if field == "H" else np.imag(batch)
+    diag = imag[:, np.arange(n), np.arange(n)]
+    faulty = dataclasses.replace(sums, diag_real_cross=diag.sum(axis=1) ** 2 - (diag**2).sum(axis=1))
+    assert (_entry_sums_error(faulty, field, batch) > 1e-3) == (n > 1)
+    # over C the Gram without the conjugate, over H only |G_a|^2
+    plant = {"C": _gram_sq_unconjugated, "H": _gram_sq_first_half}.get(field)
+    if plant is not None:
+        monkeypatch.setattr(ml, "_gram_sq", plant)
+        assert (_entry_sums_error(ml.entry_sums(field, batch), field, batch) > 1e-3) == (n > 1)
 
 
 def test_rotation_swaps_rows_with_sign():

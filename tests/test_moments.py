@@ -614,8 +614,10 @@ def test_functional_registry_resolution():
         "x1_sq": "x1_pow2", "x1_pow4": "x1_pow4", "x1sq_x2sq": "x1sq_x2sq",
         "norm2_sq": "norm2_sq", "norm2_4": "norm2_4", "norm4_4": "normpow4",
         "normpow:4": "normpow4", "norm2_sq*normpow:4": "norm2_sq*normpow4", "one": "one"}
-    # a wrong argument count, or an exponent that is not finite and >= 0
+    # a wrong argument count, an exponent that is not finite and >= 0, or a
+    # pair_ratio power a outside {1, 2}, refused when the id resolves
     for fid in ("pair_ratio:2", "norm2_sq*normpow", "normpow:4:9", "x1_sq:2",
-                "normpow:nan", "normpow:inf", "normpow:-2", "norm2_sq*normpow:-1"):
+                "normpow:nan", "normpow:inf", "normpow:-2", "norm2_sq*normpow:-1",
+                "pair_ratio:3:2", "pair_ratio:0:2"):
         with pytest.raises(ValueError):
             mo.resolve_functional(fid)

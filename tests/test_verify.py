@@ -114,10 +114,29 @@ def test_gamma_checks():
     assert vf.check_gamma_discrepancy().passed
 
 
+def test_gamma_discrepancy_fails_on_a_nan(monkeypatch):
+    # a NaN in the table must fail the band, not be skipped by the folds
+    table = {key: val.copy() for key, val in vf._gamma_table().items()}
+    table["discrepancy_q2"][3, 5] = math.nan
+    monkeypatch.setattr(vf, "_gamma_table", lambda: table)
+    rep = vf.check_gamma_discrepancy()
+    assert not rep.passed
+    assert math.isnan(rep.lhs)
+
+
 def test_entry_identities_check():
     rep = vf.check_entry_identities(per_field=60, seed=5)
     assert rep.passed
     assert rep.lhs <= 1e-9
+
+
+def test_entry_identities_fail_on_a_nan(monkeypatch):
+    # NaN singular values must fail the identities, not read as a zero residual
+    monkeypatch.setattr(ml, "singular_values", lambda field, entries:
+                        np.full(entries.shape[:2], math.nan))
+    rep = vf.check_entry_identities(per_field=6, seed=5)
+    assert not rep.passed
+    assert math.isnan(rep.lhs) and type(rep.lhs) is float
 
 
 def test_hermitian_split_examples():
